@@ -10,12 +10,14 @@ Public surface of the ``repro.conditions`` package:
 * :func:`to_cnf` / :func:`to_dnf` -- normal forms for the baseline planners.
 * :class:`RewriteEngine` and the rule sets -- Section 5.1 / 6.1.
 * :func:`logically_equivalent` -- truth-table equivalence (testing aid).
+* :func:`compile_predicate` -- a tree as a predicate over row tuples.
 """
 
 from repro.conditions.atoms import Atom, Op, Value, format_value, op_from_text
 from repro.conditions.canonical import canonicalize, is_canonical
 from repro.conditions.normal_forms import cnf_clauses, dnf_terms, to_cnf, to_dnf
 from repro.conditions.parser import parse_condition
+from repro.conditions.predicate import compile_predicate
 from repro.conditions.rewrite import (
     GENCOMPACT_RULES,
     GENMODULAR_RULES,
@@ -63,6 +65,7 @@ __all__ = [
     "disjunction",
     "leaf",
     "parse_condition",
+    "compile_predicate",
     "canonicalize",
     "is_canonical",
     "to_cnf",

@@ -4,12 +4,23 @@ This is the substrate under both the simulated sources (a source
 evaluates supported ``SP`` queries against its relation) and the
 mediator's postprocessing (selection, projection, union, intersection
 with duplicate elimination -- exactly the operator set of Section 3).
+
+Rows are stored as positional tuples in ``schema.attribute_names``
+order, so every operator is one C-level pass: σ filters with a
+predicate compiled from the condition
+(:mod:`repro.conditions.predicate`), π and duplicate elimination are
+``dict.fromkeys`` over ``itemgetter`` (first occurrence wins, so row
+order is the order a row-at-a-time loop would produce), ∪ chains and ∩
+probes a set.  ``dict`` rows exist only at the public boundary.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from itertools import chain
+from operator import itemgetter
+from typing import Iterable, Iterator
 
+from repro.conditions.predicate import compile_predicate
 from repro.conditions.tree import Condition
 from repro.data.schema import Schema
 from repro.errors import SchemaError
@@ -18,32 +29,70 @@ from repro.errors import SchemaError
 Row = dict
 
 
+def _getter(keys: tuple):
+    """``row -> tuple of row[key] for each key`` (``itemgetter`` alone
+    returns a bare value, not a 1-tuple, for one key)."""
+    if len(keys) == 1:
+        first = itemgetter(keys[0])
+        return lambda row: (first(row),)
+    return itemgetter(*keys)
+
+
 class Relation:
     """An immutable collection of rows conforming to a schema.
 
-    Rows are stored as plain dicts; :meth:`project` and the set
-    operations deduplicate via hashable row keys.  All operations return
-    new relations.
+    Nothing handed out can reach the stored rows: :meth:`__iter__`,
+    :attr:`rows` and :meth:`sample` build fresh dicts, :attr:`tuples` is
+    a tuple of tuples.  Relations can therefore be shared -- cached,
+    coalesced, returned as ``self`` -- without copying.  All operations
+    return new relations.
     """
 
+    __slots__ = ("schema", "_tuples")
+
     def __init__(self, schema: Schema, rows: Iterable[Row], validate: bool = True):
+        """``validate=False`` skips the per-row schema check; a row that
+        lacks an attribute then stores ``None`` for it (no condition
+        matches either) and attributes the schema lacks are dropped."""
         self.schema = schema
-        self._rows: list[Row] = [dict(row) for row in rows]
+        names = schema.attribute_names
+        rows = list(rows)
         if validate:
-            for row in self._rows:
+            for row in rows:
                 schema.validate_row(row)
+        try:
+            self._tuples = tuple(map(_getter(names), rows))
+        except KeyError:
+            self._tuples = tuple(tuple(map(row.get, names)) for row in rows)
+
+    @classmethod
+    def _of(cls, schema: Schema, tuples: Iterable[tuple]) -> "Relation":
+        relation = cls.__new__(cls)
+        relation.schema = schema
+        relation._tuples = tuple(tuples)
+        return relation
 
     # -- basic accessors -------------------------------------------------
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._tuples)
+
+    def _dicts(self, tuples: Iterable[tuple]) -> Iterator[Row]:
+        names = self.schema.attribute_names
+        return (dict(zip(names, values)) for values in tuples)
 
     def __iter__(self) -> Iterator[Row]:
-        return iter(self._rows)
+        return self._dicts(self._tuples)
 
     @property
     def rows(self) -> list[Row]:
-        """A defensive copy of the rows."""
-        return [dict(r) for r in self._rows]
+        """The rows as fresh dicts."""
+        return list(self)
+
+    @property
+    def tuples(self) -> tuple[tuple, ...]:
+        """The rows as stored: value tuples in ``schema.attribute_names``
+        order."""
+        return self._tuples
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Relation({self.schema.name}, {len(self)} rows)"
@@ -51,95 +100,71 @@ class Relation:
     # -- relational operators --------------------------------------------
     def select(self, condition: Condition) -> "Relation":
         """σ_condition: rows satisfying the condition."""
-        return Relation(
-            self.schema,
-            (row for row in self._rows if condition.evaluate(row)),
-            validate=False,
-        )
+        if condition.is_true:
+            return self
+        predicate = compile_predicate(condition, self.schema.attribute_names)
+        return Relation._of(self.schema, filter(predicate, self._tuples))
 
     def project(self, attributes: Iterable[str]) -> "Relation":
         """π_attributes with duplicate elimination (set semantics)."""
-        attrs = self.schema.validate_attributes(attributes)
-        ordered = [a for a in self.schema.attribute_names if a in attrs]
-        sub_schema = Schema(
-            self.schema.name,
-            tuple(a for a in self.schema.attrs if a.name in attrs),
-            self.schema.key if self.schema.key in attrs else None,
+        schema = self.schema
+        sub_schema = schema.project(attributes)
+        if len(sub_schema.attrs) == len(schema.attrs):
+            return self.distinct()
+        getter = _getter(tuple(
+            schema.position(name) for name in sub_schema.attribute_names
+        ))
+        return Relation._of(
+            sub_schema, dict.fromkeys(map(getter, self._tuples))
         )
-        seen: set = set()
-        out: list[Row] = []
-        for row in self._rows:
-            projected = {a: row[a] for a in ordered}
-            key = tuple(projected[a] for a in ordered)
-            if key not in seen:
-                seen.add(key)
-                out.append(projected)
-        return Relation(sub_schema, out, validate=False)
 
     def sp(self, condition: Condition, attributes: Iterable[str]) -> "Relation":
         """``SP(C, A, R)`` = π_A(σ_C(R)) -- the paper's select-project query."""
         return self.select(condition).project(attributes)
 
     # -- set operations (require identical attribute sets) ----------------
-    def _check_compatible(self, other: "Relation") -> tuple[str, ...]:
+    def _aligned(self, other: "Relation") -> Iterable[tuple]:
+        """``other``'s tuples laid out in this relation's attribute order."""
         mine = self.schema.attribute_names
         theirs = other.schema.attribute_names
+        if mine == theirs:
+            return other._tuples
         if set(mine) != set(theirs):
             raise SchemaError(
                 f"set operation over different attribute sets: {mine} vs {theirs}"
             )
-        return mine
-
-    def _row_key(self, row: Row, order: Sequence[str]):
-        return tuple(row[a] for a in order)
+        return map(_getter(tuple(map(other.schema.position, mine))),
+                   other._tuples)
 
     def union(self, other: "Relation") -> "Relation":
         """Set union with duplicate elimination."""
-        order = self._check_compatible(other)
-        seen: set = set()
-        out: list[Row] = []
-        for row in list(self._rows) + [
-            {a: r[a] for a in order} for r in other._rows
-        ]:
-            key = self._row_key(row, order)
-            if key not in seen:
-                seen.add(key)
-                out.append(row)
-        return Relation(self.schema, out, validate=False)
+        return Relation._of(
+            self.schema,
+            dict.fromkeys(chain(self._tuples, self._aligned(other))),
+        )
 
     def intersect(self, other: "Relation") -> "Relation":
         """Set intersection."""
-        order = self._check_compatible(other)
-        theirs = {self._row_key({a: r[a] for a in order}, order) for r in other._rows}
-        seen: set = set()
-        out: list[Row] = []
-        for row in self._rows:
-            key = self._row_key(row, order)
-            if key in theirs and key not in seen:
-                seen.add(key)
-                out.append(row)
-        return Relation(self.schema, out, validate=False)
+        theirs = set(self._aligned(other))
+        return Relation._of(
+            self.schema,
+            dict.fromkeys(filter(theirs.__contains__, self._tuples)),
+        )
 
     def distinct(self) -> "Relation":
         """Duplicate elimination over all attributes."""
-        order = self.schema.attribute_names
-        seen: set = set()
-        out: list[Row] = []
-        for row in self._rows:
-            key = self._row_key(row, order)
-            if key not in seen:
-                seen.add(key)
-                out.append(row)
-        return Relation(self.schema, out, validate=False)
+        unique = dict.fromkeys(self._tuples)
+        if len(unique) == len(self._tuples):
+            return self
+        return Relation._of(self.schema, unique)
 
     # -- conveniences ------------------------------------------------------
     def as_row_set(self) -> frozenset:
-        """Rows as a hashable set of (attr, value) tuples, for comparisons."""
-        order = self.schema.attribute_names
-        return frozenset(tuple(row[a] for a in order) for row in self._rows)
+        """Rows as a hashable set of value tuples, for comparisons."""
+        return frozenset(self._tuples)
 
     def sample(self, k: int, rng) -> list[Row]:
         """``k`` rows sampled without replacement via the given RNG."""
-        if k >= len(self._rows):
+        if k >= len(self._tuples):
             return self.rows
-        return [dict(r) for r in rng.sample(self._rows, k)]
+        return list(self._dicts(rng.sample(self._tuples, k)))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from repro.errors import SchemaError, UnknownAttributeError
@@ -52,6 +53,10 @@ class Attribute:
         return isinstance(value, self.type.python_types())
 
 
+#: Sub-schemas memoised per schema before the memo starts over.
+_MAX_PROJECTIONS = 256
+
+
 @dataclass(frozen=True)
 class Schema:
     """An ordered set of attributes with an optional key.
@@ -65,12 +70,12 @@ class Schema:
     key: str | None = None
 
     def __post_init__(self) -> None:
-        names = [a.name for a in self.attrs]
-        if len(set(names)) != len(names):
+        names = self.attribute_names
+        if len(self._positions) != len(names):
             raise SchemaError(f"duplicate attribute names in schema {self.name!r}")
         if not names:
             raise SchemaError(f"schema {self.name!r} has no attributes")
-        if self.key is not None and self.key not in names:
+        if self.key is not None and self.key not in self._positions:
             raise SchemaError(
                 f"key {self.key!r} is not an attribute of schema {self.name!r}"
             )
@@ -87,26 +92,58 @@ class Schema:
                 attrs.append(Attribute(item[0], item[1]))
         return Schema(name, tuple(attrs), key)
 
-    @property
+    # The schema is frozen, so what derives from ``attrs`` is computed
+    # once per instance (``cached_property`` writes the instance dict
+    # directly; dataclass equality and hashing only see the fields).
+    @cached_property
     def attribute_names(self) -> tuple[str, ...]:
         return tuple(a.name for a in self.attrs)
 
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        """Attribute name -> position in :attr:`attribute_names`."""
+        return {name: i for i, name in enumerate(self.attribute_names)}
+
+    @cached_property
+    def _projections(self) -> dict[frozenset, "Schema"]:
+        return {}
+
     def __contains__(self, attribute: str) -> bool:
-        return any(a.name == attribute for a in self.attrs)
+        return attribute in self._positions
+
+    def position(self, name: str) -> int:
+        """Where ``name`` sits in a row tuple of this schema."""
+        try:
+            return self._positions[name]
+        except KeyError:
+            raise UnknownAttributeError(name, self.name) from None
 
     def attribute(self, name: str) -> Attribute:
-        for attr in self.attrs:
-            if attr.name == name:
-                return attr
-        raise UnknownAttributeError(name, self.name)
+        return self.attrs[self.position(name)]
 
     def validate_attributes(self, attributes: Iterable[str]) -> frozenset[str]:
         """Check every name is an attribute; return them as a frozenset."""
         out = frozenset(attributes)
-        for name in out:
-            if name not in self:
-                raise UnknownAttributeError(name, self.name)
+        if not out <= self._positions.keys():
+            for name in out:
+                self.position(name)
         return out
+
+    def project(self, attributes: Iterable[str]) -> "Schema":
+        """The sub-schema over ``attributes``: schema order kept, the key
+        kept only when it is among them.  Memoised per attribute set."""
+        attrs = self.validate_attributes(attributes)
+        cache = self._projections
+        sub = cache.get(attrs)
+        if sub is None:
+            if len(cache) >= _MAX_PROJECTIONS:
+                cache.clear()
+            sub = cache[attrs] = Schema(
+                self.name,
+                tuple(a for a in self.attrs if a.name in attrs),
+                self.key if self.key in attrs else None,
+            )
+        return sub
 
     def validate_row(self, row: dict) -> None:
         """Raise :class:`SchemaError` if the row does not fit the schema."""
@@ -120,7 +157,7 @@ class Schema:
                     f"value {row[attr.name]!r} does not fit attribute "
                     f"{attr.name!r}:{attr.type.value} of schema {self.name!r}"
                 )
-        extra = set(row) - set(self.attribute_names)
+        extra = row.keys() - self._positions.keys()
         if extra:
             raise SchemaError(
                 f"row has attributes {sorted(extra)} unknown to schema {self.name!r}"

@@ -18,6 +18,7 @@ transfer at least as much data as the pure plan").
 from __future__ import annotations
 
 import bisect
+import random
 from collections import Counter
 from dataclasses import dataclass
 
@@ -113,21 +114,19 @@ class TableStats:
         sample (unbiased); only the table cardinality used by
         ``estimated_rows`` stays exact.
         """
-        import random as _random
-
-        rows: list = list(relation)
-        n = len(relation)
+        tuples = relation.tuples
+        n = len(tuples)
         if sample_size is not None and 0 < sample_size < n:
-            rng = _random.Random(seed)
-            rows = rng.sample(rows, sample_size)
-        n_sample = len(rows)
+            tuples = random.Random(seed).sample(tuples, sample_size)
+        n_sample = len(tuples)
+        names = relation.schema.attribute_names
+        # zip(*) transposes row tuples into columns in one pass; an
+        # empty relation has no row to take columns from.
+        columns = zip(*tuples) if tuples else [()] * len(names)
         per_attribute: dict[str, _AttributeStats] = {}
-        for attr in relation.schema.attribute_names:
-            counts: Counter = Counter()
-            for row in rows:
-                value = row.get(attr)
-                if value is not None:
-                    counts[value] += 1
+        for attr, column in zip(names, columns):
+            counts = Counter(column)
+            counts.pop(None, None)
             # The exact sorted multiset supports range-selectivity lookups.
             try:
                 expanded = []

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from repro.conditions.simplify import is_definitely_unsatisfiable
 from repro.data.relation import Relation
-from repro.data.schema import Schema
 from repro.errors import InfeasiblePlanError, PlanExecutionError
 from repro.observability.metrics import (
     DEFAULT_BUCKETS,
@@ -699,13 +698,8 @@ class Mediator:
         from repro.plans.execute import ExecutionReport
 
         source = self.source(query.source)
-        attrs = source.schema.validate_attributes(query.attributes)
+        schema = source.schema.project(query.attributes)
         source.schema.validate_attributes(query.condition.attributes())
-        schema = Schema(
-            source.schema.name,
-            tuple(a for a in source.schema.attrs if a.name in attrs),
-            source.schema.key if source.schema.key in attrs else None,
-        )
         planning = PlanningResult(
             planner="unsatisfiable-shortcut",
             query=query,

@@ -16,7 +16,7 @@ the serial engines cannot express (see
 
 * **single-flight coalescing** -- identical in-flight ``SP(C, A)``
   calls (canonicalized, so commuted spellings match) share one
-  physical call; every logical caller gets its own row-copied answer.
+  physical call and its (immutable) answer.
 * **disjunct batching** -- pending asks differing only in one equality
   constant merge into one ``SP(c1 or c2 or ..., A + {attr})`` when the
   source's grammar admits it, each caller post-filtering its own
@@ -34,13 +34,11 @@ surfaces its earliest-index child's failure after every branch
 settles; an Intersect **cancels** its surviving branches on the first
 failure (the result is doomed anyway) and reaps them before raising.
 
-Accounting is exact under sharing: the serial engines diff the global
-source meters around the execution, which double-counts when two
-concurrent reports overlap one coalesced physical call.  This executor
-instead tallies traffic *per execution context at the call site* --
-the physical call lands once, on the logical caller that initiated it,
-and joiners report ``coalesced_hits``/``batched_hits`` (mirrored to
-the metrics registry as ``executor.coalesced_hits`` and
+Accounting is exact under sharing: like the serial engines, this one
+tallies traffic *per execution context at the call site* -- a shared
+physical call lands once, on the logical caller that initiated it, and
+joiners report ``coalesced_hits``/``batched_hits`` (mirrored to the
+metrics registry as ``executor.coalesced_hits`` and
 ``executor.batched_hits``).
 
 Determinism caveat (same as the parallel executor's): which call
@@ -55,7 +53,6 @@ import asyncio
 import logging
 import threading
 import time
-from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.data.relation import Relation
@@ -67,11 +64,7 @@ from repro.errors import (
 from repro.observability.metrics import get_metrics
 from repro.observability.trace import get_tracer, trace_event
 from repro.plans.coalesce import RequestCoalescer, flight_key
-from repro.plans.execute import (
-    ExecutionReport,
-    Executor,
-    _ExecutionContext,
-)
+from repro.plans.execute import Executor, _ExecutionContext
 from repro.plans.nodes import (
     ChoicePlan,
     IntersectPlan,
@@ -81,40 +74,9 @@ from repro.plans.nodes import (
     UnionPlan,
 )
 from repro.plans.retry import RetryPolicy
-from repro.source.metering import MeterSnapshot
 from repro.source.source import CapabilitySource
 
 logger = logging.getLogger(__name__)
-
-_EMPTY = MeterSnapshot()
-
-
-@dataclass
-class _AsyncExecutionContext(_ExecutionContext):
-    """The serial context plus call-site traffic tallies and sharing
-    counters -- what makes per-report accounting exact under
-    coalescing (the global meters still meter each physical call
-    exactly once; they just cannot say *whose* it was)."""
-
-    coalesced_hits: int = 0
-    batched_hits: int = 0
-    per_source: dict[str, MeterSnapshot] = field(default_factory=dict)
-
-    def tally(self, source: str, **deltas: int) -> None:
-        """Attribute source traffic caused by this execution."""
-        with self._lock:
-            self.per_source[source] = \
-                self.per_source.get(source, _EMPTY) + MeterSnapshot(**deltas)
-
-    def add_coalesced(self) -> None:
-        with self._lock:
-            self.coalesced_hits += 1
-        get_metrics().counter("executor.coalesced_hits").inc()
-
-    def add_batched(self) -> None:
-        with self._lock:
-            self.batched_hits += 1
-        get_metrics().counter("executor.batched_hits").inc()
 
 
 class AsyncExecutor(Executor):
@@ -233,12 +195,7 @@ class AsyncExecutor(Executor):
         return asyncio.run_coroutine_threadsafe(count(), loop).result(5.0)
 
     # -- entry points --------------------------------------------------
-    def _new_context(self) -> _AsyncExecutionContext:
-        policy = self.retry_policy
-        budget = policy.retry_budget if policy is not None else None
-        return _AsyncExecutionContext(budget_left=budget)
-
-    def _run(self, plan: Plan, ctx: _AsyncExecutionContext) -> Relation:
+    def _run(self, plan: Plan, ctx: _ExecutionContext) -> Relation:
         """Submit one plan execution to the loop and block for it."""
         loop = self._ensure_loop()
         tracer = get_tracer()
@@ -254,46 +211,9 @@ class AsyncExecutor(Executor):
 
         return asyncio.run_coroutine_threadsafe(entry(), loop).result()
 
-    def execute(self, plan: Plan) -> Relation:
-        return self._run(plan, self._new_context())
-
-    def execute_with_report(self, plan: Plan) -> ExecutionReport:
-        """Execute and report -- from this execution's own tallies.
-
-        Unlike the serial engines' global-meter diff (which misattributes
-        traffic when concurrent reports overlap -- and under coalescing
-        would count one shared physical call in *every* overlapping
-        report), the async report is built from the context's call-site
-        tallies: each physical call appears in exactly one report, the
-        initiating caller's, and joiners carry ``coalesced_hits`` /
-        ``batched_hits`` instead.
-        """
-        ctx = self._new_context()
-        started = time.perf_counter()
-        result = self._run(plan, ctx)
-        duration = time.perf_counter() - started
-        per_source = {
-            name: delta for name, delta in ctx.per_source.items()
-            if delta != _EMPTY
-        }
-        return ExecutionReport(
-            result,
-            sum(delta.queries for delta in per_source.values()),
-            sum(delta.tuples for delta in per_source.values()),
-            attempts=ctx.attempts,
-            retries=ctx.retries,
-            failovers=ctx.failovers,
-            backoff_seconds=ctx.backoff,
-            duration_seconds=duration,
-            per_source=per_source,
-            call_latency=ctx.call_latency.snapshot(),
-            coalesced_hits=ctx.coalesced_hits,
-            batched_hits=ctx.batched_hits,
-        )
-
     # -- the async tree walk -------------------------------------------
     async def _a_execute(
-        self, plan: Plan, ctx: _AsyncExecutionContext
+        self, plan: Plan, ctx: _ExecutionContext
     ) -> Relation:
         if isinstance(plan, ChoicePlan):
             return await self._a_execute_choice(plan, ctx)
@@ -316,7 +236,7 @@ class AsyncExecutor(Executor):
         )
 
     async def _a_execute_combination(
-        self, plan: UnionPlan | IntersectPlan, ctx: _AsyncExecutionContext
+        self, plan: UnionPlan | IntersectPlan, ctx: _ExecutionContext
     ) -> Relation:
         """Fan the children out as tasks; stream-merge the ready prefix.
 
@@ -392,7 +312,7 @@ class AsyncExecutor(Executor):
         return merged  # type: ignore[return-value]
 
     async def _a_execute_choice(
-        self, plan: ChoicePlan, ctx: _AsyncExecutionContext
+        self, plan: ChoicePlan, ctx: _ExecutionContext
     ) -> Relation:
         if self.cost_model is None:
             raise PlanExecutionError(
@@ -428,7 +348,7 @@ class AsyncExecutor(Executor):
 
     # -- source queries ------------------------------------------------
     async def _a_execute_source_query(
-        self, plan: SourceQuery, ctx: _AsyncExecutionContext
+        self, plan: SourceQuery, ctx: _ExecutionContext
     ) -> Relation:
         tracer = get_tracer()
         task = asyncio.current_task()
@@ -445,7 +365,7 @@ class AsyncExecutor(Executor):
                 ctx.observe_call(time.perf_counter() - started)
 
     async def _a_source_query(
-        self, plan: SourceQuery, ctx: _AsyncExecutionContext, span
+        self, plan: SourceQuery, ctx: _ExecutionContext, span
     ) -> Relation:
         source = self._source(plan.source)
         if self.cache is not None:
@@ -477,7 +397,7 @@ class AsyncExecutor(Executor):
         return await self._a_attempts(plan, ctx, span)
 
     async def _a_try_batched(
-        self, plan: SourceQuery, ctx: _AsyncExecutionContext, span, source
+        self, plan: SourceQuery, ctx: _ExecutionContext, span, source
     ) -> Relation | None:
         """Offer this call to the disjunct batcher; ``None`` = not
         batched (caller falls through to single flight)."""
@@ -509,8 +429,7 @@ class AsyncExecutor(Executor):
         if role != "merged":
             return None
         # Post-filter the shared merged answer back down to this
-        # caller's own constant; project() builds fresh row dicts, so
-        # the result is also isolated from the other callers'.
+        # caller's own constant.
         answer = merged.select(plan.condition).project(plan.attrs)
         if not led:
             ctx.add_batched()
@@ -520,7 +439,7 @@ class AsyncExecutor(Executor):
         return answer
 
     async def _a_attempts(
-        self, plan: SourceQuery, ctx: _AsyncExecutionContext, span,
+        self, plan: SourceQuery, ctx: _ExecutionContext, span,
         fill_cache: bool = True,
     ) -> Relation:
         """The retry/failover loop for one physical source query --
@@ -593,7 +512,7 @@ class AsyncExecutor(Executor):
 
     async def _a_submit(
         self, source: CapabilitySource, plan: SourceQuery,
-        ctx: _AsyncExecutionContext, fill_cache: bool,
+        ctx: _ExecutionContext, fill_cache: bool,
     ) -> Relation:
         """One attempt: fix order, await the source, tally, fill cache."""
         condition = plan.condition

@@ -9,17 +9,15 @@ retried plans) stop costing anything.
 
 Correctness note: the cache assumes sources are read-only for its
 lifetime -- true of this library's simulated sources.  ``invalidate``
-drops everything for a source if its relation is replaced.  Cached
-relations are isolated from callers by copying on both ``put`` and
-``get``: a caller mutating the rows it was handed (before or after the
-entry was stored) cannot corrupt later cache hits.
+drops everything for a source if its relation is replaced.  A
+:class:`~repro.data.relation.Relation` is immutable and hands out only
+fresh row dicts, so entries are stored and returned by reference: no
+caller can corrupt a later hit through what it was handed.
 
 The cache is **thread-safe**: the parallel executor consults one shared
 cache from many worker threads, and LRU bookkeeping (move-to-end, the
 eviction loop, the tuple budget) is read-modify-write, so every public
-operation runs under an internal lock.  The copy-on-put/get discipline
-does the rest -- each thread gets its own isolated relation, never a
-reference shared with another thread.
+operation runs under an internal lock.
 """
 
 from __future__ import annotations
@@ -33,11 +31,6 @@ from repro.data.relation import Relation
 
 #: Cache key: (source name, condition tree, projected attributes).
 CacheKey = tuple[str, Condition, frozenset]
-
-
-def _copy_relation(relation: Relation) -> Relation:
-    """A row-level copy (Relation's constructor copies each row dict)."""
-    return Relation(relation.schema, relation, validate=False)
 
 
 @dataclass
@@ -86,24 +79,19 @@ class ResultCache:
                 return None
             self._entries.move_to_end(key)
             self.stats.hits += 1
-            # Defensive copy: handing out the stored relation by reference
-            # would let a caller mutating its rows corrupt every later hit.
-            return _copy_relation(entry)
+            return entry
 
     def put(self, source: str, condition: Condition, attributes: frozenset,
             result: Relation) -> None:
         key = (source, condition, frozenset(attributes))
-        # Copy outside the lock (the expensive part); the caller keeps
-        # the original and may mutate it after we return.
         size = len(result)
         if size > self.max_tuples:
             return  # larger than the whole cache: never admit
-        stored = _copy_relation(result)
         with self._lock:
             old = self._entries.pop(key, None)
             if old is not None:
                 self._tuples -= len(old)
-            self._entries[key] = stored
+            self._entries[key] = result
             self._tuples += size
             while self._tuples > self.max_tuples and self._entries:
                 __, evicted = self._entries.popitem(last=False)

@@ -10,10 +10,9 @@ sharing layer that collapses them:
   attributes)`` key matches an in-flight physical call join it instead
   of issuing their own.  One physical call runs (as its own task, owned
   by the coalescer); every logical caller -- the initiator included --
-  receives a row-copied :class:`~repro.data.relation.Relation`, so
-  mutating one caller's answer can never leak into another's (the
-  ``ResultCache`` copy-on-get discipline, extended to in-flight
-  sharing).
+  receives the same immutable :class:`~repro.data.relation.Relation`,
+  which hands out only fresh row dicts, so nothing one caller does to
+  its answer can leak into another's.
 * **disjunct batching** -- when several pending asks differ only in the
   constant of one equality atom (``author = 'X'`` vs ``author = 'Y'``)
   and the source's compiled grammar admits disjunctive constants on
@@ -51,11 +50,6 @@ def flight_key(source: str, condition: Condition,
                attributes: frozenset) -> FlightKey:
     """The single-flight key: commuted spellings share one flight."""
     return (source, canonicalize(condition), attributes)
-
-
-def _copy_relation(relation: Relation) -> Relation:
-    """A row-level copy (the constructor copies each row dict)."""
-    return Relation(relation.schema, relation, validate=False)
 
 
 @dataclass
@@ -133,8 +127,7 @@ class RequestCoalescer:
         """Run ``start()`` once per in-flight key; share its answer.
 
         Returns ``(answer, shared)`` where ``shared`` says this caller
-        joined an existing flight instead of starting one.  Every
-        caller gets its own row-copied relation.  Errors propagate to
+        joined an existing flight instead of starting one.  Errors propagate to
         every waiter.  A caller cancelled while waiting detaches; the
         last waiter to detach cancels the physical call itself.
         """
@@ -166,7 +159,7 @@ class RequestCoalescer:
                     # Mark a dangling exception retrieved so an
                     # all-waiters-cancelled flight never warns.
                     flight.future.exception()
-        return _copy_relation(result), shared
+        return result, shared
 
     async def _run_flight(self, key: FlightKey, flight: _Flight,
                           call: Awaitable[Relation]) -> None:
@@ -214,7 +207,7 @@ class RequestCoalescer:
 
         * ``(rel, "merged")`` -- ``rel`` is the **shared merged**
           answer over ``attrs + {attr}``; the caller must post-filter
-          with its own condition and project (which also isolates it).
+          with its own condition and project.
         * ``(None, "single")`` -- the batch didn't pay off (lone entry,
           or grammar refused the disjunction): the caller should fall
           back to its own single flight.

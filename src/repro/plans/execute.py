@@ -31,7 +31,11 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Protocol
 
 from repro.data.relation import Relation
-from repro.errors import PlanExecutionError, TransientSourceError
+from repro.errors import (
+    PlanExecutionError,
+    TransientSourceError,
+    UnsupportedQueryError,
+)
 from repro.observability.metrics import (
     Histogram,
     get_metrics,
@@ -55,7 +59,7 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class ExecutionReport:
-    """What executing a plan actually cost (from the source meters).
+    """What executing a plan actually cost (tallied at its source calls).
 
     Besides the paper's two cost drivers (queries issued, tuples
     transferred) the report carries resilience accounting: how many
@@ -65,8 +69,9 @@ class ExecutionReport:
 
     The report is self-contained: ``duration_seconds`` is the
     wall-clock time of the execution, and ``per_source`` maps each
-    source that saw traffic to the :class:`MeterSnapshot` *delta* this
-    execution caused -- no manual meter diffing required.
+    source that saw traffic to the :class:`MeterSnapshot` of what *this*
+    execution caused there -- its own calls only, however many other
+    executions ran at the same time.
     ``call_latency`` is the bucketed histogram snapshot of this
     execution's per-source-call wall-clock times; :meth:`call_p50_ms`
     etc. read it with the same quantile estimator the load harness and
@@ -126,6 +131,9 @@ class FailoverTarget(Protocol):
         ...  # pragma: no cover - protocol
 
 
+_NO_TRAFFIC = MeterSnapshot()
+
+
 @dataclass
 class _ExecutionContext:
     """Per-top-level-execution bookkeeping (retry budget, counters).
@@ -135,12 +143,22 @@ class _ExecutionContext:
     accounting (and especially the retry budget) must stay exact under
     contention.  The serial executor pays one uncontended lock per
     source call -- noise next to the call itself.
+
+    Source traffic is tallied here, at the call site, not read back
+    from the source meters: the meters count every execution's calls,
+    so a diff around one execution would also report whatever ran
+    beside it (and, under coalescing, one shared physical call in every
+    overlapping report).  A physical call lands once, on the execution
+    that issued it; joiners count ``coalesced_hits``/``batched_hits``.
     """
 
     attempts: int = 0
     retries: int = 0
     failovers: int = 0
     backoff: float = 0.0
+    coalesced_hits: int = 0
+    batched_hits: int = 0
+    per_source: dict[str, MeterSnapshot] = field(default_factory=dict)
     failed_sources: set[str] = field(default_factory=set)
     budget_left: int | None = None
     #: Per-source-call wall-clock of *this* execution (thread-safe; the
@@ -174,6 +192,41 @@ class _ExecutionContext:
         with self._lock:
             self.failovers += 1
         get_metrics().counter("executor.failovers").inc()
+
+    def add_coalesced(self) -> None:
+        with self._lock:
+            self.coalesced_hits += 1
+        get_metrics().counter("executor.coalesced_hits").inc()
+
+    def add_batched(self) -> None:
+        with self._lock:
+            self.batched_hits += 1
+        get_metrics().counter("executor.batched_hits").inc()
+
+    def tally(self, source: str, **deltas: int) -> None:
+        """Attribute source traffic caused by this execution."""
+        delta = MeterSnapshot(**deltas)
+        with self._lock:
+            self.per_source[source] = \
+                self.per_source.get(source, _NO_TRAFFIC) + delta
+
+    def report(self, result: Relation, duration: float) -> ExecutionReport:
+        """This execution's accounting, as handed to the caller."""
+        per_source = dict(self.per_source)
+        return ExecutionReport(
+            result,
+            sum(delta.queries for delta in per_source.values()),
+            sum(delta.tuples for delta in per_source.values()),
+            attempts=self.attempts,
+            retries=self.retries,
+            failovers=self.failovers,
+            backoff_seconds=self.backoff,
+            duration_seconds=duration,
+            per_source=per_source,
+            call_latency=self.call_latency.snapshot(),
+            coalesced_hits=self.coalesced_hits,
+            batched_hits=self.batched_hits,
+        )
 
     def mark_failed(self, source: str) -> None:
         with self._lock:
@@ -245,7 +298,11 @@ class Executor:
     # ------------------------------------------------------------------
     def execute(self, plan: Plan) -> Relation:
         """Evaluate a concrete plan; returns the mediator's result relation."""
-        return self._execute(plan, self._new_context())
+        return self._run(plan, self._new_context())
+
+    def _run(self, plan: Plan, ctx: _ExecutionContext) -> Relation:
+        """One top-level execution (the async engine hands it to its loop)."""
+        return self._execute(plan, ctx)
 
     def _new_context(self) -> _ExecutionContext:
         policy = self.retry_policy
@@ -380,7 +437,7 @@ class Executor:
             attempt += 1
             ctx.add_attempt()
             try:
-                result = self._submit(source, plan)
+                result = self._submit(source, plan, ctx)
                 span.set_attributes(
                     attempts=attempt, retries=retries,
                     backoff_seconds=backoff, rows=len(result),
@@ -395,6 +452,7 @@ class Executor:
                     retries += 1
                     backoff += delay
                     ctx.add_retry(delay)
+                    ctx.tally(plan.source, retries=1)
                     source.meter.record_retry()
                     trace_event(
                         logger, logging.DEBUG,
@@ -433,8 +491,9 @@ class Executor:
                         return self._execute(alternative, ctx)
                 raise
 
-    def _submit(self, source: CapabilitySource, plan: SourceQuery) -> Relation:
-        """One attempt: fix order, call the source, fill the cache."""
+    def _submit(self, source: CapabilitySource, plan: SourceQuery,
+                ctx: _ExecutionContext) -> Relation:
+        """One attempt: fix order, call the source, tally, fill the cache."""
         condition = plan.condition
         if self.fix_queries and not condition.is_true:
             condition = source.fix(condition, plan.attrs)
@@ -446,7 +505,14 @@ class Executor:
                     event="query.fixed", source=plan.source,
                     planned=str(plan.condition), fixed=str(condition),
                 )
-        result = source.execute(condition, plan.attrs)
+        try:
+            result = source.execute(condition, plan.attrs)
+        except UnsupportedQueryError:
+            ctx.tally(source.name, rejected=1)
+            raise
+        except TransientSourceError:
+            ctx.tally(source.name, failures=1)
+            raise
         trace_event(
             logger, logging.DEBUG,
             "source %s answered SP(%s) with %d tuples",
@@ -454,57 +520,31 @@ class Executor:
             event="source.answered", source=plan.source,
             condition=str(condition), rows=len(result),
         )
+        ctx.tally(source.name, queries=1, tuples=len(result))
         if self.cache is not None:
             self.cache.put(plan.source, plan.condition, plan.attrs, result)
         return result
 
     # ------------------------------------------------------------------
     def execute_with_report(self, plan: Plan) -> ExecutionReport:
-        """Execute and report measured traffic (sums the involved meters).
+        """Execute and report the traffic this execution caused.
 
-        The whole catalog is snapshotted, not just the plan's own
-        sources: failover and execution-time Choice resolution may pull
-        in sources the planned tree never mentions.
+        The report is built from the execution context's call-site
+        tallies, so it covers every source the execution touched --
+        failover and execution-time Choice resolution may pull in
+        sources the planned tree never mentions -- and nothing any
+        concurrent execution did.
 
-        Note on caching: traffic is *measured at the sources*, so a plan
-        answered entirely from the result cache reports zero queries and
-        zero tuples -- by design.  The optimizer's estimate and the
-        measured cost diverge under caching; the meters tell you what
-        the Internet actually saw.
+        Note on caching: only calls that reach a source are tallied, so
+        a plan answered entirely from the result cache reports zero
+        queries and zero tuples -- by design.  The optimizer's estimate
+        and the measured cost diverge under caching; the report tells
+        you what the Internet actually saw.
         """
-        # dict(...) of the live catalog is a C-level copy (atomic under
-        # the GIL): a concurrent add_source must not blow up the
-        # Python-level iteration below with "dict changed size".
-        catalog = dict(self.catalog)
-        before = {
-            name: source.meter.snapshot()
-            for name, source in catalog.items()
-        }
         ctx = self._new_context()
         started = time.perf_counter()
-        result = self._execute(plan, ctx)
-        duration = time.perf_counter() - started
-        queries = 0
-        tuples = 0
-        per_source: dict[str, MeterSnapshot] = {}
-        for name, source in catalog.items():
-            delta = source.meter.snapshot() - before[name]
-            queries += delta.queries
-            tuples += delta.tuples
-            if delta != MeterSnapshot():
-                per_source[name] = delta
-        return ExecutionReport(
-            result,
-            queries,
-            tuples,
-            attempts=ctx.attempts,
-            retries=ctx.retries,
-            failovers=ctx.failovers,
-            backoff_seconds=ctx.backoff,
-            duration_seconds=duration,
-            per_source=per_source,
-            call_latency=ctx.call_latency.snapshot(),
-        )
+        result = self._run(plan, ctx)
+        return ctx.report(result, time.perf_counter() - started)
 
 
 def reference_answer(

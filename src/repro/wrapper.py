@@ -157,10 +157,10 @@ class Wrapper:
                 f"plan for σ({planning.query.condition}) "
                 f"π({sorted(planning.query.attributes)})"
             )
-        before = self.source.meter.snapshot()
-        result = self._executor.execute(planning.plan)
-        delta = self.source.meter.snapshot() - before
-        return WrapperAnswer(result, planning, delta.queries, delta.tuples)
+        report = self._executor.execute_with_report(planning.plan)
+        return WrapperAnswer(
+            report.result, planning, report.queries, report.tuples_transferred
+        )
 
     def cache_size(self) -> int:
         return len(self._plan_cache)

@@ -1,5 +1,7 @@
 """Unit tests for the source-query result cache."""
 
+import random
+
 import pytest
 
 from repro.conditions.parser import parse_condition
@@ -77,15 +79,19 @@ class TestResultCache:
             ResultCache(0)
 
     def test_mutating_a_hit_does_not_corrupt_the_cache(self):
-        # Regression: get() used to hand out the cached Relation by
-        # reference, so a caller editing rows poisoned every later hit.
+        # Regression: a caller editing the rows of a hit once poisoned
+        # every later hit.  Entries are shared by reference now; what
+        # isolates them is that a Relation hands out only fresh dicts.
         cache = ResultCache(100)
         cache.put("s", cond("a = 1"), frozenset({"id"}), rel(3))
         hit = cache.get("s", cond("a = 1"), frozenset({"id"}))
         for row in hit:
             row["id"] = 999
+        for row in hit.rows + hit.sample(2, random.Random(0)):
+            row["id"] = 999
         fresh = cache.get("s", cond("a = 1"), frozenset({"id"}))
         assert fresh.as_row_set() == {(0,), (1,), (2,)}
+        assert [row["id"] for row in fresh] == [0, 1, 2]
 
     def test_mutating_the_original_after_put_does_not_corrupt(self):
         cache = ResultCache(100)
@@ -93,6 +99,7 @@ class TestResultCache:
         cache.put("s", cond("a = 1"), frozenset({"id"}), original)
         for row in original:
             row["id"] = 999
+        original.rows.clear()
         hit = cache.get("s", cond("a = 1"), frozenset({"id"}))
         assert hit.as_row_set() == {(0,), (1,), (2,)}
 

@@ -3,9 +3,10 @@
 The sharing layer's promises (see :mod:`repro.plans.coalesce`):
 
 * K concurrent identical asks cost **one** physical source query, and
-  every logical caller gets its *own* row-copied answer -- mutating
-  one leaks into none of the others (the ResultCache copy-on-get
-  regression, extended to single flight);
+  the one immutable answer they share cannot be changed through what
+  it hands out -- one caller mutating its rows leaks into none of the
+  others (the ResultCache isolation regression, extended to single
+  flight);
 * the books balance: the source's :class:`QueryMeter` counts the one
   physical call, exactly one :class:`ExecutionReport` claims it, and
   the joiners carry ``coalesced_hits`` instead (the double-counting
@@ -112,12 +113,16 @@ class TestSingleFlight:
             )
         assert len(results[0]) > 0
         pristine = [result.as_row_set() for result in results]
-        # Clobber one caller's answer in place ...
-        results[0].rows[0]["title"] = "MUTATED"
-        results[0].rows[0]["price"] = -1
-        # ... and nobody else's rows move.
-        for result, rows in zip(results[1:], pristine[1:]):
+        # Clobber everything one caller can reach of its answer ...
+        for row in results[0]:
+            row["title"] = "MUTATED"
+            row["price"] = -1
+        results[0].rows[0].clear()
+        # ... and nobody's rows move, the clobbered caller's included
+        # (the callers share one immutable relation).
+        for result, rows in zip(results, pristine):
             assert result.as_row_set() == rows
+            assert all(row["title"] != "MUTATED" for row in result)
 
     def test_coalesce_off_pays_per_caller(self):
         source = _slow_bookstore()
@@ -192,7 +197,8 @@ class TestResultCacheInterplay:
             results = _fan_out(
                 executor, lambda _: executor.execute(plan), 4
             )
-            results[0].rows[0]["title"] = "MUTATED"
+            for row in results[0]:
+                row["title"] = "MUTATED"
             warm = executor.execute(plan)
         assert source.meter.snapshot().queries == 1  # warm run = cache hit
         assert warm.as_row_set() == expected

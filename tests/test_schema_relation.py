@@ -52,6 +52,26 @@ class TestSchema:
         with pytest.raises(UnknownAttributeError):
             schema.validate_attributes(["id", "ghost"])
 
+    def test_project_keeps_schema_order_and_the_key_only_if_projected(
+            self, schema):
+        sub = schema.project({"price", "id"})
+        assert sub.attribute_names == ("id", "price") and sub.key == "id"
+        assert schema.project(["name"]).key is None
+        assert schema.position("price") == 2
+        with pytest.raises(UnknownAttributeError):
+            schema.project({"id", "ghost"})
+
+    def test_project_is_memoised_and_the_memo_is_bounded(self):
+        from repro.data import schema as schema_module
+
+        wide = Schema.of("w", [f"a{i}" for i in range(10)])
+        assert wide.project({"a1", "a2"}) is wide.project(["a2", "a1"])
+        for i in range(schema_module._MAX_PROJECTIONS + 10):
+            bits = [f"a{j}" for j in range(10) if (i + 1) >> j & 1]
+            assert wide.project(bits).attribute_names == tuple(bits)
+        assert len(wide._projections) <= schema_module._MAX_PROJECTIONS
+        assert wide == Schema.of("w", [f"a{i}" for i in range(10)])
+
     def test_row_validation(self, schema):
         with pytest.raises(SchemaError):
             schema.validate_row({"id": 1, "name": "a"})  # missing price

@@ -12,12 +12,21 @@ from __future__ import annotations
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
+import pytest
+
+from repro.conditions.atoms import Atom, Op
 from repro.conditions.parser import parse_condition
+from repro.conditions.tree import Leaf
 from repro.data.relation import Relation
 from repro.data.schema import AttrType, Schema
+from repro.plans.async_exec import AsyncExecutor
 from repro.plans.cache import ResultCache
+from repro.plans.execute import Executor
+from repro.plans.nodes import SourceQuery
+from repro.plans.parallel import ParallelExecutor
 from repro.source.faults import FaultInjector, SimulatedLatency
-from repro.source.metering import QueryMeter
+from repro.source.library import bookstore
+from repro.source.metering import MeterSnapshot, QueryMeter
 
 N_THREADS = 16
 N_OPS = 500
@@ -116,9 +125,11 @@ def test_cache_concurrent_put_get_same_key_returns_consistent_copies():
             if got.as_row_set() not in valid:
                 bad.append(got)
                 return
-            # The handed-out copy is ours to mutate; doing so must not
-            # corrupt what other threads read next.
+            # The rows a relation hands out are ours to mutate; doing
+            # so must not corrupt what other threads read next.
             got.rows[0]["v"] = "mutated"
+            for row in got:
+                row["v"] = "mutated"
 
     _hammer(worker)
     assert not bad, "cache returned a torn or corrupted relation"
@@ -186,3 +197,51 @@ def test_simulated_latency_accounting_is_exact_under_threads():
     rng = random.Random(7)
     expected = sum(rng.random() * 0.001 for _ in range(latency.calls))
     assert abs(latency.slept_seconds - expected) < 1e-9
+
+
+# ----------------------------------------------------------------------
+# ExecutionReport
+
+
+@pytest.mark.parametrize("engine", ["serial", "parallel", "async"])
+def test_concurrent_reports_count_only_their_own_calls(engine):
+    """Regression: the serial and parallel engines diffed the *global*
+    source meters around an execution, so N overlapping executions
+    reported 1, 2, ... N queries instead of 1 each."""
+    n_threads = 6
+    source = bookstore(n=600, seed=1999)
+    source.latency = SimulatedLatency(seed=3, base=0.05, real_sleep=True)
+    authors = sorted({row["author"] for row in source.relation})[:n_threads]
+    attrs = frozenset({"id", "title", "author"})
+    plans = [
+        SourceQuery(Leaf(Atom("author", Op.EQ, author)), attrs, "bookstore")
+        for author in authors
+    ]
+    catalog = {"bookstore": source}
+    executor = {
+        "serial": lambda: Executor(catalog),
+        "parallel": lambda: ParallelExecutor(catalog, max_workers=4),
+        "async": lambda: AsyncExecutor(catalog),
+    }[engine]()
+    reports = [None] * n_threads
+
+    def worker(index: int) -> None:
+        reports[index] = executor.execute_with_report(plans[index])
+
+    try:
+        _hammer(worker, n_threads)
+    finally:
+        if engine != "serial":
+            executor.close()
+    # The calls really did overlap, so a meter diff would see them all.
+    assert source.max_in_flight > 1
+    for report in reports:
+        rows = len(report.result)
+        assert rows > 0
+        assert (report.queries, report.tuples_transferred) == (1, rows)
+        assert report.per_source == {
+            "bookstore": MeterSnapshot(queries=1, tuples=rows)
+        }
+    meter = source.meter.snapshot()
+    assert meter.queries == sum(r.queries for r in reports) == n_threads
+    assert meter.tuples == sum(r.tuples_transferred for r in reports)
