@@ -48,12 +48,13 @@ def _run(cache: bool) -> tuple[float, int]:
         )
     source._closed = description
     planner = GenCompact()
-    before = description.check_calls
     started = time.perf_counter()
     for query in _QUERIES:
         planner.plan(query, source, _MODEL)
     elapsed = (time.perf_counter() - started) * 1000
-    return elapsed, description.check_calls - before
+    # Cache-missing Checks that reached the recognizer (a condition with
+    # an atom no template matches is answered without a parse).
+    return elapsed, description.check_calls - description.check_prefiltered
 
 
 def test_x4_cache_ablation(benchmark, record_table):

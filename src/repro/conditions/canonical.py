@@ -14,36 +14,30 @@ time linear in the size of the input tree, as the paper requires.
 
 from __future__ import annotations
 
-from repro.conditions.tree import And, Condition, Or
+from repro.conditions.tree import Condition, trusted_connector
 
 
 def canonicalize(condition: Condition) -> Condition:
     """Return the canonical equivalent of ``condition``.
 
     Flattens directly nested same-kind connectors (``a AND (b AND c)``
-    becomes ``a AND b AND c``) bottom-up.  Leaves and TRUE are returned
-    unchanged.
+    becomes ``a AND b AND c``) bottom-up.  A tree that is already
+    canonical -- every node knows whether it is -- is returned as is, so
+    only the spine above a nested connector is rebuilt.
     """
-    if not condition.children:
+    if condition._canonical:
         return condition
+    cls = type(condition)
     flat: list[Condition] = []
     for child in condition.children:
         child = canonicalize(child)
-        if type(child) is type(condition):
+        if type(child) is cls:
             flat.extend(child.children)
         else:
             flat.append(child)
-    if len(flat) == 1:
-        return flat[0]
-    if condition.is_and:
-        return And(flat)
-    return Or(flat)
+    return trusted_connector(cls, tuple(flat))
 
 
 def is_canonical(condition: Condition) -> bool:
     """True iff no connector node has a child of its own kind."""
-    for node in condition.nodes():
-        for child in node.children:
-            if type(child) is type(node):
-                return False
-    return True
+    return condition._canonical

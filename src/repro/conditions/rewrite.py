@@ -14,171 +14,186 @@ and reports whether a budget truncated the search.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Callable, Iterator, Sequence
 
 from repro.conditions.canonical import canonicalize
-from repro.conditions.tree import And, Condition, Or
+from repro.conditions.tree import And, Condition, Or, trusted_connector
 
-#: A rewrite rule: yields trees one rewrite step away from its input.
-Rule = Callable[[Condition], Iterator[Condition]]
+#: What a rule does at one node: yields the rewritten forms of that node.
+Local = Callable[[Condition], Iterator[Condition]]
 
 
 # ----------------------------------------------------------------------
 # Generic machinery: apply a local transformation at every node position.
 # ----------------------------------------------------------------------
 
-def _apply_everywhere(
-    tree: Condition, local: Callable[[Condition], Iterator[Condition]]
-) -> Iterator[Condition]:
-    """Yield every tree obtained by applying ``local`` at one node of ``tree``."""
-    yield from local(tree)
-    for index, child in enumerate(tree.children):
-        for new_child in _apply_everywhere(child, local):
-            children = list(tree.children)
-            children[index] = new_child
-            yield tree.with_children(children)  # type: ignore[attr-defined]
+def _below(
+    local: Local, node: Condition, memo: dict[Condition, tuple[Condition, ...]]
+) -> tuple[Condition, ...]:
+    """Every tree obtained by applying ``local`` at one node of ``node``'s
+    subtree: at ``node`` itself first, then inside each child in turn.
+
+    ``memo`` holds the answer per (structurally equal) node, so trees
+    that share subtrees share the work below them.
+    """
+    found = memo.get(node)
+    if found is None:
+        out = list(local(node))
+        children = node.children
+        for index, child in enumerate(children):
+            for new_child in _below(local, child, memo):
+                out.append(trusted_connector(
+                    type(node), children[:index] + (new_child,) + children[index + 1:]
+                ))
+        found = memo[node] = tuple(out)
+    return found
+
+
+class Rule:
+    """A rewrite rule: ``rule(tree)`` yields the trees one rewrite step
+    away from ``tree`` -- ``local`` applied at any one node position."""
+
+    def __init__(self, local: Local):
+        self.local = local
+        self.__name__ = local.__name__.lstrip("_") + "_rule"
+        self.__doc__ = local.__doc__
+
+    def __call__(self, tree: Condition) -> Iterator[Condition]:
+        return iter(_below(self.local, tree, {}))
+
+    def __repr__(self) -> str:
+        return f"<rewrite rule {self.__name__}>"
 
 
 # ----------------------------------------------------------------------
 # The individual rules
 # ----------------------------------------------------------------------
 
-def commutative_rule(tree: Condition) -> Iterator[Condition]:
+def _commutative(node: Condition) -> Iterator[Condition]:
     """Swap any two children of a connector node (one swap per result)."""
-
-    def local(node: Condition) -> Iterator[Condition]:
-        kids = node.children
-        for i in range(len(kids)):
-            for j in range(i + 1, len(kids)):
-                swapped = list(kids)
-                swapped[i], swapped[j] = swapped[j], swapped[i]
-                yield node.with_children(swapped)  # type: ignore[attr-defined]
-
-    yield from _apply_everywhere(tree, local)
+    kids = node.children
+    for i in range(len(kids)):
+        for j in range(i + 1, len(kids)):
+            swapped = list(kids)
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            yield trusted_connector(type(node), tuple(swapped))
 
 
-def associative_rule(tree: Condition) -> Iterator[Condition]:
+def _associative(node: Condition) -> Iterator[Condition]:
     """Regroup children: nest a contiguous run, or flatten a nested child."""
-
-    def local(node: Condition) -> Iterator[Condition]:
-        kids = node.children
-        n = len(kids)
-        # Grouping: wrap kids[i:j] in a nested node of the same kind.
-        if n >= 3:
-            for i in range(n):
-                for j in range(i + 2, n + 1):
-                    if j - i == n:
-                        continue  # grouping everything is a no-op
-                    grouped = type(node)(kids[i:j])
-                    children = list(kids[:i]) + [grouped] + list(kids[j:])
-                    yield node.with_children(children)  # type: ignore[attr-defined]
-        # Flattening: splice a same-kind child's children in place.
-        for index, child in enumerate(kids):
-            if type(child) is type(node):
-                children = list(kids[:index]) + list(child.children) + list(kids[index + 1:])
-                yield node.with_children(children)  # type: ignore[attr-defined]
-
-    yield from _apply_everywhere(tree, local)
+    kids = node.children
+    n = len(kids)
+    cls = type(node)
+    # Grouping: wrap kids[i:j] in a nested node of the same kind.
+    if n >= 3:
+        for i in range(n):
+            for j in range(i + 2, n + 1):
+                if j - i == n:
+                    continue  # grouping everything is a no-op
+                grouped = trusted_connector(cls, kids[i:j])
+                yield trusted_connector(cls, kids[:i] + (grouped,) + kids[j:])
+    # Flattening: splice a same-kind child's children in place.
+    for index, child in enumerate(kids):
+        if type(child) is cls:
+            yield trusted_connector(
+                cls, kids[:index] + child.children + kids[index + 1:]
+            )
 
 
-def distributive_rule(tree: Condition) -> Iterator[Condition]:
+def _distributive(node: Condition) -> Iterator[Condition]:
     """Distribute a connector over an opposite-kind child.
 
     ``X AND (y1 OR y2) AND Z`` becomes ``(X AND y1 AND Z) OR (X AND y2 AND Z)``
     and dually for OR over AND.
     """
-
-    def local(node: Condition) -> Iterator[Condition]:
-        if not (node.is_and or node.is_or):
-            return
-        inner_cls = Or if node.is_and else And
-        outer_cls = And if node.is_and else Or
-        kids = node.children
-        for index, child in enumerate(kids):
-            if not isinstance(child, inner_cls):
-                continue
-            rest = list(kids[:index]) + list(kids[index + 1:])
-            branches = []
-            for alternative in child.children:
-                branch_children = rest[:index] + [alternative] + rest[index:]
-                branches.append(outer_cls(branch_children) if len(branch_children) > 1
-                                else branch_children[0])
-            yield inner_cls(branches)
-
-    yield from _apply_everywhere(tree, local)
+    if not (node.is_and or node.is_or):
+        return
+    outer_cls = type(node)
+    inner_cls = Or if node.is_and else And
+    kids = node.children
+    for index, child in enumerate(kids):
+        if type(child) is not inner_cls:
+            continue
+        before, after = kids[:index], kids[index + 1:]
+        yield trusted_connector(inner_cls, tuple(
+            trusted_connector(outer_cls, before + (alternative,) + after)
+            for alternative in child.children
+        ))
 
 
-def factoring_rule(tree: Condition) -> Iterator[Condition]:
+def _factoring(node: Condition) -> Iterator[Condition]:
     """Inverse distribution: pull a common member out of opposite-kind children.
 
     ``(c AND x) OR (c AND y)`` becomes ``c AND (x OR y)``; when only some
     children share ``c`` the factored group sits beside the others.  The
     dual form handles ``(c OR x) AND (c OR y)``.
     """
+    if not (node.is_and or node.is_or):
+        return
+    inner_cls = And if node.is_or else Or  # children we look inside
+    outer_cls = type(node)
+    kids = node.children
 
-    def local(node: Condition) -> Iterator[Condition]:
-        if not (node.is_and or node.is_or):
-            return
-        inner_cls = And if node.is_or else Or  # children we look inside
-        outer_cls = type(node)
-        kids = node.children
+    def members(child: Condition) -> tuple[Condition, ...]:
+        if type(child) is inner_cls:
+            return child.children
+        return (child,)
 
-        def members(child: Condition) -> tuple[Condition, ...]:
-            if isinstance(child, inner_cls):
-                return child.children
-            return (child,)
-
-        # Candidate common members: anything appearing in >= 2 children.
-        counts: dict[Condition, int] = {}
-        for child in kids:
-            for member in set(members(child)):
-                counts[member] = counts.get(member, 0) + 1
-        for common, count in counts.items():
-            if count < 2:
-                continue
-            sharing = [c for c in kids if common in members(c)]
-            others = [c for c in kids if common not in members(c)]
-            residuals = []
-            degenerate = False
-            for child in sharing:
-                rest = [m for m in members(child) if m != common]
-                if not rest:
-                    # child == common: (c) OR (c AND x) == c; factoring
-                    # would not be an equivalence step here, skip.
-                    degenerate = True
-                    break
-                residuals.append(rest[0] if len(rest) == 1 else inner_cls(rest))
-            if degenerate:
-                continue
-            factored = inner_cls(
-                [common, outer_cls(residuals) if len(residuals) > 1 else residuals[0]]
-            )
-            if others:
-                yield outer_cls(others + [factored])
-            else:
-                yield factored
-
-    yield from _apply_everywhere(tree, local)
+    # Candidate common members: anything appearing in >= 2 children.
+    counts: dict[Condition, int] = {}
+    for child in kids:
+        for member in set(members(child)):
+            counts[member] = counts.get(member, 0) + 1
+    for common, count in counts.items():
+        if count < 2:
+            continue
+        sharing = [c for c in kids if common in members(c)]
+        others = [c for c in kids if common not in members(c)]
+        residuals = []
+        degenerate = False
+        for child in sharing:
+            rest = tuple(m for m in members(child) if m != common)
+            if not rest:
+                # child == common: (c) OR (c AND x) == c; factoring
+                # would not be an equivalence step here, skip.
+                degenerate = True
+                break
+            residuals.append(
+                rest[0] if len(rest) == 1 else trusted_connector(inner_cls, rest))
+        if degenerate:
+            continue
+        factored = trusted_connector(inner_cls, (
+            common,
+            trusted_connector(outer_cls, tuple(residuals))
+            if len(residuals) > 1 else residuals[0],
+        ))
+        if others:
+            yield trusted_connector(outer_cls, tuple(others) + (factored,))
+        else:
+            yield factored
 
 
-def copy_rule(tree: Condition) -> Iterator[Condition]:
+def _copy(node: Condition) -> Iterator[Condition]:
     """The paper's copy rules: ``C == C AND C`` and ``C == C OR C``.
 
     Useful because the two copies can subsequently be rewritten
     differently (e.g. distributing one copy but not the other exposes
     plans neither form alone reaches).
     """
+    if node.is_true:
+        return
+    yield trusted_connector(And, (node, node))
+    yield trusted_connector(Or, (node, node))
 
-    def local(node: Condition) -> Iterator[Condition]:
-        if node.is_true:
-            return
-        yield And([node, node])
-        yield Or([node, node])
 
-    yield from _apply_everywhere(tree, local)
-
+commutative_rule = Rule(_commutative)
+associative_rule = Rule(_associative)
+distributive_rule = Rule(_distributive)
+factoring_rule = Rule(_factoring)
+copy_rule = Rule(_copy)
 
 #: Rule set used by GenModular (Section 5.1).
 GENMODULAR_RULES: tuple[Rule, ...] = (
@@ -235,13 +250,16 @@ class RewriteEngine:
             seed = canonicalize(seed)
         max_size = max(int(seed.size() * self.max_size_factor), seed.size() + 2)
         seen: dict[Condition, None] = {seed: None}
-        frontier = [seed]
+        frontier = deque([seed])
+        # Per rule, the one-step rewrites below every node met during
+        # this call: the explored trees share almost all their subtrees.
+        memos: list[tuple[Local, dict]] = [(rule.local, {}) for rule in self.rules]
         steps = 0
         truncated = False
         while frontier:
-            tree = frontier.pop(0)
-            for rule in self.rules:
-                for produced in rule(tree):
+            tree = frontier.popleft()
+            for local, memo in memos:
+                for produced in _below(local, tree, memo):
                     steps += 1
                     if steps > self.max_steps:
                         truncated = True

@@ -26,7 +26,12 @@ class Condition:
     :data:`TRUE` singleton (:class:`TrueCondition`).
     """
 
-    __slots__ = ("_hash",)
+    #: Scalars only, set once at construction: the structural hash, the
+    #: node count, and whether the tree is canonical (Section 6.4).  No
+    #: per-node containers (``atoms()`` / ``attributes()`` results): the
+    #: Check LRU alone keeps thousands of trees alive (DESIGN.md,
+    #: "Planner hot path").
+    __slots__ = ("_hash", "_size", "_canonical")
 
     # -- structure -----------------------------------------------------
     @property
@@ -71,7 +76,7 @@ class Condition:
 
     def size(self) -> int:
         """Number of nodes in the tree."""
-        return 1 + sum(child.size() for child in self.children)
+        return self._size
 
     def depth(self) -> int:
         """Height of the tree (a leaf has depth 1)."""
@@ -96,21 +101,21 @@ class Condition:
 
     # -- equality / hashing ---------------------------------------------
     def _key(self):
+        """The node's structural identity (what equality and the hash,
+        computed once at construction, are about)."""
         raise NotImplementedError
 
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Condition):
-            return NotImplemented
-        return self._key() == other._key()
+    def __setattr__(self, name, value):  # immutability guard
+        raise AttributeError("Condition nodes are immutable")
 
     def __hash__(self) -> int:
-        h = getattr(self, "_hash", None)
-        if h is None:
-            h = hash(self._key())
-            object.__setattr__(self, "_hash", h)
-        return h
+        return self._hash
+
+
+# Slot writers that bypass the immutability guard (construction only).
+_set_hash = Condition._hash.__set__
+_set_size = Condition._size.__set__
+_set_canonical = Condition._canonical.__set__
 
 
 class TrueCondition(Condition):
@@ -122,7 +127,11 @@ class TrueCondition(Condition):
 
     def __new__(cls):
         if cls._instance is None:
-            cls._instance = super().__new__(cls)
+            node = super().__new__(cls)
+            _set_hash(node, hash(node._key()))
+            _set_size(node, 1)
+            _set_canonical(node, True)
+            cls._instance = node
         return cls._instance
 
     @property
@@ -151,10 +160,10 @@ class Leaf(Condition):
     def __init__(self, atom: Atom):
         if not isinstance(atom, Atom):
             raise ConditionError(f"Leaf requires an Atom, got {type(atom).__name__}")
-        object.__setattr__(self, "atom", atom)
-
-    def __setattr__(self, name, value):  # immutability guard
-        raise AttributeError("Condition nodes are immutable")
+        _set_atom(self, atom)
+        _set_hash(self, hash(self._key()))
+        _set_size(self, 1)
+        _set_canonical(self, True)
 
     @property
     def is_leaf(self) -> bool:
@@ -171,6 +180,18 @@ class Leaf(Condition):
 
     def _key(self):
         return ("leaf", self.atom)
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if type(other) is not Leaf:
+            return False if isinstance(other, Condition) else NotImplemented
+        return self._hash == other._hash and self.atom == other.atom
+
+    __hash__ = Condition.__hash__
+
+
+_set_atom = Leaf.atom.__set__
 
 
 class _Connector(Condition):
@@ -194,10 +215,7 @@ class _Connector(Condition):
                 )
             if child.is_true:
                 raise ConditionError("TRUE may not appear inside a connector node")
-        object.__setattr__(self, "_children", children)
-
-    def __setattr__(self, name, value):  # immutability guard
-        raise AttributeError("Condition nodes are immutable")
+        _fill_connector(self, children)
 
     @property
     def children(self) -> tuple[Condition, ...]:
@@ -208,7 +226,7 @@ class _Connector(Condition):
         children = tuple(children)
         if len(children) == 1:
             return children[0]
-        return type(self)(children)
+        return trusted_connector(type(self), children)
 
     def to_text(self, parent: str | None = None) -> str:
         sep = f" {self.kind} "
@@ -223,6 +241,47 @@ class _Connector(Condition):
 
     def _key(self):
         return (self.kind, self._children)
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return False if isinstance(other, Condition) else NotImplemented
+        return self._hash == other._hash and self._children == other._children
+
+    __hash__ = Condition.__hash__
+
+
+_set_children = _Connector._children.__set__
+
+
+def _fill_connector(node: _Connector, children: tuple[Condition, ...]) -> None:
+    """Set a new connector's slots: its children and the three scalars."""
+    cls = type(node)
+    size = 1
+    canonical = True
+    for child in children:
+        size += child._size
+        if type(child) is cls or not child._canonical:
+            canonical = False
+    _set_children(node, children)
+    _set_hash(node, hash(node._key()))
+    _set_size(node, size)
+    _set_canonical(node, canonical)
+
+
+def trusted_connector(
+    cls: "type[_Connector]", children: tuple[Condition, ...]
+) -> "_Connector":
+    """``cls(children)`` without re-validating the children.
+
+    For builders whose children are nodes of existing trees (the
+    combination helpers below, canonicalization, the rewrite rules):
+    ``children`` must be a tuple of two or more non-TRUE nodes.
+    """
+    node = object.__new__(cls)
+    _fill_connector(node, children)
+    return node
 
 
 class And(_Connector):
@@ -277,15 +336,15 @@ def _combine(conditions: Sequence[Condition], cls: type[_Connector]) -> Conditio
     for cond in conditions:
         if cond.is_true:
             continue
-        if isinstance(cond, cls):
-            flat.extend(cond.children)
+        if type(cond) is cls:
+            flat.extend(cond._children)
         else:
             flat.append(cond)
     if not flat:
         return TRUE
     if len(flat) == 1:
         return flat[0]
-    return cls(flat)
+    return trusted_connector(cls, tuple(flat))
 
 
 def leaf(attribute: str, op, value) -> Leaf:

@@ -41,9 +41,11 @@ class PlannerStats:
     check_calls: int = 0
     #: Cache-missing Checks this run answered with the compiled
     #: (token-trie) recognizer vs. ones that fell back to Earley
-    #: although a compiled form exists (condition beyond the horizon).
+    #: although a compiled form exists (condition beyond the horizon)
+    #: vs. ones answered ∅ before either (an atom no template matches).
     check_compiled: int = 0
     check_fallbacks: int = 0
+    check_prefiltered: int = 0
     recursive_calls: int = 0
     mcsc_sets: int = 0
     mcsc_problems: int = 0
@@ -60,6 +62,7 @@ class PlannerStats:
         self.check_calls += other.check_calls
         self.check_compiled += other.check_compiled
         self.check_fallbacks += other.check_fallbacks
+        self.check_prefiltered += other.check_prefiltered
         self.recursive_calls += other.recursive_calls
         self.mcsc_sets += other.mcsc_sets
         self.mcsc_problems += other.mcsc_problems
@@ -98,9 +101,10 @@ class PlanningResult:
 class CheckCounter:
     """Counts ``Check`` requests a planner issues against a description.
 
-    The description itself caches parses; this wrapper counts *requests*
+    The description itself caches results; this wrapper counts *requests*
     (the planner-side work metric the paper's evaluation reports) while
-    the description's own ``check_calls`` counts actual parses.
+    the description's own ``check_calls`` counts cache misses -- each
+    answered by the compiled recognizer, by Earley, or prefiltered.
     """
 
     def __init__(self, description: SourceDescription):
@@ -108,6 +112,7 @@ class CheckCounter:
         self.calls = 0
         self._compiled_before = description.check_compiled
         self._fallbacks_before = description.check_fallbacks
+        self._prefiltered_before = description.check_prefiltered
 
     def check(self, condition: Condition) -> CheckResult:
         self.calls += 1
@@ -127,6 +132,12 @@ class CheckCounter:
         """Description-side Earley fallbacks since this counter was
         created (approximate under concurrent planners)."""
         return self.description.check_fallbacks - self._fallbacks_before
+
+    @property
+    def prefiltered(self) -> int:
+        """Description-side prefiltered answers since this counter was
+        created (approximate under concurrent planners)."""
+        return self.description.check_prefiltered - self._prefiltered_before
 
 
 class Planner(ABC):

@@ -128,6 +128,7 @@ class GenCompact(Planner):
                 stats.check_calls = checker.calls
                 stats.check_compiled = checker.compiled_answers
                 stats.check_fallbacks = checker.fallbacks
+                stats.check_prefiltered = checker.prefiltered
                 plan_span.set_attributes(
                     feasible=best_plan is not None,
                     Q=stats.subplans_considered,
@@ -135,6 +136,7 @@ class GenCompact(Planner):
                     pr2_fires=stats.pr2_fires,
                     pr3_fires=stats.pr3_fires,
                     check_calls=stats.check_calls,
+                    check_prefiltered=stats.check_prefiltered,
                     rewrite_budget_spent=rewriting.steps,
                 )
                 trace_event(

@@ -114,6 +114,7 @@ class GenModular(Planner):
                 stats.check_calls = checker.calls
                 stats.check_compiled = checker.compiled_answers
                 stats.check_fallbacks = checker.fallbacks
+                stats.check_prefiltered = checker.prefiltered
                 plan_span.set_attributes(
                     feasible=best_plan is not None,
                     Q=stats.subplans_considered,
@@ -121,6 +122,7 @@ class GenModular(Planner):
                     pr2_fires=stats.pr2_fires,
                     pr3_fires=stats.pr3_fires,
                     check_calls=stats.check_calls,
+                    check_prefiltered=stats.check_prefiltered,
                     rewrite_budget_spent=rewriting.steps,
                 )
                 trace_event(

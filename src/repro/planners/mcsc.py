@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Generic, Sequence, TypeVar
+from typing import Generic, Iterable, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -46,7 +46,7 @@ def solve_dp(
     if n_elements == 0:
         return CoverSolution(0.0, [])
     full = (1 << n_elements) - 1
-    masks = [_mask(c.coverage) for c in candidates]
+    masks = [coverage_mask(c.coverage) for c in candidates]
     inf = math.inf
     best_cost = [inf] * (full + 1)
     best_from: list[tuple[int, int] | None] = [None] * (full + 1)
@@ -89,7 +89,7 @@ def solve_enumerate(
     if n_elements == 0:
         return CoverSolution(0.0, [])
     full = (1 << n_elements) - 1
-    masks = [_mask(c.coverage) for c in candidates]
+    masks = [coverage_mask(c.coverage) for c in candidates]
     best: CoverSolution[T] | None = None
     q = len(candidates)
     for subset in range(1, 1 << q):
@@ -120,7 +120,7 @@ def solve_greedy(
     if n_elements == 0:
         return CoverSolution(0.0, [])
     full = (1 << n_elements) - 1
-    masks = [_mask(c.coverage) for c in candidates]
+    masks = [coverage_mask(c.coverage) for c in candidates]
     covered = 0
     cost = 0.0
     chosen: list[CoverCandidate[T]] = []
@@ -160,7 +160,7 @@ def solve_minmax(
         return CoverSolution(0.0, [])
     full = (1 << n_elements) - 1
     order = sorted(range(len(candidates)), key=lambda i: candidates[i].cost)
-    masks = [_mask(c.coverage) for c in candidates]
+    masks = [coverage_mask(c.coverage) for c in candidates]
     covered = 0
     chosen: list[CoverCandidate[T]] = []
     for index in order:
@@ -177,7 +177,7 @@ def solve_minmax(
             kept: list[CoverCandidate[T]] = []
             kept_masks: list[int] = []
             for candidate in reversed(chosen):
-                mask = _mask(candidate.coverage)
+                mask = coverage_mask(candidate.coverage)
                 union_others = 0
                 for other in kept_masks:
                     union_others |= other
@@ -227,7 +227,8 @@ def prune_dominated(
     return kept
 
 
-def _mask(coverage: frozenset[int]) -> int:
+def coverage_mask(coverage: Iterable[int]) -> int:
+    """The bitmask with bit ``i`` set for every element ``i``."""
     mask = 0
     for element in coverage:
         mask |= 1 << element

@@ -67,7 +67,8 @@ class CostModel:
             return self.per_source[source]
         return (self.k1, self.k2)
 
-    def _aggregate(self, costs) -> float:
+    def aggregate(self, costs) -> float:
+        """The cost of a plan node from its children's costs (Eq. 1's Σ)."""
         return sum(costs)
 
     # ------------------------------------------------------------------
@@ -88,7 +89,7 @@ class CostModel:
             return self.source_query_cost(plan)
         if isinstance(plan, ChoicePlan):
             return min(self.cost(alt) for alt in plan.children)
-        return self._aggregate(self.cost(child) for child in plan.children)
+        return self.aggregate(self.cost(child) for child in plan.children)
 
     def resolve(self, plan: Plan | None) -> Plan | None:
         """Replace every Choice by its cheapest branch (fully concrete)."""
@@ -157,7 +158,7 @@ class BottleneckCostModel(CostModel):
     aggregate_kind: str = "max"
     pr1_sound: bool = False
 
-    def _aggregate(self, costs) -> float:
+    def aggregate(self, costs) -> float:
         return max(costs, default=0.0)
 
 

@@ -23,6 +23,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+from repro.conditions.atoms import Atom, Op
 from repro.conditions.tree import TRUE, Condition
 from repro.errors import GrammarError
 from repro.observability.metrics import get_metrics
@@ -34,7 +35,13 @@ from repro.ssdl.compiled import (
     compile_productions,
 )
 from repro.ssdl.earley import EarleyRecognizer
-from repro.ssdl.symbols import Keyword, Symbol, Template, tokenize_condition
+from repro.ssdl.symbols import (
+    ConstClass,
+    Keyword,
+    Symbol,
+    Template,
+    tokenize_condition,
+)
 
 
 @dataclass(frozen=True)
@@ -123,6 +130,9 @@ class SourceDescription:
         }
         self._validate()
         self._recognizer = EarleyRecognizer(self.productions)
+        #: (attribute, op) -> (constant classes, literal constants) of the
+        #: grammar's template terminals: what :meth:`atom_matchable` probes.
+        self._template_index = self._index_templates()
         self.cache_checks = cache_checks
         self.check_cache_entries = check_cache_entries
         self._cache: OrderedDict[Condition, CheckResult] = OrderedDict()
@@ -145,6 +155,9 @@ class SourceDescription:
         #: Cache-missing Checks that fell back to Earley although a
         #: compiled form exists (condition longer than the horizon).
         self.check_fallbacks = 0
+        #: Cache-missing Checks answered ∅ before either recognizer ran:
+        #: the condition holds an atom no template can match.
+        self.check_prefiltered = 0
 
     def _validate(self) -> None:
         if not self.condition_nonterminals:
@@ -202,6 +215,45 @@ class SourceDescription:
         """Is a compiled recognizer active?"""
         return self._compiled is not None
 
+    def _index_templates(
+        self,
+    ) -> dict[tuple[str, Op], tuple[tuple[ConstClass, ...], tuple]]:
+        index: dict[tuple[str, Op], tuple[list, list]] = {}
+        for alternatives in self.productions.values():
+            for alternative in alternatives:
+                for symbol in alternative:
+                    if not isinstance(symbol, Template):
+                        continue
+                    classes, literals = index.setdefault(
+                        (symbol.attribute, symbol.op), ([], []))
+                    constant = symbol.constant
+                    bucket = classes if isinstance(constant, ConstClass) else literals
+                    if constant not in bucket:
+                        bucket.append(constant)
+        return {
+            key: (tuple(classes), tuple(literals))
+            for key, (classes, literals) in index.items()
+        }
+
+    def atom_matchable(self, atom: Atom) -> bool:
+        """Can some template terminal of the grammar match ``atom``?
+
+        The same test as :meth:`Template.matches`, against an index
+        built with the description.  An atom token is only ever matched
+        by a template, so a condition holding an unmatchable atom has no
+        derivation under any nonterminal: ``Check`` is ∅ for it, and for
+        every condition containing it.
+        """
+        entry = self._template_index.get((atom.attribute, atom.op))
+        if entry is None:
+            return False
+        classes, literals = entry
+        value = atom.value
+        for const_class in classes:
+            if const_class.admits(value):
+                return True
+        return value in literals
+
     def check(self, condition: Condition) -> CheckResult:
         """The paper's ``Check(C, R)``: exportable attributes for ``C``.
 
@@ -209,6 +261,8 @@ class SourceDescription:
         recognizer itself was built when the description was
         constructed (the paper's build-parser-at-integration-time
         story), and :meth:`compile` upgrades it to a token-trie walk.
+        A condition with an atom no template can match is answered ∅
+        without tokenizing it (see :meth:`atom_matchable`).
         """
         if self.cache_checks:
             with self._cache_lock:
@@ -217,6 +271,24 @@ class SourceDescription:
                     self._cache.move_to_end(condition)
                     self.check_cache_hits += 1
                     return cached
+        prefiltered = not all(map(self.atom_matchable, condition.atoms()))
+        if prefiltered:
+            get_metrics().counter("ssdl.check.prefiltered").inc()
+            result = EMPTY_CHECK
+        else:
+            result = self._recognize(condition)
+        with self._cache_lock:
+            self.check_calls += 1
+            self.check_prefiltered += prefiltered
+            if self.cache_checks:
+                self._cache[condition] = result
+                self._cache.move_to_end(condition)
+                while len(self._cache) > self.check_cache_entries:
+                    self._cache.popitem(last=False)
+        return result
+
+    def _recognize(self, condition: Condition) -> CheckResult:
+        """Run the compiled recognizer, or Earley, over ``condition``."""
         tokens = tokenize_condition(condition)
         # Outer parentheses are semantically transparent: a grammar rule
         # written as a parenthesized group (e.g. ``( size_list )``, usable
@@ -241,13 +313,6 @@ class SourceDescription:
                 with self._cache_lock:
                     self.check_fallbacks += 1
             result = self._check_earley(tokens, wrapped)
-        with self._cache_lock:
-            self.check_calls += 1
-            if self.cache_checks:
-                self._cache[condition] = result
-                self._cache.move_to_end(condition)
-                while len(self._cache) > self.check_cache_entries:
-                    self._cache.popitem(last=False)
         return result
 
     def _check_compiled(

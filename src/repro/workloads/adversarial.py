@@ -19,11 +19,14 @@ workload builds hostile ones:
 The battery proves two things.  **Parity**: for every generated
 condition, a compiled description and its never-compiled twin produce
 *identical* ``Check`` results -- the optimization is invisible.
-**Accounting**: the registry counters ``ssdl.compile.budget_exceeded``
-and ``ssdl.check.fallback`` reconcile *exactly* with the
-per-description ``check_compiled``/``check_fallbacks`` counters, and
-for every compiled description ``cache-missing checks == compiled
-answers + fallbacks`` -- no Check is ever silently unaccounted.
+**Accounting**: the registry counters ``ssdl.compile.budget_exceeded``,
+``ssdl.check.fallback`` and ``ssdl.check.prefiltered`` reconcile
+*exactly* with the per-description ``check_compiled``/
+``check_fallbacks``/``check_prefiltered`` counters, and for every
+compiled description ``cache-missing checks == compiled answers +
+fallbacks + prefiltered`` (a condition with an atom no template matches
+is answered before either recognizer) -- no Check is ever silently
+unaccounted.
 """
 
 from __future__ import annotations
@@ -224,6 +227,7 @@ class AdversarialSSDLWorkload(Workload):
             "budget_exceeded": 0,
             "compiled_answers": 0,
             "fallbacks": 0,
+            "prefiltered": 0,
             "native_rules": 0,
             "closure_rules": 0,
             "sequences": 0,
@@ -274,16 +278,25 @@ class AdversarialSSDLWorkload(Workload):
                         description.check_calls
                         != description.check_compiled
                         + description.check_fallbacks
+                        + description.check_prefiltered
                     ):
                         totals["accounting_exact"] = False
+                for description in (compiled_native, compiled_closed,
+                                    twin_native, twin_closed):
+                    totals["prefiltered"] += description.check_prefiltered
         registry_budget = registry.counter(
             "ssdl.compile.budget_exceeded").value
         registry_fallbacks = registry.counter("ssdl.check.fallback").value
+        registry_prefiltered = registry.counter(
+            "ssdl.check.prefiltered").value
         totals["registry_budget_exceeded"] = int(registry_budget)
         totals["registry_fallbacks"] = int(registry_fallbacks)
+        totals["registry_prefiltered"] = int(registry_prefiltered)
         if registry_budget != totals["budget_exceeded"]:
             totals["accounting_exact"] = False
         if registry_fallbacks != totals["fallbacks"]:
+            totals["accounting_exact"] = False
+        if registry_prefiltered != totals["prefiltered"]:
             totals["accounting_exact"] = False
         totals["compile_attempts"] = compile_attempts
         return totals
@@ -309,6 +322,11 @@ class AdversarialSSDLWorkload(Workload):
         )
         assert totals["registry_budget_exceeded"] == totals["budget_exceeded"]
         assert totals["registry_fallbacks"] == totals["fallbacks"]
+        assert totals["registry_prefiltered"] == totals["prefiltered"]
+        assert totals["prefiltered"] > 0, (
+            "no condition was answered before the recognizers -- the "
+            "pool's unsupported-operator atoms are gone"
+        )
         assert totals["accounting_exact"], (
             "per-description counters do not reconcile with the registry"
         )

@@ -68,27 +68,52 @@ class TestCounterReconciliation:
         registry = MetricsRegistry()
         grammar = AdversarialGrammar(seed=13)
         description = grammar.build()
+        # Matchable atoms: a condition with an atom no template matches
+        # is answered before either recognizer and never falls back.
+        attr, op, _ = grammar._atom_rules[0]
         with use_metrics(registry):
             assert description.compile(max_tokens=5).compiled
             long = And([
-                Leaf(Atom("a0", Op.EQ, f"v{i}")) for i in range(6)
+                Leaf(Atom(attr, op, f"v{i}")) for i in range(6)
             ])
             description.check(long)  # beyond the 5-token horizon
         assert description.check_fallbacks == 1
+        assert description.check_prefiltered == 0
         assert registry.counter("ssdl.check.fallback").value == 1
+
+    def test_prefiltered_counter_matches_per_description(self):
+        registry = MetricsRegistry()
+        grammar = AdversarialGrammar(seed=13)
+        description = grammar.build()
+        attr, op, _ = grammar._atom_rules[0]
+        wrong = Op.NE if op is not Op.NE else Op.LT
+        with use_metrics(registry):
+            assert description.compile().compiled
+            description.check(And([
+                Leaf(Atom(attr, op, "v1")), Leaf(Atom(attr, wrong, 7)),
+            ]))
+            description.check(Leaf(Atom(attr, op, "v1")))
+        assert description.check_prefiltered == 1
+        assert description.check_compiled == 1
+        assert description.check_fallbacks == 0
+        assert description.check_calls == 2
+        assert registry.counter("ssdl.check.prefiltered").value == 1
 
     def test_workload_reconciles_exactly(self):
         """Satellite: registry ``ssdl.compile.budget_exceeded`` +
-        ``ssdl.check.fallback`` reconcile exactly with per-description
-        ``check_compiled``/``check_fallbacks`` under the adversarial
+        ``ssdl.check.fallback`` + ``ssdl.check.prefiltered`` reconcile
+        exactly with per-description ``check_compiled``/
+        ``check_fallbacks``/``check_prefiltered`` under the adversarial
         workload (asserted inside the battery; re-checked here)."""
         out = AdversarialSSDLWorkload(
             seed=17, n_grammars=3, conditions_per_grammar=24).battery()
         assert out["accounting_exact"] is True
         assert out["registry_budget_exceeded"] == out["budget_exceeded"]
         assert out["registry_fallbacks"] == out["fallbacks"]
+        assert out["registry_prefiltered"] == out["prefiltered"]
         assert out["budget_exceeded"] > 0
         assert out["fallbacks"] > 0
+        assert out["prefiltered"] > 0
 
 
 class TestAdversarialWorkload:

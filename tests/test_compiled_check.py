@@ -18,7 +18,9 @@ import pytest
 
 from repro.conditions.parser import parse_condition
 from repro.observability.metrics import get_metrics
+from repro.observability.trace import Tracer, use_tracer
 from repro.planners.gencompact import GenCompact
+from repro.planners.genmodular import GenModular
 from repro.plans.cost import CostModel
 from repro.query import TargetQuery
 from repro.source.library import standard_catalog
@@ -330,6 +332,30 @@ def test_gencompact_reports_compiled_checks(example41):
     assert result.stats.check_calls > 0
     assert result.stats.check_compiled > 0
     assert result.stats.check_fallbacks == 0
+    assert result.stats.check_prefiltered == 0
+
+
+@pytest.mark.parametrize("planner", [GenCompact(), GenModular(max_rewrites=10)])
+def test_planners_report_prefiltered_checks(example41, planner):
+    """``year`` has no template: Checks holding it never reach a
+    recognizer, and the planner's stats and ``planner.plan`` span say so."""
+    example41.compile_capabilities()
+    cost_model = CostModel({example41.name: example41.stats})
+    query = TargetQuery(
+        parse_condition("make = 'BMW' and price < 40000 and year = 1999"),
+        frozenset({"make", "model"}),
+        example41.name,
+    )
+    tracer = Tracer()
+    with use_tracer(tracer):
+        result = planner.plan(query, example41, cost_model)
+    stats = result.stats
+    assert stats.check_prefiltered > 0
+    assert stats.check_calls >= (
+        stats.check_compiled + stats.check_fallbacks + stats.check_prefiltered)
+    (span,) = [s for s in tracer.finished_spans()
+               if s.name == "planner.plan"]
+    assert span.attributes["check_prefiltered"] == stats.check_prefiltered
 
 
 def test_source_compile_capabilities_reports(example41):
@@ -345,8 +371,10 @@ def test_planner_stats_merge_includes_compiled_counters():
     from repro.planners.base import PlannerStats
 
     a = PlannerStats(check_calls=3, check_compiled=2, check_fallbacks=1)
-    b = PlannerStats(check_calls=5, check_compiled=4, check_fallbacks=0)
+    b = PlannerStats(check_calls=5, check_compiled=3, check_fallbacks=0,
+                     check_prefiltered=2)
     a.merge(b)
     assert a.check_calls == 8
-    assert a.check_compiled == 6
+    assert a.check_compiled == 5
     assert a.check_fallbacks == 1
+    assert a.check_prefiltered == 2
