@@ -69,6 +69,31 @@ class Atom:
     op: Op
     value: Value
 
+    def __eq__(self, other) -> bool:
+        """Field equality with *typed* constants: ``1``, ``1.0``, ``True``
+        and ``'1'`` are four different atoms (element-wise for ``in``
+        lists).  SSDL constant classes tell them apart (``$num`` excludes
+        ``bool``), so nothing keyed by atoms -- the Check LRU, the plan
+        cache, templates, flights -- may take one for another."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        value, theirs = self.value, other.value
+        if (
+            value.__class__ is not theirs.__class__
+            or self.op is not other.op
+            or self.attribute != other.attribute
+            or value != theirs
+        ):
+            return False
+        return value.__class__ is not tuple or all(
+            a.__class__ is b.__class__ for a, b in zip(value, theirs)
+        )
+
+    def __hash__(self) -> int:
+        # The value the dataclass would generate (an Enum member hashes
+        # its name), without the Python-level ``Enum.__hash__`` call.
+        return hash((self.attribute, self.op._name_, self.value))
+
     def __post_init__(self) -> None:
         if not self.attribute:
             raise ConditionError("atomic condition needs a non-empty attribute")

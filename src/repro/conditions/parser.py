@@ -15,56 +15,58 @@ never reassociates what the user wrote).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from repro.conditions.atoms import Atom, Op, op_from_text
 from repro.conditions.tree import TRUE, And, Condition, Leaf, Or
 from repro.errors import ConditionParseError
 
+# One scanner pass: every alternative skips the whitespace before its
+# token, keywords are their own (ASCII case-insensitive) alternatives,
+# the end of input is a token and ``bad`` catches any other character --
+# so ``finditer`` never skips a position and ``lastgroup`` is the kind.
+_KEYWORDS = ("and", "or", "in", "contains", "true", "false")
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<op><=|>=|!=|<>|==|=|<|>)
-  | (?P<lparen>\()
-  | (?P<rparen>\))
-  | (?P<comma>,)
-  | (?P<number>-?\d+(?:\.\d+)?)
-  | (?P<string>'(?:\\.|[^'\\])*'|"(?:\\.|[^"\\])*")
-  | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
-    """,
-    re.VERBOSE,
+    r"\s*(?:"
+    r"(?P<op><=|>=|!=|<>|==|=|<|>)"
+    r"|(?P<lparen>\()"
+    r"|(?P<rparen>\))"
+    r"|(?P<comma>,)"
+    r"|(?P<number>-?\d+(?:\.\d+)?)"
+    r"""|(?P<string>'(?:\\.|[^'\\])*'|"(?:\\.|[^"\\])*")"""
+    + "".join(
+        "|(?P<%s>%s(?![A-Za-z_0-9]))" % (
+            word, "".join(f"[{c}{c.upper()}]" for c in word))
+        for word in _KEYWORDS
+    )
+    + r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<eof>\Z)"
+    r"|(?P<bad>.)"
+    r")",
+    re.DOTALL,
 )
 
-_KEYWORDS = {"and", "or", "in", "contains", "true", "false"}
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    pos: int
+#: A token: ``(kind, text, position)``.
+_Token = tuple[str, str, int]
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
+    append = tokens.append
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        if kind == "bad":
+            pos = match.start(kind)
             raise ConditionParseError(
                 f"unexpected character {text[pos]!r} at position {pos}", pos
             )
-        kind = match.lastgroup
-        value = match.group()
-        pos = match.end()
-        if kind == "ws":
-            continue
-        if kind == "ident" and value.lower() in _KEYWORDS:
-            kind = value.lower()
-            value = value.lower()
-        tokens.append(_Token(kind, value, match.start()))
-    tokens.append(_Token("eof", "", len(text)))
+        append((kind, match[kind], match.start(kind)))
     return tokens
+
+
+def _found(token: _Token) -> str:
+    """How an error message quotes a token (keywords in lower case)."""
+    kind, text, _ = token
+    return repr((kind if kind in _KEYWORDS else text) or "end of input")
 
 
 def _unescape(quoted: str) -> str:
@@ -73,44 +75,38 @@ def _unescape(quoted: str) -> str:
 
 
 class _Parser:
+    """Recursive descent over the token list; ``index`` is the cursor."""
+
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
 
-    # -- token helpers ---------------------------------------------------
-    def peek(self) -> _Token:
-        return self.tokens[self.index]
-
-    def advance(self) -> _Token:
+    def expect(self, kind: str) -> _Token:
         token = self.tokens[self.index]
+        if token[0] != kind:
+            raise ConditionParseError(
+                f"expected {kind} but found {_found(token)} "
+                f"at position {token[2]}",
+                token[2],
+            )
         self.index += 1
         return token
-
-    def expect(self, kind: str) -> _Token:
-        token = self.peek()
-        if token.kind != kind:
-            raise ConditionParseError(
-                f"expected {kind} but found {token.text or 'end of input'!r} "
-                f"at position {token.pos}",
-                token.pos,
-            )
-        return self.advance()
 
     # -- grammar -----------------------------------------------------------
     def parse(self) -> Condition:
         expr = self.parse_or()
-        token = self.peek()
-        if token.kind != "eof":
+        token = self.tokens[self.index]
+        if token[0] != "eof":
             raise ConditionParseError(
-                f"trailing input {token.text!r} at position {token.pos}", token.pos
+                f"trailing input {_found(token)} at position {token[2]}",
+                token[2],
             )
         return expr
 
     def parse_or(self) -> Condition:
         parts = [self.parse_and()]
-        while self.peek().kind == "or":
-            self.advance()
+        while self.tokens[self.index][0] == "or":
+            self.index += 1
             parts.append(self.parse_and())
         if len(parts) == 1:
             return parts[0]
@@ -118,70 +114,75 @@ class _Parser:
 
     def parse_and(self) -> Condition:
         parts = [self.parse_factor()]
-        while self.peek().kind == "and":
-            self.advance()
+        while self.tokens[self.index][0] == "and":
+            self.index += 1
             parts.append(self.parse_factor())
         if len(parts) == 1:
             return parts[0]
         return And(parts)
 
     def parse_factor(self) -> Condition:
-        token = self.peek()
-        if token.kind == "lparen":
-            self.advance()
+        token = self.tokens[self.index]
+        kind = token[0]
+        if kind == "ident":
+            return self.parse_atom()
+        if kind == "lparen":
+            self.index += 1
             inner = self.parse_or()
             self.expect("rparen")
             return inner
-        if token.kind == "true":
-            self.advance()
+        if kind == "true":
+            self.index += 1
             return TRUE
-        if token.kind == "ident":
-            return self.parse_atom()
         raise ConditionParseError(
-            f"expected a condition but found {token.text or 'end of input'!r} "
-            f"at position {token.pos}",
-            token.pos,
+            f"expected a condition but found {_found(token)} "
+            f"at position {token[2]}",
+            token[2],
         )
 
     def parse_atom(self) -> Leaf:
-        attr = self.expect("ident").text
-        token = self.peek()
-        if token.kind == "op":
-            self.advance()
-            op = op_from_text(token.text)
-            value = self.parse_value()
-            return Leaf(Atom(attr, op, value))
-        if token.kind == "contains":
-            self.advance()
-            value_token = self.expect("string")
-            return Leaf(Atom(attr, Op.CONTAINS, _unescape(value_token.text)))
-        if token.kind == "in":
-            self.advance()
+        """``ident op value`` with the cursor on the ``ident``."""
+        attr = self.tokens[self.index][1]
+        self.index += 1
+        token = self.tokens[self.index]
+        kind = token[0]
+        if kind == "op":
+            self.index += 1
+            return Leaf(Atom(attr, op_from_text(token[1]), self.parse_value()))
+        if kind == "contains":
+            self.index += 1
+            return Leaf(Atom(attr, Op.CONTAINS,
+                             _unescape(self.expect("string")[1])))
+        if kind == "in":
+            self.index += 1
             self.expect("lparen")
             values = [self.parse_value()]
-            while self.peek().kind == "comma":
-                self.advance()
+            while self.tokens[self.index][0] == "comma":
+                self.index += 1
                 values.append(self.parse_value())
             self.expect("rparen")
             return Leaf(Atom(attr, Op.IN, tuple(values)))
         raise ConditionParseError(
-            f"expected an operator after {attr!r} at position {token.pos}", token.pos
+            f"expected an operator after {attr!r} at position {token[2]}",
+            token[2],
         )
 
     def parse_value(self):
-        token = self.advance()
-        if token.kind == "number":
-            return float(token.text) if "." in token.text else int(token.text)
-        if token.kind == "string":
-            return _unescape(token.text)
-        if token.kind == "true":
+        token = self.tokens[self.index]
+        self.index += 1
+        kind, text, _ = token
+        if kind == "number":
+            return float(text) if "." in text else int(text)
+        if kind == "string":
+            return _unescape(text)
+        if kind == "true":
             return True
-        if token.kind == "false":
+        if kind == "false":
             return False
         raise ConditionParseError(
-            f"expected a constant but found {token.text or 'end of input'!r} "
-            f"at position {token.pos}",
-            token.pos,
+            f"expected a constant but found {_found(token)} "
+            f"at position {token[2]}",
+            token[2],
         )
 
 

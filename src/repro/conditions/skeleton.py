@@ -1,53 +1,38 @@
 """Condition skeletons: query templates with the constants factored out.
 
 Bind-joins and wrappers serve thousands of instances of the *same query
-template* that differ only in constants (``make = 'BMW'`` today,
-``make = 'Audi'`` tomorrow).  Because SSDL templates usually match
-constant *classes* (``$str``, ``$num``) rather than specific values, the
-feasible-plan structure is identical across instances -- only the cost
-estimate changes.
+template* that differ only in constants.  SSDL templates usually match
+constant *classes* (``$str``, ``$num``), so the feasible-plan structure
+is identical across instances -- only the cost estimate changes.
 
 A :class:`Skeleton` is a condition tree with each atom's value replaced
-by a class marker, plus the extracted value vector.  Two conditions with
-equal skeleton trees can share a plan: substitute the new values into
-the old plan's source queries.  The substitution is *validated* against
-the source description before use (so literal templates like
-``style = 'sedan'``, whose support does depend on the value, fall back
-to replanning safely).
+by a class marker (stripped by :mod:`repro.conditions.fingerprint`),
+plus the extracted value vector.  Conditions with equal skeletons can
+share a plan: substitute the new atoms into the old plan's conditions,
+then *validate* against the source description (literal templates like
+``style = 'sedan'`` make support value-dependent).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.conditions.atoms import Atom
-from repro.conditions.tree import And, Condition, Leaf, Or
+from repro.conditions.fingerprint import Fingerprint
+from repro.conditions.tree import Condition, Leaf
 from repro.errors import ConditionError
-from repro.plans.nodes import (
-    IntersectPlan,
-    Plan,
-    Postprocess,
-    SourceQuery,
-    UnionPlan,
-)
-
-#: Representative values per constant class used inside skeleton trees.
-_MARKERS = {
-    "str": "\x00str",
-    "num": 0,
-    "bool": False,
-    "tuple": ("\x00tuple",),
-}
+from repro.plans.nodes import IntersectPlan, Plan, Postprocess, SourceQuery, UnionPlan
 
 
-def _class_of(value) -> str:
-    if isinstance(value, bool):
-        return "bool"
-    if isinstance(value, str):
-        return "str"
-    if isinstance(value, tuple):
-        return "tuple"
-    return "num"
+def _rewrite_atoms(node: Condition, rewrite: Callable[[Atom], Atom]) -> Condition:
+    """``node`` with every atom (left to right) passed through ``rewrite``."""
+    if node.__class__ is Leaf:
+        return Leaf(rewrite(node.atom))
+    if node.is_true:
+        return node
+    return node.with_children(
+        [_rewrite_atoms(child, rewrite) for child in node.children])
 
 
 @dataclass(frozen=True)
@@ -59,20 +44,9 @@ class Skeleton:
 
     @classmethod
     def of(cls, condition: Condition) -> "Skeleton":
-        values: list = []
-
-        def strip(node: Condition) -> Condition:
-            if node.is_true:
-                return node
-            if node.is_leaf:
-                values.append(node.atom.value)
-                marker = _MARKERS[_class_of(node.atom.value)]
-                return Leaf(Atom(node.atom.attribute, node.atom.op, marker))
-            children = [strip(child) for child in node.children]
-            return And(children) if node.is_and else Or(children)
-
-        template = strip(condition)
-        return cls(template, tuple(values))
+        fingerprint = Fingerprint(condition)
+        return cls(fingerprint.skeleton,
+                   tuple(atom.value for atom in fingerprint.atoms))
 
     def bind(self, values: tuple) -> Condition:
         """The concrete condition with ``values`` substituted in order."""
@@ -80,38 +54,31 @@ class Skeleton:
             raise ConditionError(
                 f"skeleton expects {len(self.values)} values, got {len(values)}"
             )
-        iterator = iter(values)
-
-        def fill(node: Condition) -> Condition:
-            if node.is_true:
-                return node
-            if node.is_leaf:
-                return Leaf(Atom(node.atom.attribute, node.atom.op, next(iterator)))
-            children = [fill(child) for child in node.children]
-            return And(children) if node.is_and else Or(children)
-
-        return fill(self.template)
+        fill = iter(values)
+        return _rewrite_atoms(
+            self.template, lambda atom: Atom(atom.attribute, atom.op, next(fill)))
 
 
-def atom_substitution(
-    old_root: Condition, new_root: Condition
-) -> dict[Atom, Atom] | None:
-    """Map each atom of ``old_root`` to its ``new_root`` counterpart.
+def rebinding(old: Fingerprint, new: Fingerprint) -> dict[Atom, Atom] | None:
+    """Map each atom of ``old`` to the atom at its position in ``new``.
 
-    Returns None when the two conditions do not share a skeleton, or
-    when the mapping would be ambiguous (the same old atom occurs at two
-    positions that receive *different* new values -- substitution could
-    then silently produce a wrong plan, so the caller must replan).
+    None when the two do not share a skeleton, or when the mapping would
+    be ambiguous: the same old atom occurs at two positions that receive
+    *different* new atoms -- substitution could then silently produce a
+    wrong plan, so the caller must replan.
     """
-    if Skeleton.of(old_root).template != Skeleton.of(new_root).template:
+    if old.skeleton != new.skeleton:
         return None
     mapping: dict[Atom, Atom] = {}
-    for old_atom, new_atom in zip(old_root.atoms(), new_root.atoms()):
-        existing = mapping.get(old_atom)
-        if existing is not None and existing != new_atom:
+    for old_atom, new_atom in zip(old.atoms, new.atoms):
+        if mapping.setdefault(old_atom, new_atom) != new_atom:
             return None
-        mapping[old_atom] = new_atom
     return mapping
+
+
+def atom_substitution(old_root: Condition, new_root: Condition) -> dict[Atom, Atom] | None:
+    """:func:`rebinding` of the atoms of two condition trees."""
+    return rebinding(Fingerprint(old_root), Fingerprint(new_root))
 
 
 def remap_condition(condition: Condition, mapping: dict[Atom, Atom]) -> Condition:
@@ -121,27 +88,16 @@ def remap_condition(condition: Condition, mapping: dict[Atom, Atom]) -> Conditio
     conjunctions of child subsets, which are not subtrees of the root,
     but their leaves are the root's atoms.
     """
-    if condition.is_true:
-        return condition
-    if condition.is_leaf:
-        return Leaf(mapping.get(condition.atom, condition.atom))
-    children = [remap_condition(child, mapping) for child in condition.children]
-    return And(children) if condition.is_and else Or(children)
+    return _rewrite_atoms(condition, lambda atom: mapping.get(atom, atom))
 
 
 def substitute_plan(plan: Plan, mapping: dict[Atom, Atom]) -> Plan:
     """A copy of ``plan`` with every condition rewritten through ``mapping``."""
     if isinstance(plan, SourceQuery):
-        return SourceQuery(
-            remap_condition(plan.condition, mapping), plan.attrs, plan.source
-        )
+        return SourceQuery(remap_condition(plan.condition, mapping), plan.attrs, plan.source)
     if isinstance(plan, Postprocess):
-        return Postprocess(
-            remap_condition(plan.condition, mapping),
-            plan.attrs,
-            substitute_plan(plan.input, mapping),
-        )
+        return Postprocess(remap_condition(plan.condition, mapping), plan.attrs,
+                           substitute_plan(plan.input, mapping))
     if isinstance(plan, (UnionPlan, IntersectPlan)):
-        cls = type(plan)
-        return cls([substitute_plan(child, mapping) for child in plan.children])
+        return type(plan)([substitute_plan(child, mapping) for child in plan.children])
     raise ConditionError(f"cannot substitute into {type(plan).__name__}")

@@ -14,12 +14,14 @@ from dataclasses import dataclass
 
 from repro.conditions.simplify import is_definitely_unsatisfiable
 from repro.data.relation import Relation
-from repro.errors import InfeasiblePlanError, PlanExecutionError
+from repro.errors import InfeasiblePlanError, OverloadError, PlanExecutionError
+from repro.observability.events import AskEvent
 from repro.observability.metrics import (
     DEFAULT_BUCKETS,
     Histogram,
     get_metrics,
 )
+from repro.observability.slo import SlowQuery, query_fingerprint
 from repro.observability.trace import Tracer, get_tracer, use_tracer
 from repro.planners.base import Planner, PlannerStats, PlanningResult
 from repro.planners.gencompact import GenCompact
@@ -27,6 +29,7 @@ from repro.plans.cost import CostModel
 from repro.plans.execute import ExecutionReport, Executor
 from repro.plans.retry import RetryPolicy
 from repro.query import TargetQuery, parse_query
+from repro.serving.plan_cache import PlanCache, PlanTemplates, plan_cache_key
 from repro.source.source import CapabilitySource
 
 
@@ -159,11 +162,11 @@ class Mediator:
         self._catalog_lock = threading.Lock()
         #: Bumped by every catalog mutation; versions plan-cache entries.
         self.catalog_version = 0
+        #: ``(catalog version, CostModel)`` of the last :meth:`cost_model`.
+        self._cost_model: tuple[int, CostModel] | None = None
         self.plan_cache = None
         self.plan_templates = None
         if plan_cache_entries is not None:
-            from repro.serving.plan_cache import PlanCache, PlanTemplates
-
             self.plan_cache = PlanCache(plan_cache_entries)
             if plan_templates:
                 self.plan_templates = PlanTemplates(plan_cache_entries)
@@ -384,6 +387,7 @@ class Mediator:
         be served.  Returns the new version."""
         with self._catalog_lock:
             self.catalog_version += 1
+            self._cost_model = None
             return self.catalog_version
 
     def source(self, name: str) -> CapabilitySource:
@@ -393,11 +397,20 @@ class Mediator:
             raise PlanExecutionError(f"unknown source {name!r}") from None
 
     def cost_model(self, source_name: str | None = None) -> CostModel:
-        """The Eq. 1 cost model over the registered sources' statistics."""
+        """The Eq. 1 cost model over the registered sources' statistics.
+
+        Built once per catalog version (a source's statistics are fixed
+        once built; :meth:`bump_catalog` drops the model)."""
+        version = self.catalog_version
+        cached = self._cost_model
+        if cached is not None and cached[0] == version:
+            return cached[1]
         # dict() of the live catalog is a C-level copy (atomic under the
         # GIL); iterating the live dict here raced concurrent add_source.
         stats = {name: src.stats for name, src in dict(self.catalog).items()}
-        return CostModel(stats, self.k1, self.k2)
+        model = CostModel(stats, self.k1, self.k2)
+        self._cost_model = (version, model)
+        return model
 
     # ------------------------------------------------------------------
     def plan(self, query: TargetQuery | str, planner: Planner | None = None
@@ -413,12 +426,17 @@ class Mediator:
         """
         if isinstance(query, str):
             query = parse_query(query)
-        with get_tracer().span(
-            "mediator.plan", query=str(query), source=query.source
-        ) as span:
+        tracer = get_tracer()
+        # The query text is rendered only for a tracer that records it:
+        # an untraced ask renders no text.
+        attributes = (
+            {"query": query.text, "source": query.source}
+            if tracer.enabled else {}
+        )
+        with tracer.span("mediator.plan", **attributes) as span:
             source = self.source(query.source)
             source.schema.validate_attributes(query.attributes)
-            source.schema.validate_attributes(query.condition.attributes())
+            source.schema.validate_attributes(query.condition_attributes)
             scheme = planner if planner is not None else self.planner
             if self.compile_capabilities:
                 self._ensure_compiled(source)
@@ -430,8 +448,6 @@ class Mediator:
             # newer, than the catalog it was actually planned against.
             version = self.catalog_version
             if self.plan_cache is not None:
-                from repro.serving.plan_cache import plan_cache_key
-
                 cache_key = (plan_cache_key(query), scheme.name)
                 cached = self.plan_cache.get(cache_key, version)
                 if cached is not None:
@@ -529,9 +545,12 @@ class Mediator:
         timeout instead of queueing without bound."""
         if isinstance(query, str):
             query = parse_query(query)
-        with get_tracer().span(
-            "mediator.ask", query=str(query), source=query.source
-        ) as span:
+        tracer = get_tracer()
+        attributes = (
+            {"query": query.text, "source": query.source}
+            if tracer.enabled else {}
+        )
+        with tracer.span("mediator.ask", **attributes) as span:
             if self.slo is None and self.events is None:
                 return self._admitted_ask(query, planner, span, executor)
             self._ask_scratch.plan_cache = ""
@@ -579,9 +598,6 @@ class Mediator:
             return
         get_metrics().counter("mediator.slo_breaches").inc()
         span.set_attribute("slo_breach", True)
-        from repro.observability.slo import SlowQuery, plan_fingerprint
-        from repro.serving.plan_cache import plan_cache_key
-
         per_source: dict[str, tuple[int, int]] = {}
         planner_name = None
         if answer is not None:
@@ -598,11 +614,11 @@ class Mediator:
 
             timeline = render_timeline(spans)
         self.slow_queries.append(SlowQuery(
-            query=str(query),
+            query=query.text,
             source=query.source,
             duration_seconds=duration,
             objective_seconds=self.latency_objective,
-            fingerprint=plan_fingerprint(plan_cache_key(query)),
+            fingerprint=query_fingerprint(query),
             planner=planner_name,
             error=f"{type(error).__name__}: {error}" if error else None,
             per_source=per_source,
@@ -614,11 +630,6 @@ class Mediator:
                     answer: MediatorAnswer | None,
                     error: BaseException | None, span) -> None:
         """Append the wide event of one finished ask to the event log."""
-        from repro.errors import OverloadError
-        from repro.observability.events import AskEvent
-        from repro.observability.slo import plan_fingerprint
-        from repro.serving.plan_cache import plan_cache_key
-
         if error is None:
             outcome = "ok"
         elif isinstance(error, OverloadError):
@@ -639,12 +650,12 @@ class Mediator:
             coalesced = report.coalesced_hits
             batched = report.batched_hits
         self.events.append(AskEvent(
-            query=str(query),
+            query=query.text,
             source=query.source,
             outcome=outcome,
             duration_seconds=duration,
             trace_id=f"{span.trace_id:032x}" if span.trace_id else "",
-            fingerprint=plan_fingerprint(plan_cache_key(query)),
+            fingerprint=query_fingerprint(query),
             planner=planner_name,
             plan_cache=getattr(self._ask_scratch, "plan_cache", ""),
             per_source=per_source,
@@ -699,7 +710,7 @@ class Mediator:
 
         source = self.source(query.source)
         schema = source.schema.project(query.attributes)
-        source.schema.validate_attributes(query.condition.attributes())
+        source.schema.validate_attributes(query.condition_attributes)
         planning = PlanningResult(
             planner="unsatisfiable-shortcut",
             query=query,

@@ -95,6 +95,7 @@ from repro.observability.slo import (
     SlowQuery,
     SlowQueryLog,
     plan_fingerprint,
+    query_fingerprint,
 )
 from repro.observability.timeline import render_timeline
 from repro.observability.trace import (
@@ -151,6 +152,7 @@ __all__ = [
     "orphan_spans",
     "phase_category",
     "plan_fingerprint",
+    "query_fingerprint",
     "profile_families",
     "profile_mediator",
     "quantile_from_snapshot",

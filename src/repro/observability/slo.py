@@ -47,6 +47,15 @@ def plan_fingerprint(key: object) -> str:
     return digest[:12]
 
 
+def query_fingerprint(query) -> str:
+    """``plan_fingerprint(plan_cache_key(query))`` without rendering the
+    key again: the query's fingerprint pass carried the ``repr`` of its
+    exact key, the slow part of the rendering."""
+    fingerprint = query.fingerprint
+    key = f"({query.source!r}, {fingerprint.exact_text}, {query.attributes!r})"
+    return hashlib.sha1(key.encode("utf-8")).hexdigest()[:12]
+
+
 @dataclass
 class SlowQuery:
     """One ask that finished past its latency objective."""

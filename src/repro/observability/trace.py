@@ -403,31 +403,8 @@ class Tracer:
             yield placeholder
 
     # -- spans ---------------------------------------------------------
-    @contextmanager
-    def span(self, name: str, **attributes: Any) -> Iterator[Span]:
-        parent = self.current_span
-        opened = Span(
-            name=name,
-            span_id=self._allocate_id(),
-            trace_id=parent.trace_id if parent is not None else self._allocate_id(),
-            parent_id=parent.span_id if parent is not None else None,
-            start=time.perf_counter(),
-            attributes=dict(attributes),
-        )
-        if self.record_cpu:
-            opened.cpu_start = time.thread_time()
-        self._current.set(opened)
-        try:
-            yield opened
-        except BaseException as exc:
-            opened.record_exception(exc)
-            raise
-        finally:
-            if opened.cpu_start is not None:
-                opened.cpu_end = time.thread_time()
-            opened.end = time.perf_counter()
-            self._current.set(parent)
-            self._record(opened)
+    def span(self, name: str, **attributes: Any) -> "_SpanScope":
+        return _SpanScope(self, name, attributes)
 
     def _record(self, span: Span) -> None:
         """Admit one finished span (subclasses decide differently --
@@ -477,6 +454,47 @@ class Tracer:
         """Drop collected spans (exporters and open spans are kept)."""
         with self._lock:
             self._finished.clear()
+
+
+class _SpanScope:
+    """``with tracer.span(...) as span``: opens the span as the current
+    one on entry; on exit restores the parent, marks an escaping
+    exception and hands the finished span to :meth:`Tracer._record`.
+    (A class, not a generator: a traced ask opens half a dozen.)"""
+
+    __slots__ = ("_tracer", "_name", "_attributes", "_parent", "_span")
+
+    def __init__(self, tracer: Tracer, name: str, attributes: dict):
+        self._tracer = tracer
+        self._name = name
+        self._attributes = attributes
+
+    def __enter__(self) -> Span:
+        tracer = self._tracer
+        parent = self._parent = tracer.current_span
+        opened = self._span = Span(
+            name=self._name,
+            span_id=tracer._allocate_id(),
+            trace_id=parent.trace_id if parent is not None
+            else tracer._allocate_id(),
+            parent_id=parent.span_id if parent is not None else None,
+            start=time.perf_counter(),
+            attributes=self._attributes,
+        )
+        if tracer.record_cpu:
+            opened.cpu_start = time.thread_time()
+        tracer._current.set(opened)
+        return opened
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        opened = self._span
+        if exc is not None:
+            opened.record_exception(exc)
+        if opened.cpu_start is not None:
+            opened.cpu_end = time.thread_time()
+        opened.end = time.perf_counter()
+        self._tracer._current.set(self._parent)
+        self._tracer._record(opened)
 
 
 class _NullContext:
@@ -578,6 +596,13 @@ def use_tracer(tracer: Tracer) -> Iterator[Tracer]:
         yield tracer
     finally:
         set_tracer(previous)
+
+
+def wants_trace_event(logger, level: int) -> bool:
+    """Would a :func:`trace_event` reach anyone -- a recording tracer,
+    or ``logger`` at ``level``?  Call sites whose attributes cost a
+    rendering (``str(condition)``) ask before building them."""
+    return _default_tracer.enabled or logger.isEnabledFor(level)
 
 
 def trace_event(logger, level: int, message: str, *args: Any,

@@ -71,10 +71,11 @@ class GenCompact(Planner):
         def run():
             stats = PlannerStats()
             tracer = get_tracer()
-            with tracer.span(
-                "planner.plan", planner=self.name, query=str(query),
-                source=source.name,
-            ) as plan_span:
+            attributes = {
+                "planner": self.name, "query": query.text,
+                "source": source.name,
+            } if tracer.enabled else {}
+            with tracer.span("planner.plan", **attributes) as plan_span:
                 checker = CheckCounter(source.closed_description)
                 engine = RewriteEngine(
                     rules=GENCOMPACT_RULES,

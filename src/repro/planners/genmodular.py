@@ -76,10 +76,11 @@ class GenModular(Planner):
                 max_steps=self.max_rewrite_steps,
                 max_size_factor=self.max_size_factor,
             )
-            with tracer.span(
-                "planner.plan", planner=self.name, query=str(query),
-                source=source.name,
-            ) as plan_span:
+            attributes = {
+                "planner": self.name, "query": query.text,
+                "source": source.name,
+            } if tracer.enabled else {}
+            with tracer.span("planner.plan", **attributes) as plan_span:
                 with tracer.span("planner.rewrite") as rewrite_span:
                     rewriting = engine.explore(query.condition)
                     rewrite_span.set_attributes(

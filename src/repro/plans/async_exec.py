@@ -62,9 +62,13 @@ from repro.errors import (
     UnsupportedQueryError,
 )
 from repro.observability.metrics import get_metrics
-from repro.observability.trace import get_tracer, trace_event
+from repro.observability.trace import (
+    get_tracer,
+    trace_event,
+    wants_trace_event,
+)
 from repro.plans.coalesce import RequestCoalescer, flight_key
-from repro.plans.execute import Executor, _ExecutionContext
+from repro.plans.execute import NO_RETRY, Executor, _ExecutionContext
 from repro.plans.nodes import (
     ChoicePlan,
     IntersectPlan,
@@ -73,7 +77,6 @@ from repro.plans.nodes import (
     SourceQuery,
     UnionPlan,
 )
-from repro.plans.retry import RetryPolicy
 from repro.source.source import CapabilitySource
 
 logger = logging.getLogger(__name__)
@@ -351,13 +354,15 @@ class AsyncExecutor(Executor):
         self, plan: SourceQuery, ctx: _ExecutionContext
     ) -> Relation:
         tracer = get_tracer()
-        task = asyncio.current_task()
-        with tracer.span(
-            "executor.source_call",
-            source=plan.source,
-            condition=str(plan.condition),
-            worker=task.get_name() if task is not None else "loop",
-        ) as span:
+        attributes = {}
+        if tracer.enabled:
+            task = asyncio.current_task()
+            attributes = {
+                "source": plan.source,
+                "condition": str(plan.condition),
+                "worker": task.get_name() if task is not None else "loop",
+            }
+        with tracer.span("executor.source_call", **attributes) as span:
             started = time.perf_counter()
             try:
                 return await self._a_source_query(plan, ctx, span)
@@ -371,12 +376,14 @@ class AsyncExecutor(Executor):
         if self.cache is not None:
             cached = self.cache.get(plan.source, plan.condition, plan.attrs)
             if cached is not None:
-                trace_event(
-                    logger, logging.DEBUG,
-                    "cache hit for %s SP(%s)", plan.source, plan.condition,
-                    event="cache.hit", source=plan.source,
-                    condition=str(plan.condition),
-                )
+                if wants_trace_event(logger, logging.DEBUG):
+                    trace_event(
+                        logger, logging.DEBUG,
+                        "cache hit for %s SP(%s)", plan.source,
+                        plan.condition,
+                        event="cache.hit", source=plan.source,
+                        condition=str(plan.condition),
+                    )
                 get_metrics().counter("executor.cache_hits").inc()
                 span.set_attributes(cache_hit=True, attempts=0)
                 return cached
@@ -446,7 +453,7 @@ class AsyncExecutor(Executor):
         the serial loop with every wait turned into ``asyncio.sleep``."""
         source = self._source(plan.source)
         policy = self.retry_policy if self.retry_policy is not None \
-            else RetryPolicy.none()
+            else NO_RETRY
         attempt = 0
         retries = 0
         backoff = 0.0
@@ -518,7 +525,8 @@ class AsyncExecutor(Executor):
         condition = plan.condition
         if self.fix_queries and not condition.is_true:
             condition = source.fix(condition, plan.attrs)
-            if condition != plan.condition:
+            if condition != plan.condition \
+                    and wants_trace_event(logger, logging.DEBUG):
                 trace_event(
                     logger, logging.DEBUG,
                     "fixed query order for %s: %s -> %s",
@@ -534,13 +542,14 @@ class AsyncExecutor(Executor):
         except TransientSourceError:
             ctx.tally(source.name, failures=1)
             raise
-        trace_event(
-            logger, logging.DEBUG,
-            "source %s answered SP(%s) with %d tuples",
-            plan.source, condition, len(result),
-            event="source.answered", source=plan.source,
-            condition=str(condition), rows=len(result),
-        )
+        if wants_trace_event(logger, logging.DEBUG):
+            trace_event(
+                logger, logging.DEBUG,
+                "source %s answered SP(%s) with %d tuples",
+                plan.source, condition, len(result),
+                event="source.answered", source=plan.source,
+                condition=str(condition), rows=len(result),
+            )
         ctx.tally(source.name, queries=1, tuples=len(result))
         if fill_cache and self.cache is not None:
             self.cache.put(plan.source, plan.condition, plan.attrs, result)

@@ -48,7 +48,8 @@ BatchKey = tuple[str, frozenset, str]
 
 def flight_key(source: str, condition: Condition,
                attributes: frozenset) -> FlightKey:
-    """The single-flight key: commuted spellings share one flight."""
+    """The single-flight key: regrouped spellings of a condition (one
+    canonical tree, Section 6.4) share one flight."""
     return (source, canonicalize(condition), attributes)
 
 

@@ -37,11 +37,16 @@ from repro.errors import (
     UnsupportedQueryError,
 )
 from repro.observability.metrics import (
+    Counter,
     Histogram,
     get_metrics,
     quantile_from_snapshot,
 )
-from repro.observability.trace import get_tracer, trace_event
+from repro.observability.trace import (
+    get_tracer,
+    trace_event,
+    wants_trace_event,
+)
 from repro.plans.nodes import (
     ChoicePlan,
     IntersectPlan,
@@ -55,6 +60,9 @@ from repro.source.metering import MeterSnapshot
 from repro.source.source import CapabilitySource
 
 logger = logging.getLogger(__name__)
+
+#: What an executor without a retry policy applies (immutable, shared).
+NO_RETRY = RetryPolicy.none()
 
 
 @dataclass
@@ -72,10 +80,10 @@ class ExecutionReport:
     source that saw traffic to the :class:`MeterSnapshot` of what *this*
     execution caused there -- its own calls only, however many other
     executions ran at the same time.
-    ``call_latency`` is the bucketed histogram snapshot of this
-    execution's per-source-call wall-clock times; :meth:`call_p50_ms`
-    etc. read it with the same quantile estimator the load harness and
-    ``/metrics`` use.
+    ``call_seconds`` holds this execution's per-source-call wall-clock
+    times; ``call_latency`` buckets them into a histogram snapshot when
+    read, and :meth:`call_p50_ms` etc. read that with the same quantile
+    estimator the load harness and ``/metrics`` use.
     """
 
     result: Relation
@@ -87,7 +95,7 @@ class ExecutionReport:
     backoff_seconds: float = 0.0
     duration_seconds: float = 0.0
     per_source: dict[str, MeterSnapshot] = field(default_factory=dict)
-    call_latency: dict | None = None
+    call_seconds: tuple[float, ...] = ()
     #: Logical source calls answered by joining another caller's
     #: in-flight physical call (async executor's single-flight
     #: coalescing).  The attribution rule: a shared physical call is
@@ -103,10 +111,16 @@ class ExecutionReport:
     def measured_cost(self, k1: float, k2: float) -> float:
         return self.queries * k1 + self.tuples_transferred * k2
 
+    @property
+    def call_latency(self) -> dict:
+        """``call_seconds`` as a bucketed histogram snapshot."""
+        histogram = Histogram("executor.call_seconds")
+        for seconds in self.call_seconds:
+            histogram.observe(seconds)
+        return histogram.snapshot()
+
     def call_quantile_ms(self, q: float) -> float:
         """The ``q`` quantile of per-source-call latency, in ms."""
-        if self.call_latency is None:
-            return 0.0
         return quantile_from_snapshot(self.call_latency, q) * 1000
 
     @property
@@ -129,9 +143,6 @@ class FailoverTarget(Protocol):
                failed: frozenset[str]) -> Plan | None:
         """An equivalent plan avoiding ``failed`` sources, or ``None``."""
         ...  # pragma: no cover - protocol
-
-
-_NO_TRAFFIC = MeterSnapshot()
 
 
 @dataclass
@@ -161,12 +172,13 @@ class _ExecutionContext:
     per_source: dict[str, MeterSnapshot] = field(default_factory=dict)
     failed_sources: set[str] = field(default_factory=set)
     budget_left: int | None = None
-    #: Per-source-call wall-clock of *this* execution (thread-safe; the
-    #: histogram has its own lock) -- snapshotted into the report.
-    call_latency: Histogram = field(
-        default_factory=lambda: Histogram("executor.call_seconds"),
-        repr=False, compare=False,
-    )
+    #: The registry's ``executor.attempts`` counter and
+    #: ``executor.call_seconds`` histogram, bound by the executor.
+    registry_attempts: Counter | None = None
+    registry_call_seconds: Histogram | None = None
+    #: Per-source-call wall-clock of *this* execution (``append`` is
+    #: atomic) -- handed to the report.
+    call_seconds: list[float] = field(default_factory=list)
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
@@ -174,11 +186,11 @@ class _ExecutionContext:
     def add_attempt(self) -> None:
         with self._lock:
             self.attempts += 1
-        get_metrics().counter("executor.attempts").inc()
+        self.registry_attempts.inc()
 
     def observe_call(self, seconds: float) -> None:
-        self.call_latency.observe(seconds)
-        get_metrics().histogram("executor.call_seconds").observe(seconds)
+        self.call_seconds.append(seconds)
+        self.registry_call_seconds.observe(seconds)
 
     def add_retry(self, delay: float) -> None:
         with self._lock:
@@ -207,23 +219,27 @@ class _ExecutionContext:
         """Attribute source traffic caused by this execution."""
         delta = MeterSnapshot(**deltas)
         with self._lock:
-            self.per_source[source] = \
-                self.per_source.get(source, _NO_TRAFFIC) + delta
+            seen = self.per_source.get(source)
+            self.per_source[source] = delta if seen is None else seen + delta
 
     def report(self, result: Relation, duration: float) -> ExecutionReport:
         """This execution's accounting, as handed to the caller."""
         per_source = dict(self.per_source)
+        queries = tuples = 0
+        for delta in per_source.values():
+            queries += delta.queries
+            tuples += delta.tuples
         return ExecutionReport(
             result,
-            sum(delta.queries for delta in per_source.values()),
-            sum(delta.tuples for delta in per_source.values()),
+            queries,
+            tuples,
             attempts=self.attempts,
             retries=self.retries,
             failovers=self.failovers,
             backoff_seconds=self.backoff,
             duration_seconds=duration,
             per_source=per_source,
-            call_latency=self.call_latency.snapshot(),
+            call_seconds=tuple(self.call_seconds),
             coalesced_hits=self.coalesced_hits,
             batched_hits=self.batched_hits,
         )
@@ -288,6 +304,9 @@ class Executor:
         self.retry_policy = retry_policy
         self.failover = failover
         self.cost_model = cost_model
+        #: ``(registry, attempts counter, call-seconds histogram)``: the
+        #: per-call instruments, bound once per process registry.
+        self._bound: tuple | None = None
 
     def _source(self, name: str) -> CapabilitySource:
         try:
@@ -307,7 +326,19 @@ class Executor:
     def _new_context(self) -> _ExecutionContext:
         policy = self.retry_policy
         budget = policy.retry_budget if policy is not None else None
-        return _ExecutionContext(budget_left=budget)
+        metrics = get_metrics()
+        bound = self._bound
+        if bound is None or bound[0] is not metrics:
+            # Re-keyed by registry identity, like the sources' instruments:
+            # swapping the process registry redirects the publishing.
+            bound = self._bound = (
+                metrics, metrics.counter("executor.attempts"),
+                metrics.histogram("executor.call_seconds"),
+            )
+        return _ExecutionContext(
+            budget_left=budget, registry_attempts=bound[1],
+            registry_call_seconds=bound[2],
+        )
 
     def _execute(self, plan: Plan, ctx: _ExecutionContext) -> Relation:
         if isinstance(plan, ChoicePlan):
@@ -399,12 +430,12 @@ class Executor:
     def _execute_source_query(self, plan: SourceQuery, ctx: _ExecutionContext
                               ) -> Relation:
         tracer = get_tracer()
-        with tracer.span(
-            "executor.source_call",
-            source=plan.source,
-            condition=str(plan.condition),
-            worker=threading.current_thread().name,
-        ) as span:
+        attributes = {
+            "source": plan.source,
+            "condition": str(plan.condition),
+            "worker": threading.current_thread().name,
+        } if tracer.enabled else {}
+        with tracer.span("executor.source_call", **attributes) as span:
             started = time.perf_counter()
             try:
                 return self._source_query_attempts(plan, ctx, span)
@@ -419,17 +450,19 @@ class Executor:
         if self.cache is not None:
             cached = self.cache.get(plan.source, plan.condition, plan.attrs)
             if cached is not None:
-                trace_event(
-                    logger, logging.DEBUG,
-                    "cache hit for %s SP(%s)", plan.source, plan.condition,
-                    event="cache.hit", source=plan.source,
-                    condition=str(plan.condition),
-                )
+                if wants_trace_event(logger, logging.DEBUG):
+                    trace_event(
+                        logger, logging.DEBUG,
+                        "cache hit for %s SP(%s)", plan.source,
+                        plan.condition,
+                        event="cache.hit", source=plan.source,
+                        condition=str(plan.condition),
+                    )
                 get_metrics().counter("executor.cache_hits").inc()
                 span.set_attributes(cache_hit=True, attempts=0)
                 return cached
         policy = self.retry_policy if self.retry_policy is not None \
-            else RetryPolicy.none()
+            else NO_RETRY
         attempt = 0
         retries = 0
         backoff = 0.0
@@ -497,7 +530,8 @@ class Executor:
         condition = plan.condition
         if self.fix_queries and not condition.is_true:
             condition = source.fix(condition, plan.attrs)
-            if condition != plan.condition:
+            if condition != plan.condition \
+                    and wants_trace_event(logger, logging.DEBUG):
                 trace_event(
                     logger, logging.DEBUG,
                     "fixed query order for %s: %s -> %s",
@@ -513,13 +547,14 @@ class Executor:
         except TransientSourceError:
             ctx.tally(source.name, failures=1)
             raise
-        trace_event(
-            logger, logging.DEBUG,
-            "source %s answered SP(%s) with %d tuples",
-            plan.source, condition, len(result),
-            event="source.answered", source=plan.source,
-            condition=str(condition), rows=len(result),
-        )
+        if wants_trace_event(logger, logging.DEBUG):
+            trace_event(
+                logger, logging.DEBUG,
+                "source %s answered SP(%s) with %d tuples",
+                plan.source, condition, len(result),
+                event="source.answered", source=plan.source,
+                condition=str(condition), rows=len(result),
+            )
         ctx.tally(source.name, queries=1, tuples=len(result))
         if self.cache is not None:
             self.cache.put(plan.source, plan.condition, plan.attrs, result)

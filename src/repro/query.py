@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
+from repro.conditions.fingerprint import Fingerprint
 from repro.conditions.parser import parse_condition
 from repro.conditions.tree import TRUE, Condition
 from repro.errors import ConditionParseError
@@ -32,6 +34,25 @@ class TargetQuery:
     def __post_init__(self) -> None:
         object.__setattr__(self, "attributes", frozenset(self.attributes))
 
+    # The query is frozen, so what derives from its fields is computed
+    # at most once per instance and only when something asks
+    # (``cached_property`` writes the instance dict directly; dataclass
+    # equality and hashing only see the fields).
+    @cached_property
+    def fingerprint(self) -> Fingerprint:
+        """The condition's identity: exact key, skeleton, leaf vector."""
+        return Fingerprint(self.condition)
+
+    @cached_property
+    def condition_attributes(self) -> frozenset[str]:
+        """``Attr(C)`` of the query's condition."""
+        return self.condition.attributes()
+
+    @cached_property
+    def text(self) -> str:
+        """:meth:`to_text`, rendered once."""
+        return self.to_text()
+
     def to_text(self) -> str:
         cond = "true" if self.condition.is_true else str(self.condition)
         return (
@@ -40,7 +61,7 @@ class TargetQuery:
         )
 
     def __str__(self) -> str:
-        return self.to_text()
+        return self.text
 
 
 _QUERY_RE = re.compile(

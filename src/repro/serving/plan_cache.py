@@ -1,36 +1,24 @@
 """The canonical plan cache: amortize plan generation across queries.
 
-The paper's expensive, capability-sensitive step is plan *generation*
-(Sections 5-6): GenCompact walks the rewrite space, marks the condition
-tree against the source grammar and searches sub-plan combinations --
-milliseconds of CPU per query, against microseconds to re-execute a
-known plan.  A serving mediator sees the same logical query over and
-over (dashboards, page reloads, API clients), so the highest-leverage
-optimization is to plan once and replay.
-
-Two ideas make the cache *canonical* rather than textual:
+Plan *generation* (Sections 5-6) costs milliseconds of CPU per query,
+re-executing a known plan microseconds; a serving mediator sees the
+same logical query over and over, so it plans once and replays.  Two
+ideas make the cache *canonical* rather than textual:
 
 * **Canonical keys.**  Condition trees are order-sensitive by design
-  (``a AND b`` != ``b AND a`` structurally), but they are *logically*
-  interchangeable as target queries -- any feasible plan for one
-  answers the other with the identical row set.  :func:`canonical_key`
-  therefore flattens the tree (:func:`~repro.conditions.canonical
-  .canonicalize`), sorts the children of every connector into a
-  deterministic order and drops duplicate siblings, so every commuted /
-  reassociated / sibling-duplicated variant of a condition maps to one
-  cache entry.  The *plan* stored under the key was generated for the
-  first variant seen; executing it is correct for all of them because
-  plans are fixed per source query at execution time and the row
-  semantics of AND/OR are order-free.
+  (``a AND b`` != ``b AND a`` structurally) but *logically*
+  interchangeable as target queries.  The exact key of
+  :mod:`repro.conditions.fingerprint` maps every commuted /
+  reassociated / sibling-duplicated variant of a condition to one
+  entry; the plan stored there was generated for the first variant
+  seen and answers all of them (AND/OR row semantics are order-free).
 
 * **Versioned entries.**  A plan is only as good as the catalog it was
-  generated against: registering a source (or mutating one) can change
-  feasibility and costs.  Every entry records the catalog version it
-  was planned under; a lookup with a newer version drops the entry and
+  generated against.  Every entry records the catalog version it was
+  planned under; a lookup with a newer version drops the entry and
   counts an ``invalidation`` -- stale plans can never be served.
 
-The cache is a thread-safe LRU bounded by entry count (plans are tiny;
-counting entries, not tuples, is the right budget).  Hits, misses,
+The cache is a thread-safe LRU bounded by entry count.  Hits, misses,
 invalidations and evictions feed both local stats and the process-wide
 :class:`~repro.observability.metrics.MetricsRegistry` under
 ``<prefix>.hits`` / ``.misses`` / ``.invalidations`` / ``.evictions``.
@@ -43,12 +31,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Hashable
 
-from repro.conditions.canonical import canonicalize
-from repro.conditions.skeleton import (
-    Skeleton,
-    atom_substitution,
-    substitute_plan,
-)
+from repro.conditions.fingerprint import Fingerprint, canonical_key  # noqa: F401 (old home)
+from repro.conditions.skeleton import rebinding, substitute_plan
 from repro.conditions.tree import Condition
 from repro.observability.metrics import get_metrics
 from repro.query import TargetQuery
@@ -59,42 +43,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.source.source import CapabilitySource
 
 
-def canonical_key(condition: Condition) -> Hashable:
-    """An order-insensitive structural key for a condition tree.
-
-    Equivalent-by-commutation/reassociation trees (everything
-    :func:`~repro.conditions.rewrite.commutative_rule` and
-    :func:`~repro.conditions.rewrite.associative_rule` can reach) map
-    to the same key: the tree is canonicalized (same-kind connectors
-    flattened), then every connector's child keys are sorted into a
-    deterministic order and deduplicated (AND/OR are idempotent).
-    """
-    condition = canonicalize(condition)
-    return _node_key(condition)
-
-
-def _node_key(node: Condition) -> Hashable:
-    if not node.children:
-        # Leaf or TRUE: the node's own structural identity.
-        return node._key()
-    child_keys = sorted(
-        (_node_key(child) for child in node.children), key=repr
-    )
-    unique: list[Hashable] = []
-    for key in child_keys:
-        if not unique or key != unique[-1]:
-            unique.append(key)
-    if len(unique) == 1:
-        return unique[0]
-    kind = "and" if node.is_and else "or"
-    return (kind, tuple(unique))
-
-
 def plan_cache_key(query: TargetQuery) -> Hashable:
     """The cache key for a target query: source x canonical condition x
     projection.  Equivalent rewritings of the same query collide; any
     difference in source or projected attributes does not."""
-    return (query.source, canonical_key(query.condition), query.attributes)
+    return (query.source, query.fingerprint.exact, query.attributes)
 
 
 @dataclass
@@ -148,26 +101,29 @@ class PlanCache:
         An entry stored under an older catalog version is removed and
         counted as an invalidation (plus the miss the caller sees).
         """
-        invalidated = False
         with self._lock:
             entry = self._entries.get(key)
-            if entry is not None and entry[0] != version:
+            stale = entry is not None and entry[0] != version
+            if stale:
                 del self._entries[key]
                 self.stats.invalidations += 1
-                invalidated = True
                 entry = None
             if entry is None:
                 self.stats.misses += 1
             else:
                 self._entries.move_to_end(key)
                 self.stats.hits += 1
-        if invalidated:
+        if stale:
             self._count("invalidations")
-        if entry is None:
-            self._count("misses")
-            return None
-        self._count("hits")
-        return entry[1]
+        self._count("misses" if entry is None else "hits")
+        return None if entry is None else entry[1]
+
+    def holds(self, key: Hashable, version: int = 0) -> bool:
+        """Is a current entry stored under ``key``?  A probe: no stats,
+        no LRU touch, a stale entry is left for ``get``/``put``."""
+        with self._lock:
+            entry = self._entries.get(key)
+            return entry is not None and entry[0] == version
 
     def put(self, key: Hashable, value: Any, version: int = 0) -> None:
         """Store ``value`` under ``key`` at ``version`` (LRU-evicting)."""
@@ -201,39 +157,28 @@ class PlanCache:
 # Parameterized plan templates: constant-stripped skeleton keys
 # ----------------------------------------------------------------------
 
-def template_cache_key(
-    condition: Condition,
-    attributes: frozenset[str],
-    source: str,
-    scheme: str = "",
-) -> Hashable:
+def template_cache_key(condition: Condition, attributes: frozenset[str],
+                       source: str, scheme: str = "") -> Hashable:
     """The template key: the *constant-stripped* skeleton of a query.
 
-    Exact canonical keys collide only when conditions are structurally
-    equivalent, constants included; real traffic respells one query
-    shape with thousands of different constants (``make = 'BMW'`` now,
-    ``make = 'Audi'`` next).  SSDL templates usually admit constant
-    *classes*, so all those instances share one feasible plan shape --
-    the view-template idea.  Keying on
-    :class:`~repro.conditions.skeleton.Skeleton` (values replaced by
-    class markers) lets every constant-varying respelling of a planned
-    query hit the same template entry.
+    Real traffic respells one query shape with thousands of different
+    constants; SSDL templates usually admit constant *classes*, so all
+    those instances share one feasible plan shape and one entry.
     """
-    return (source, Skeleton.of(condition).template, attributes, scheme)
+    return (source, Fingerprint(condition).skeleton, attributes, scheme)
 
 
 class PlanTemplates:
     """Plans with constant slots: rebind constants on every hit.
 
     A thin layer over :class:`PlanCache` (same LRU, versioning, metrics
-    and thread-safety) storing ``(condition, PlanningResult)`` pairs
-    keyed by :func:`template_cache_key`.  :meth:`instantiate` rebinds a
-    stored plan to a new constant vector and **re-validates every source
-    query** against the source description before serving it -- literal
-    templates (``style = 'sedan'``) make support value-dependent, so an
+    and thread-safety) storing ``(Fingerprint, PlanningResult)`` keyed by
+    :func:`template_cache_key`: the skeleton and atom vector rebinding
+    needs, resolved once at :meth:`store`.  :meth:`instantiate` zips the
+    new query's atoms over the stored vector and **re-validates every
+    source query** against the source description -- literal templates
+    (``style = 'sedan'``) make support value-dependent, so an
     unvalidated substitution could hand the source a query it rejects.
-    With compiled capabilities the validation is a token walk, which is
-    what makes a template hit land near an exact canonical hit.
 
     ``hits`` counts served instantiations, ``rejected`` counts lookups
     whose substitution failed validation (the caller replans); both are
@@ -259,28 +204,21 @@ class PlanTemplates:
         return self._cache.stats
 
     def key(self, query: TargetQuery, scheme: str = "") -> Hashable:
-        return template_cache_key(
-            query.condition, query.attributes, query.source, scheme
-        )
+        """:func:`template_cache_key`, from the memoised fingerprint."""
+        return (query.source, query.fingerprint.skeleton, query.attributes,
+                scheme)
 
     # ------------------------------------------------------------------
     def store(self, key: Hashable, condition: Condition,
               result: "PlanningResult", version: int = 0) -> None:
         """Remember a freshly planned result as the template for its
         skeleton (first feasible plan wins; later instances rebind it)."""
-        if result.plan is None:
-            return
-        if self._cache.get(key, version) is None:
-            self._cache.put(key, (condition, result), version)
+        if result.plan is not None and not self._cache.holds(key, version):
+            self._cache.put(key, (Fingerprint(condition), result), version)
 
-    def instantiate(
-        self,
-        key: Hashable,
-        query: TargetQuery,
-        source: "CapabilitySource",
-        cost_model: "CostModel",
-        version: int = 0,
-    ) -> "PlanningResult | None":
+    def instantiate(self, key: Hashable, query: TargetQuery,
+                    source: "CapabilitySource", cost_model: "CostModel",
+                    version: int = 0) -> "PlanningResult | None":
         """A plan for ``query`` rebound from a same-skeleton template.
 
         Returns None (after counting the miss or rejection) when no
@@ -289,9 +227,9 @@ class PlanTemplates:
         entry = self._cache.get(key, version)
         if entry is None:
             return None
-        old_condition, old_result = entry
-        mapping = atom_substitution(old_condition, query.condition)
-        if mapping is None or old_result.plan is None:
+        stored, old_result = entry
+        mapping = rebinding(stored, query.fingerprint)
+        if mapping is None:
             self._reject()
             return None
         candidate = substitute_plan(old_result.plan, mapping)
@@ -305,12 +243,8 @@ class PlanTemplates:
         with self._lock:
             self.hits += 1
         get_metrics().counter(f"{self.metrics_prefix}.template_hits").inc()
-        return PlanningResult(
-            planner=f"{old_result.planner}+template",
-            query=query,
-            plan=candidate,
-            cost=cost_model.cost(candidate),
-        )
+        return PlanningResult(f"{old_result.planner}+template", query,
+                              candidate, cost_model.cost(candidate))
 
     def _reject(self) -> None:
         with self._lock:

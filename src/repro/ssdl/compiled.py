@@ -48,7 +48,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.ssdl.symbols import (
-    AtomToken,
     ConstClass,
     Keyword,
     KeywordSym,
@@ -174,12 +173,41 @@ class CompiledChecker:
 # Enumeration: the bounded language of every nonterminal
 # ----------------------------------------------------------------------
 
-def _enumerate_languages(
+def _intern_terminals(
     productions: Mapping[str, Sequence[Sequence[Symbol]]],
+) -> tuple[dict[str, list[tuple]], list]:
+    """The productions with every terminal replaced by a small int, and
+    the terminals those ints index (keywords as :class:`Keyword`).
+
+    Enumeration and automaton construction hash the same few terminals
+    hundreds of thousands of times inside sequence tuples; a
+    ``Template`` hash is a Python-level dataclass hash over an Enum, an
+    int's is free.  Ids follow first appearance in ``productions``, so
+    they -- and every set order below -- are the same on every run.
+    """
+    ids: dict[object, int] = {}
+    encoded = {
+        head: [
+            tuple(
+                symbol if isinstance(symbol, NT) else ids.setdefault(
+                    symbol.keyword if isinstance(symbol, KeywordSym)
+                    else symbol, len(ids))
+                for symbol in alternative
+            )
+            for alternative in alternatives
+        ]
+        for head, alternatives in productions.items()
+    }
+    return encoded, list(ids)
+
+
+def _enumerate_languages(
+    productions: Mapping[str, Sequence[Sequence[NT | int]]],
     max_tokens: int,
     max_sequences: int,
-) -> dict[str, set[tuple[Symbol, ...]]]:
-    """For each nonterminal, all terminal sequences of length <= horizon.
+) -> dict[str, set[tuple[int, ...]]]:
+    """For each nonterminal, all terminal sequences of length <= horizon
+    (terminals as interned ints).
 
     A monotone fixpoint: each pass re-expands every alternative against
     the languages known so far; convergence is guaranteed because the
@@ -189,7 +217,7 @@ def _enumerate_languages(
     derivable iff it appears (concatenation never shrinks, so pruning
     overlong partials loses only overlong sentences).
     """
-    languages: dict[str, set[tuple[Symbol, ...]]] = {
+    languages: dict[str, set[tuple[int, ...]]] = {
         head: set() for head in productions
     }
     total = 0
@@ -214,20 +242,20 @@ def _enumerate_languages(
 
 
 def _expand(
-    alternative: Sequence[Symbol],
-    languages: dict[str, set[tuple[Symbol, ...]]],
+    alternative: Sequence[NT | int],
+    languages: dict[str, set[tuple[int, ...]]],
     max_tokens: int,
     max_sequences: int,
-) -> list[tuple[Symbol, ...]]:
+) -> list[tuple[int, ...]]:
     """All bounded terminal sequences of one alternative, given the
     currently known sub-languages."""
-    partials: list[tuple[Symbol, ...]] = [()]
+    partials: list[tuple[int, ...]] = [()]
     for symbol in alternative:
         if isinstance(symbol, NT):
             expansions = languages[symbol.name]
             if not expansions:
                 return []
-            grown: list[tuple[Symbol, ...]] = []
+            grown: list[tuple[int, ...]] = []
             for partial in partials:
                 room = max_tokens - len(partial)
                 for suffix in expansions:
@@ -239,9 +267,8 @@ def _expand(
                     )
             partials = grown
         else:
-            terminal = symbol.keyword if isinstance(symbol, KeywordSym) else symbol
             partials = [
-                partial + (terminal,)
+                partial + (symbol,)
                 for partial in partials
                 if len(partial) < max_tokens
             ]
@@ -255,7 +282,8 @@ def _expand(
 # ----------------------------------------------------------------------
 
 def _build_automaton(
-    tagged: dict[tuple[Symbol, ...], frozenset[str]],
+    tagged: dict[tuple[int, ...], frozenset[str]],
+    terminals: Sequence[Keyword | Template],
 ) -> tuple[_Node, int]:
     """Merge tagged sequences into a suffix-shared acyclic automaton."""
     memo: dict[frozenset, _Node] = {}
@@ -266,7 +294,7 @@ def _build_automaton(
         if cached is not None:
             return cached
         accepts: frozenset[str] = frozenset()
-        buckets: dict[object, list[tuple[tuple[Symbol, ...], frozenset[str]]]] = {}
+        buckets: dict[int, list[tuple[tuple[int, ...], frozenset[str]]]] = {}
         for sequence, tags in items:
             if not sequence:
                 accepts |= tags
@@ -274,8 +302,9 @@ def _build_automaton(
             buckets.setdefault(sequence[0], []).append((sequence[1:], tags))
         keyword_edges: dict[Keyword, _Node] = {}
         atom_buckets: dict[tuple[str, object], list[tuple[object, _Node]]] = {}
-        for first, rest in buckets.items():
+        for first_id, rest in buckets.items():
             child = build(frozenset(rest))
+            first = terminals[first_id]
             if isinstance(first, Keyword):
                 keyword_edges[first] = child
             else:
@@ -312,18 +341,19 @@ def compile_productions(
     enumeration exceeded ``max_sequences`` (the report says why), in
     which case callers keep using the Earley recognizer.
     """
+    encoded, terminals = _intern_terminals(productions)
     try:
-        languages = _enumerate_languages(productions, max_tokens, max_sequences)
+        languages = _enumerate_languages(encoded, max_tokens, max_sequences)
     except _BudgetExceeded as exc:
         return None, CompilationReport(compiled=False, reason=str(exc))
-    tagged: dict[tuple[Symbol, ...], frozenset[str]] = {}
+    tagged: dict[tuple[int, ...], frozenset[str]] = {}
     total = 0
     for nonterminal in condition_nonterminals:
         for sequence in languages[nonterminal]:
             existing = tagged.get(sequence, frozenset())
             tagged[sequence] = existing | {nonterminal}
         total += len(languages[nonterminal])
-    root, states = _build_automaton(tagged)
+    root, states = _build_automaton(tagged, terminals)
     report = CompilationReport(
         compiled=True,
         sequences=total,

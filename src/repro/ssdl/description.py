@@ -63,7 +63,10 @@ class CheckResult:
     def supports(self, attributes: Iterable[str]) -> bool:
         """Is ``SP(C, attributes, R)`` a supported source query?"""
         wanted = frozenset(attributes)
-        return any(wanted <= exported for exported in self.attribute_sets)
+        for exported in self.attribute_sets:
+            if wanted <= exported:
+                return True
+        return False
 
     @property
     def exported(self) -> frozenset[str]:

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from repro.conditions.fingerprint import canonical_key
 from repro.conditions.parser import parse_condition
 from repro.conditions.tree import Condition
 from repro.data.relation import Relation
@@ -29,7 +30,7 @@ from repro.plans.cost import CostModel
 from repro.plans.execute import Executor
 from repro.plans.retry import RetryPolicy
 from repro.query import TargetQuery
-from repro.serving.plan_cache import PlanCache, PlanTemplates, canonical_key
+from repro.serving.plan_cache import PlanCache, PlanTemplates
 from repro.source.source import CapabilitySource
 
 

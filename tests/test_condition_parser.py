@@ -115,3 +115,35 @@ class TestErrors:
         with pytest.raises(ConditionParseError) as err:
             parse_condition("make = 'BMW' @@")
         assert err.value.position is not None
+
+    @pytest.mark.parametrize("text, message, position", [
+        # Messages and positions are behaviour (CLI users read them):
+        # whitespace is skipped before the position, keywords are quoted
+        # in lower case whatever their spelling, end of input has a name.
+        ("", "expected a condition but found 'end of input' at position 0", 0),
+        ("   ", "expected a condition but found 'end of input' at position 3", 3),
+        ("make =", "expected a constant but found 'end of input' at position 6", 6),
+        ("= 'BMW'", "expected a condition but found '=' at position 0", 0),
+        ("make = 'BMW' AND",
+         "expected a condition but found 'end of input' at position 16", 16),
+        ("make = 'BMW' Or oR price < 1",
+         "expected a condition but found 'or' at position 16", 16),
+        ("(make = 'BMW'", "expected rparen but found 'end of input' at position 13", 13),
+        ("make = 'BMW')", "trailing input ')' at position 12", 12),
+        ("make like 'BMW'", "expected an operator after 'make' at position 5", 5),
+        ("size IN ()", "expected a constant but found ')' at position 9", 9),
+        ("a = 1 ; drop", "unexpected character ';' at position 6", 6),
+        ("a = 1 TRUE", "trailing input 'true' at position 6", 6),
+        ("a contains 5", "expected string but found '5' at position 11", 11),
+        ("a = 1 and  $", "unexpected character '$' at position 11", 11),
+        ("a in (1, 2", "expected rparen but found 'end of input' at position 10", 10),
+    ])
+    def test_messages_and_positions(self, text, message, position):
+        with pytest.raises(ConditionParseError) as err:
+            parse_condition(text)
+        assert str(err.value) == message
+        assert err.value.position == position
+
+    def test_keywords_are_whole_words_in_any_case(self):
+        tree = parse_condition("android = 1 AND  oracle = FALSE  Or inn In (TRUE, 2)")
+        assert tree.to_text() == "(android = 1 and oracle = false) or inn in (true, 2)"
