@@ -83,7 +83,8 @@ def cmd_plan(args) -> int:
             print(f"estimated cost: {result.cost:.1f}")
             print(explain(result.plan, mediator.cost_model()))
         else:
-            print("infeasible under this strategy")
+            why = result.why_infeasible()
+            print("infeasible under this strategy" + (f": {why}" if why else ""))
         print()
     return 0
 

@@ -125,7 +125,17 @@ class OverloadError(ReproError):
 
 
 class InfeasiblePlanError(ReproError):
-    """No feasible plan exists (or was found) for the target query."""
+    """No feasible plan exists (or was found) for the target query.
+
+    ``witness`` is set when the planner *proved* infeasibility from the
+    source's compiled description: a conjunction of the query's own
+    atoms -- one way of satisfying its condition -- that no query the
+    source accepts can return rows for, with the projection asked.
+    """
+
+    def __init__(self, message: str, witness=None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class PlanExecutionError(ReproError):

@@ -113,8 +113,10 @@ class Mediator:
         source's SSDL grammars into token-trie recognizers at
         :meth:`add_source` time -- the offline knowledge-compilation
         step that turns each planner ``Check`` into a token walk --
-        and recompiles them (lazily, exactly like plan-cache entries)
-        whenever the catalog version moves.  ``minimal_answers``
+        and compiles the fresh description objects a
+        :meth:`mutate_source` hands over; a description already compiled
+        is never compiled again, whatever else in the catalog changes.
+        ``minimal_answers``
         (default off) prunes provably subsumed Union branches from
         every plan right before execution
         (:func:`~repro.plans.minimal.prune_subsumed`, per Johnson's
@@ -172,10 +174,6 @@ class Mediator:
                 self.plan_templates = PlanTemplates(plan_cache_entries)
         self.compile_capabilities = compile_capabilities
         self.minimal_answers = minimal_answers
-        #: Catalog version each source's compiled grammars are current
-        #: at; a version bump lazily triggers recompilation, exactly
-        #: like the plan cache's versioned entries.
-        self._compiled_versions: dict[str, int] = {}
         self.admission = None
         if max_in_flight is not None:
             from repro.serving.admission import AdmissionController
@@ -321,10 +319,10 @@ class Mediator:
         invalidation leaves its entries (and its compiled grammars)
         resident until each key happens to be looked up again.
         Removal drops all of it now: the plan cache and the template
-        store are emptied, the source's compiled recognizers are
-        discarded, and its compiled-version bookkeeping is forgotten --
-        a removed source can never be queried from a cached or
-        template-rebound plan, and holds no derived state either.
+        store are emptied and the source's compiled recognizers are
+        discarded -- a removed source can never be queried from a
+        cached or template-rebound plan, and holds no derived state
+        either.
 
         Returns the removed source (callers re-registering it later
         must go through :meth:`add_source` again).
@@ -333,7 +331,6 @@ class Mediator:
             source = self.catalog.pop(name, None)
             if source is None:
                 raise PlanExecutionError(f"unknown source {name!r}")
-            self._compiled_versions.pop(name, None)
         self.bump_catalog()
         source.invalidate_compiled()
         if self.plan_cache is not None:
@@ -369,17 +366,16 @@ class Mediator:
         return source
 
     def _ensure_compiled(self, source: CapabilitySource) -> None:
-        """(Re)compile a source's grammars if the catalog moved since
-        they were last compiled -- the compiled-form analogue of the
-        plan cache's versioned invalidation."""
-        version = self.catalog_version
-        if self._compiled_versions.get(source.name) == version:
+        """Compile a source's grammars unless they already went through
+        it.  What decides is the description objects themselves -- a
+        capability change hands over fresh, uncompiled ones -- not the
+        catalog version: other sources joining, leaving or drifting
+        leave this source's compiled forms as good as they were."""
+        if source.capabilities_compiled:
             return
         with self._catalog_lock:
-            if self._compiled_versions.get(source.name) == version:
-                return
-            source.compile_capabilities()
-            self._compiled_versions[source.name] = version
+            if not source.capabilities_compiled:
+                source.compile_capabilities()
 
     def bump_catalog(self) -> int:
         """Record a catalog mutation (source added / replaced / data
@@ -675,9 +671,11 @@ class Mediator:
             return self._empty_answer(query)
         planning = self.plan(query, planner)
         if planning.plan is None:
+            why = planning.why_infeasible()
             raise InfeasiblePlanError(
                 f"no feasible plan for {query} under the capabilities of "
-                f"source {query.source!r}"
+                f"source {query.source!r}" + (f": {why}" if why else ""),
+                witness=planning.witness,
             )
         plan = planning.plan
         if self.minimal_answers:

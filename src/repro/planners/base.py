@@ -11,16 +11,27 @@ were examined, how many Check calls were made -- plus wall-clock time.
 
 from __future__ import annotations
 
+import logging
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.conditions.tree import Condition
+from repro.observability.metrics import get_metrics
+from repro.observability.trace import (
+    get_tracer,
+    trace_event,
+    wants_trace_event,
+)
+from repro.planners.certificate import Certificate, certify
 from repro.plans.cost import CostModel, INFINITE_COST
 from repro.plans.nodes import Plan
 from repro.query import TargetQuery
 from repro.source.source import CapabilitySource
 from repro.ssdl.description import CheckResult, SourceDescription
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -53,6 +64,12 @@ class PlannerStats:
     pr2_fires: int = 0
     pr3_fires: int = 0
     rewrite_truncated: bool = False
+    #: Runs the description's signatures proved infeasible before any
+    #: rewriting, Check or plan generation (``PlanningResult.witness``),
+    #: and runs whose first plan met the cost floor, so the rewrite
+    #: module and the remaining CTs were skipped (GenCompact only).
+    certified_infeasible: int = 0
+    rewrite_skipped: int = 0
     elapsed_sec: float = 0.0
 
     def merge(self, other: "PlannerStats") -> None:
@@ -70,6 +87,8 @@ class PlannerStats:
         self.pr2_fires += other.pr2_fires
         self.pr3_fires += other.pr3_fires
         self.rewrite_truncated = self.rewrite_truncated or other.rewrite_truncated
+        self.certified_infeasible += other.certified_infeasible
+        self.rewrite_skipped += other.rewrite_skipped
         self.elapsed_sec += other.elapsed_sec
 
 
@@ -86,16 +105,33 @@ class PlanningResult:
     #: by the mediator so drift oracles can prove no stale plan is ever
     #: served (``None`` for results planned outside a mediator).
     catalog_version: int | None = None
+    #: For a run certified infeasible: a DNF term of the condition that
+    #: no query the source accepts can return rows for, with the
+    #: projection asked.  None when a search came back empty-handed.
+    witness: Condition | None = None
 
     @property
     def feasible(self) -> bool:
         return self.plan is not None
 
+    def why_infeasible(self) -> str:
+        """One sentence on why no plan exists (empty for a feasible
+        result, or when the search simply found nothing)."""
+        if self.witness is None:
+            return ""
+        return (
+            "no query the source's form accepts can return rows matching "
+            f"`{self.witness}` with "
+            f"{{{', '.join(sorted(self.query.attributes))}}}"
+        )
+
     def describe(self) -> str:
         from repro.plans.printer import to_paper_notation
 
         status = f"cost={self.cost:.1f}" if self.feasible else "INFEASIBLE"
-        return f"[{self.planner}] {status}: {to_paper_notation(self.plan)}"
+        text = f"[{self.planner}] {status}: {to_paper_notation(self.plan)}"
+        why = self.why_infeasible()
+        return f"{text} -- {why}" if why else text
 
 
 class CheckCounter:
@@ -156,9 +192,89 @@ class Planner(ABC):
         """Generate the best feasible plan for ``query`` (or None)."""
 
     def _timed(self, fn, query: TargetQuery) -> PlanningResult:
-        """Helper: run ``fn()`` -> (plan, stats) and wrap with timing/cost."""
+        """Helper: run ``fn()`` -> (plan, stats, cost_model) and wrap
+        with timing/cost."""
         started = time.perf_counter()
         plan, stats, cost_model = fn()
         stats.elapsed_sec = time.perf_counter() - started
         cost = cost_model.cost(plan) if plan is not None else INFINITE_COST
         return PlanningResult(self.name, query, plan, cost, stats)
+
+    def _searched(
+        self,
+        query: TargetQuery,
+        source: CapabilitySource,
+        description: SourceDescription,
+        search: Callable[
+            [CheckCounter, PlannerStats, Certificate | None], Found],
+    ) -> PlanningResult:
+        """The frame GenCompact and GenModular share around their search:
+        the ``planner.plan`` span, the certificate preamble, the Check
+        accounting and the ``planner.planned`` event.
+
+        ``search(checker, stats, certificate)`` runs the scheme's
+        rewrite + generate modules and returns ``(best plan, its cost,
+        rewrite budget spent)``.  It is not called at all when the
+        description's signatures certify that no plan exists
+        (:mod:`repro.planners.certificate`): the result is infeasible
+        and carries the witness.
+        """
+        started = time.perf_counter()
+        stats = PlannerStats()
+        tracer = get_tracer()
+        attributes = {
+            "planner": self.name, "query": query.text, "source": source.name,
+        } if tracer.enabled else {}
+        with tracer.span("planner.plan", **attributes) as plan_span:
+            checker = CheckCounter(description)
+            certificate = certify(query, description)
+            witness = None if certificate is None else certificate.witness
+            plan, cost, rewrite_steps = None, INFINITE_COST, 0
+            if witness is not None:
+                stats.certified_infeasible = 1
+                get_metrics().counter("planner.certified_infeasible").inc()
+            else:
+                plan, cost, rewrite_steps = search(checker, stats, certificate)
+                if stats.rewrite_skipped:
+                    get_metrics().counter("planner.rewrite_skipped").inc()
+            stats.check_calls = checker.calls
+            stats.check_compiled = checker.compiled_answers
+            stats.check_fallbacks = checker.fallbacks
+            stats.check_prefiltered = checker.prefiltered
+            plan_span.set_attributes(
+                feasible=plan is not None,
+                Q=stats.subplans_considered,
+                pr1_fires=stats.pr1_fires,
+                pr2_fires=stats.pr2_fires,
+                pr3_fires=stats.pr3_fires,
+                check_calls=stats.check_calls,
+                check_prefiltered=stats.check_prefiltered,
+                rewrite_budget_spent=rewrite_steps,
+                certified_infeasible=stats.certified_infeasible,
+                rewrite_skipped=stats.rewrite_skipped,
+            )
+            if wants_trace_event(logger, logging.DEBUG):
+                trace_event(
+                    logger, logging.DEBUG,
+                    "%s planned %s: %d CTs (truncated=%s), %d Check calls, "
+                    "best cost %s",
+                    self.name, query, stats.cts_processed,
+                    stats.rewrite_truncated, stats.check_calls,
+                    f"{cost:.1f}" if plan is not None else "infeasible",
+                    event="planner.planned", planner=self.name,
+                    cts_processed=stats.cts_processed,
+                    check_calls=stats.check_calls,
+                    feasible=plan is not None,
+                    cost=cost if plan is not None else None,
+                )
+        stats.elapsed_sec = time.perf_counter() - started
+        return PlanningResult(
+            self.name, query, plan,
+            cost if plan is not None else INFINITE_COST, stats,
+            witness=witness,
+        )
+
+
+#: What a scheme's search hands back to :meth:`Planner._searched`: the
+#: best plan found (or None), its cost, the rewrite budget it spent.
+Found = tuple[Plan | None, float, int]

@@ -13,24 +13,35 @@ GenCompact improves on GenModular by:
 The final plan is produced against the commutation-closed description;
 the executor "fixes" the order of each source query of the one plan
 that actually runs (Section 6.1).
+
+Beyond the paper, the rewrite module is *lazy*: the original tree is
+planned first, and when its plan already costs what the description's
+compiled signatures prove no plan of any rewriting can undercut
+(:meth:`repro.plans.cost.CostModel.source_query_floor` of
+:meth:`repro.planners.certificate.Certificate.least_selectivity`), the
+rewrite closure is never built -- it could only have tied.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 from repro.conditions.canonical import canonicalize
 from repro.conditions.rewrite import GENCOMPACT_RULES, RewriteEngine
-from repro.observability.trace import get_tracer, trace_event
-from repro.planners.base import CheckCounter, Planner, PlannerStats, PlanningResult
+from repro.observability.trace import get_tracer
+from repro.planners.base import (
+    CheckCounter,
+    Found,
+    Planner,
+    PlannerStats,
+    PlanningResult,
+)
+from repro.planners.certificate import FLOOR_SLACK, Certificate
 from repro.planners.ipg import IPG
 from repro.plans.cost import CostModel
 from repro.plans.nodes import Plan
 from repro.query import TargetQuery
 from repro.source.source import CapabilitySource
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -68,45 +79,24 @@ class GenCompact(Planner):
         source: CapabilitySource,
         cost_model: CostModel,
     ) -> PlanningResult:
-        def run():
-            stats = PlannerStats()
+        def search(checker: CheckCounter, stats: PlannerStats,
+                   certificate: Certificate | None) -> Found:
             tracer = get_tracer()
-            attributes = {
-                "planner": self.name, "query": query.text,
-                "source": source.name,
-            } if tracer.enabled else {}
-            with tracer.span("planner.plan", **attributes) as plan_span:
-                checker = CheckCounter(source.closed_description)
-                engine = RewriteEngine(
-                    rules=GENCOMPACT_RULES,
-                    max_trees=self.max_rewrites,
-                    max_steps=self.max_rewrite_steps,
-                    max_size_factor=self.max_size_factor,
-                    canonical=True,
-                )
-                with tracer.span("planner.rewrite") as rewrite_span:
-                    rewriting = engine.explore(query.condition)
-                    rewrite_span.set_attributes(
-                        trees=len(rewriting.trees),
-                        budget_spent=rewriting.steps,
-                        truncated=rewriting.truncated,
-                    )
-                stats.rewrite_truncated = rewriting.truncated
-
-                ipg = IPG(
-                    source.name,
-                    checker,
-                    cost_model,
-                    stats,
-                    pr1=self.pr1,
-                    pr2=self.pr2,
-                    pr3=self.pr3,
-                    mcsc_solver=self.mcsc_solver,
-                )
-                best_plan: Plan | None = None
-                best_cost = float("inf")
+            ipg = IPG(
+                source.name,
+                checker,
+                cost_model,
+                stats,
+                pr1=self.pr1,
+                pr2=self.pr2,
+                pr3=self.pr3,
+                mcsc_solver=self.mcsc_solver,
+            )
+            def generate(trees, best: tuple[Plan | None, float]):
+                """The cheaper of ``best`` and the best plan of ``trees``
+                (ties stay with the earlier)."""
                 with tracer.span("planner.generate") as generate_span:
-                    for ct in rewriting.trees:
+                    for ct in trees:
                         stats.cts_processed += 1
                         candidate = ipg.best_plan(
                             canonicalize(ct), query.attributes
@@ -116,9 +106,8 @@ class GenCompact(Planner):
                         with tracer.span("planner.cost") as cost_span:
                             candidate_cost = cost_model.cost(candidate)
                             cost_span.set_attribute("cost", candidate_cost)
-                        if candidate_cost < best_cost:
-                            best_plan = candidate
-                            best_cost = candidate_cost
+                        if candidate_cost < best[1]:
+                            best = candidate, candidate_cost
                     generate_span.set_attributes(
                         cts_processed=stats.cts_processed,
                         Q=stats.subplans_considered,
@@ -126,33 +115,46 @@ class GenCompact(Planner):
                         pr2_fires=stats.pr2_fires,
                         pr3_fires=stats.pr3_fires,
                     )
-                stats.check_calls = checker.calls
-                stats.check_compiled = checker.compiled_answers
-                stats.check_fallbacks = checker.fallbacks
-                stats.check_prefiltered = checker.prefiltered
-                plan_span.set_attributes(
-                    feasible=best_plan is not None,
-                    Q=stats.subplans_considered,
-                    pr1_fires=stats.pr1_fires,
-                    pr2_fires=stats.pr2_fires,
-                    pr3_fires=stats.pr3_fires,
-                    check_calls=stats.check_calls,
-                    check_prefiltered=stats.check_prefiltered,
-                    rewrite_budget_spent=rewriting.steps,
-                )
-                trace_event(
-                    logger, logging.DEBUG,
-                    "GenCompact planned %s: %d CTs, %d Check calls, best "
-                    "cost %s",
-                    query, stats.cts_processed, stats.check_calls,
-                    f"{best_cost:.1f}" if best_plan is not None
-                    else "infeasible",
-                    event="planner.planned", planner=self.name,
-                    cts_processed=stats.cts_processed,
-                    check_calls=stats.check_calls,
-                    feasible=best_plan is not None,
-                    cost=best_cost if best_plan is not None else None,
-                )
-            return best_plan, stats, cost_model
+                return best
 
-        return self._timed(run, query)
+            # The original tree first: it is the rewrite closure's first
+            # member, and ties between CTs go to the first.
+            best = generate([query.condition], (None, float("inf")))
+            with tracer.span("planner.rewrite") as rewrite_span:
+                if best[0] is not None and _at_floor(
+                        best[1], certificate, cost_model, source.name):
+                    # No plan of any rewriting can cost less.
+                    stats.rewrite_skipped = 1
+                    rewrite_span.set_attributes(
+                        trees=1, budget_spent=0, truncated=False,
+                        skipped=True)
+                    return *best, 0
+                engine = RewriteEngine(
+                    rules=GENCOMPACT_RULES,
+                    max_trees=self.max_rewrites,
+                    max_steps=self.max_rewrite_steps,
+                    max_size_factor=self.max_size_factor,
+                    canonical=True,
+                )
+                rewriting = engine.explore(query.condition)
+                rewrite_span.set_attributes(
+                    trees=len(rewriting.trees),
+                    budget_spent=rewriting.steps,
+                    truncated=rewriting.truncated,
+                )
+            stats.rewrite_truncated = rewriting.truncated
+            return *generate(rewriting.trees[1:], best), rewriting.steps
+
+        return self._searched(
+            query, source, source.closed_description, search)
+
+
+def _at_floor(cost: float, certificate: Certificate | None,
+              cost_model: CostModel, source: str) -> bool:
+    """Is ``cost`` already what no plan of any rewriting can undercut
+    (as far as the description's signatures and the cost model vouch)?"""
+    if certificate is None:
+        return False
+    floor = cost_model.source_query_floor(
+        source, certificate.least_selectivity(cost_model.stats[source]))
+    return floor is not None and cost <= floor * (1.0 + FLOOR_SLACK)

@@ -18,20 +18,28 @@ commutativity rewrite rule is what copes with order-sensitive grammars
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
-from repro.conditions.rewrite import GENMODULAR_RULES, RewriteEngine
-from repro.observability.trace import get_tracer, trace_event
-from repro.planners.base import CheckCounter, Planner, PlannerStats, PlanningResult
+from repro.conditions.rewrite import (
+    GENMODULAR_RULES,
+    RewriteEngine,
+    commutative_rule,
+)
+from repro.observability.trace import get_tracer
+from repro.planners.base import (
+    CheckCounter,
+    Found,
+    Planner,
+    PlannerStats,
+    PlanningResult,
+)
+from repro.planners.certificate import Certificate
 from repro.planners.epg import EPG
 from repro.planners.mark import mark
 from repro.plans.cost import CostModel, count_concrete
 from repro.plans.nodes import Plan
 from repro.query import TargetQuery
 from repro.source.source import CapabilitySource
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -56,19 +64,14 @@ class GenModular(Planner):
         source: CapabilitySource,
         cost_model: CostModel,
     ) -> PlanningResult:
-        def run():
-            stats = PlannerStats()
-            description = (
-                source.closed_description
-                if self.use_closed_description
-                else source.description
-            )
-            rules = self.rules
-            if self.use_closed_description:
-                from repro.conditions.rewrite import commutative_rule
+        rules = self.rules
+        description = source.description
+        if self.use_closed_description:
+            description = source.closed_description
+            rules = tuple(r for r in rules if r is not commutative_rule)
 
-                rules = tuple(r for r in rules if r is not commutative_rule)
-            checker = CheckCounter(description)
+        def search(checker: CheckCounter, stats: PlannerStats,
+                   certificate: Certificate | None) -> Found:
             tracer = get_tracer()
             engine = RewriteEngine(
                 rules=rules,
@@ -76,69 +79,37 @@ class GenModular(Planner):
                 max_steps=self.max_rewrite_steps,
                 max_size_factor=self.max_size_factor,
             )
-            attributes = {
-                "planner": self.name, "query": query.text,
-                "source": source.name,
-            } if tracer.enabled else {}
-            with tracer.span("planner.plan", **attributes) as plan_span:
-                with tracer.span("planner.rewrite") as rewrite_span:
-                    rewriting = engine.explore(query.condition)
-                    rewrite_span.set_attributes(
-                        trees=len(rewriting.trees),
-                        budget_spent=rewriting.steps,
-                        truncated=rewriting.truncated,
-                    )
-                stats.rewrite_truncated = rewriting.truncated
-
-                best_plan: Plan | None = None
-                best_cost = float("inf")
-                for ct in rewriting.trees:
-                    stats.cts_processed += 1
-                    with tracer.span("planner.mark"):
-                        marking = mark(ct, checker)
-                    epg = EPG(source.name, checker, marking, stats)
-                    with tracer.span("planner.generate") as generate_span:
-                        choice = epg.generate(ct, query.attributes)
-                        if choice is not None:
-                            q = count_concrete(choice)
-                            stats.subplans_considered += q
-                            generate_span.set_attribute("Q", q)
-                    if choice is None:
-                        continue
-                    with tracer.span("planner.cost") as cost_span:
-                        candidate = cost_model.resolve(choice)
-                        candidate_cost = cost_model.cost(candidate)
-                        cost_span.set_attribute("cost", candidate_cost)
-                    if candidate_cost < best_cost:
-                        best_plan = candidate
-                        best_cost = candidate_cost
-                stats.check_calls = checker.calls
-                stats.check_compiled = checker.compiled_answers
-                stats.check_fallbacks = checker.fallbacks
-                stats.check_prefiltered = checker.prefiltered
-                plan_span.set_attributes(
-                    feasible=best_plan is not None,
-                    Q=stats.subplans_considered,
-                    pr1_fires=stats.pr1_fires,
-                    pr2_fires=stats.pr2_fires,
-                    pr3_fires=stats.pr3_fires,
-                    check_calls=stats.check_calls,
-                    check_prefiltered=stats.check_prefiltered,
-                    rewrite_budget_spent=rewriting.steps,
+            with tracer.span("planner.rewrite") as rewrite_span:
+                rewriting = engine.explore(query.condition)
+                rewrite_span.set_attributes(
+                    trees=len(rewriting.trees),
+                    budget_spent=rewriting.steps,
+                    truncated=rewriting.truncated,
                 )
-                trace_event(
-                    logger, logging.DEBUG,
-                    "GenModular planned %s: %d CTs (truncated=%s), best "
-                    "cost %s",
-                    query, stats.cts_processed, stats.rewrite_truncated,
-                    f"{best_cost:.1f}" if best_plan is not None
-                    else "infeasible",
-                    event="planner.planned", planner=self.name,
-                    cts_processed=stats.cts_processed,
-                    check_calls=stats.check_calls,
-                    feasible=best_plan is not None,
-                    cost=best_cost if best_plan is not None else None,
-                )
-            return best_plan, stats, cost_model
+            stats.rewrite_truncated = rewriting.truncated
 
-        return self._timed(run, query)
+            best_plan: Plan | None = None
+            best_cost = float("inf")
+            for ct in rewriting.trees:
+                stats.cts_processed += 1
+                with tracer.span("planner.mark"):
+                    marking = mark(ct, checker)
+                epg = EPG(source.name, checker, marking, stats)
+                with tracer.span("planner.generate") as generate_span:
+                    choice = epg.generate(ct, query.attributes)
+                    if choice is not None:
+                        q = count_concrete(choice)
+                        stats.subplans_considered += q
+                        generate_span.set_attribute("Q", q)
+                if choice is None:
+                    continue
+                with tracer.span("planner.cost") as cost_span:
+                    candidate = cost_model.resolve(choice)
+                    candidate_cost = cost_model.cost(candidate)
+                    cost_span.set_attribute("cost", candidate_cost)
+                if candidate_cost < best_cost:
+                    best_plan = candidate
+                    best_cost = candidate_cost
+            return best_plan, best_cost, rewriting.steps
+
+        return self._searched(query, source, description, search)

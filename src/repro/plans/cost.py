@@ -78,8 +78,29 @@ class CostModel:
             raise PlanExecutionError(
                 f"no statistics registered for source {query.source!r}"
             )
-        k1, k2 = self.constants_for(query.source)
-        return k1 + k2 * stats.estimated_rows(query.condition)
+        return self._eq1(query.source, stats.estimated_rows(query.condition))
+
+    def _eq1(self, source: str, rows: float) -> float:
+        k1, k2 = self.constants_for(source)
+        return k1 + k2 * rows
+
+    def source_query_floor(self, source: str,
+                           selectivity: float) -> float | None:
+        """A lower bound on the cost of every plan holding a query to
+        ``source`` that selects at least ``selectivity`` of its rows,
+        or None when the model vouches for none.
+
+        Eq. 1 sums non-negative terms, so a plan costs at least its
+        cheapest source query.  A model that prices source queries or
+        combines them its own way has no bound until it states one:
+        overriding :meth:`source_query_cost` or :meth:`aggregate` alone
+        switches this off (:class:`BottleneckCostModel`).
+        """
+        mine = type(self)
+        if (mine.source_query_cost is not CostModel.source_query_cost
+                or mine.aggregate is not CostModel.aggregate):
+            return None
+        return self._eq1(source, selectivity * self.stats[source].n_rows)
 
     def cost(self, plan: Plan | None) -> float:
         """Estimated cost; Choice nodes contribute their cheapest branch."""
@@ -153,6 +174,9 @@ class BottleneckCostModel(CostModel):
     * The MCSC combination step becomes a *min-max* cover, solved
       exactly by :func:`repro.planners.mcsc.solve_minmax` (IPG switches
       on ``aggregate_kind``).
+    * :meth:`source_query_floor` is None -- the bound is argued from
+      Eq. 1's sum, like PR1 -- so GenCompact never stops at its first
+      plan.
     """
 
     aggregate_kind: str = "max"

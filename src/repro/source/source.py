@@ -203,6 +203,15 @@ class CapabilitySource:
         """Is the planning description's compiled recognizer active?"""
         return self.closed_description.compiled
 
+    @property
+    def capabilities_compiled(self) -> bool:
+        """Have the current descriptions been through
+        :meth:`compile_capabilities` -- whether or not the budget let a
+        recognizer come out of it?  False again after
+        :meth:`replace_description` or :meth:`invalidate_compiled`."""
+        return (self.description.compilation is not None
+                and self.closed_description.compilation is not None)
+
     def check(self, condition: Condition) -> CheckResult:
         """``Check(C, R)`` against the planning (closed) description."""
         return self.closed_description.check(condition)

@@ -45,8 +45,9 @@ so a compiled checker is safe to share across threads with no locking.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Any, Mapping, NamedTuple, Sequence
 
+from repro.conditions.atoms import Atom
 from repro.ssdl.symbols import (
     ConstClass,
     Keyword,
@@ -79,13 +80,21 @@ class CompilationReport:
     states: int = 0
     #: Token horizon the compiled form answers exactly.
     horizon: int = 0
+    #: Did the enumeration reach every sentence of the grammar -- no
+    #: partial sentence dropped at the horizon?  False for recursive
+    #: (list) grammars, whose language is infinite.
+    complete: bool = False
+    #: Distinct sentence signatures (see :class:`SignatureTable`; only a
+    #: complete enumeration is reduced to one).
+    signatures: int = 0
 
     def __str__(self) -> str:  # pragma: no cover - debug aid
         if not self.compiled:
             return f"not compiled ({self.reason})"
         return (
             f"compiled: {self.sequences} sequences, {self.states} states, "
-            f"horizon {self.horizon}"
+            f"{self.signatures} signatures, horizon {self.horizon}"
+            f"{'' if self.complete else ' (incomplete)'}"
         )
 
 
@@ -109,6 +118,74 @@ class _Node:
         self.accepts = accepts
 
 
+def _admitting(edges: Sequence[tuple[object, Any]], value: object) -> list:
+    """The targets of the ``(template constant, target)`` edges -- all
+    of one ``(attribute, op)`` bucket -- whose constant admits an atom's
+    ``value``: the constant half of :meth:`Template.matches`, and the
+    one place the compiled forms spell it."""
+    return [
+        target for constant, target in edges
+        if (
+            constant.admits(value)
+            if isinstance(constant, ConstClass)
+            else constant == value
+        )
+    ]
+
+
+class Signature(NamedTuple):
+    """What the enumerated sentences sharing a template multiset have
+    in common, whatever their conjunct order and parentheses."""
+
+    #: The sentences' atom templates, as sorted indices into
+    #: :attr:`SignatureTable.templates` (repeated when a template is).
+    templates: tuple[int, ...]
+    #: Do the sentences contain ``or``?  Without it a sentence is a
+    #: conjunction: true only when every one of its atoms is.
+    has_or: bool
+    #: The condition nonterminals accepting some such sentence.
+    nonterminals: frozenset[str]
+
+
+class SignatureTable:
+    """Every sentence of a description, reduced to its signature.
+
+    The planners consult it *before* searching (DESIGN.md,
+    "Certificates before search"): a source query is a sentence over
+    the target query's own atoms, so what no signature can express no
+    plan can ask.  That inference needs every sentence to be listed,
+    so a table exists only for a *complete* enumeration: one that
+    dropped nothing at its token horizon (``CompilationReport.complete``).
+    """
+
+    __slots__ = ("templates", "signatures", "_buckets")
+
+    def __init__(
+        self,
+        templates: Sequence[Template],
+        signatures: Sequence[Signature],
+    ):
+        self.templates = tuple(templates)
+        self.signatures = tuple(signatures)
+        buckets: dict[tuple[str, object], list[tuple[object, int]]] = {}
+        for index, template in enumerate(self.templates):
+            buckets.setdefault(
+                (template.attribute, template.op), []
+            ).append((template.constant, index))
+        self._buckets = {key: tuple(edges) for key, edges in buckets.items()}
+
+    def matching(self, atoms: Sequence[Atom]) -> list[int]:
+        """Per template, the bitmask of the positions in ``atoms`` it
+        matches (the edge test of :meth:`CompiledChecker.match`)."""
+        masks = [0] * len(self.templates)
+        for position, atom in enumerate(atoms):
+            for index in _admitting(
+                    self._buckets.get((atom.attribute, atom.op), ()),
+                    atom.value):
+                masks[index] |= 1 << position
+        return masks
+
+
 class CompiledChecker:
     """The compiled recognizer: one walk answers every condition NT.
 
@@ -117,11 +194,14 @@ class CompiledChecker:
     compiled horizon (the caller must fall back to Earley).
     """
 
-    __slots__ = ("_root", "report")
+    __slots__ = ("_root", "report", "signatures")
 
-    def __init__(self, root: _Node, report: CompilationReport):
+    def __init__(self, root: _Node, report: CompilationReport,
+                 signatures: SignatureTable | None = None):
         self._root = root
         self.report = report
+        #: None when the enumeration was not complete.
+        self.signatures = signatures
 
     @property
     def horizon(self) -> int:
@@ -144,13 +224,9 @@ class CompiledChecker:
                 bucket = (atom.attribute, atom.op)
                 value = atom.value
                 for state in states:
-                    for constant, child in state.atom_edges.get(bucket, ()):
-                        if (
-                            constant.admits(value)
-                            if isinstance(constant, ConstClass)
-                            else constant == value
-                        ):
-                            next_states.append(child)
+                    edges = state.atom_edges.get(bucket)
+                    if edges:
+                        next_states += _admitting(edges, value)
             if not next_states:
                 return frozenset()
             if len(next_states) > 1:
@@ -205,9 +281,10 @@ def _enumerate_languages(
     productions: Mapping[str, Sequence[Sequence[NT | int]]],
     max_tokens: int,
     max_sequences: int,
-) -> dict[str, set[tuple[int, ...]]]:
+) -> tuple[dict[str, set[tuple[int, ...]]], bool]:
     """For each nonterminal, all terminal sequences of length <= horizon
-    (terminals as interned ints).
+    (terminals as interned ints), and whether that is *every* sequence:
+    no expansion had to drop an overlong partial.
 
     A monotone fixpoint: each pass re-expands every alternative against
     the languages known so far; convergence is guaranteed because the
@@ -221,15 +298,19 @@ def _enumerate_languages(
         head: set() for head in productions
     }
     total = 0
+    complete = True
     changed = True
     while changed:
         changed = False
         for head, alternatives in productions.items():
             known = languages[head]
             for alternative in alternatives:
-                for sequence in _expand(
+                sequences, dropped = _expand(
                     alternative, languages, max_tokens, max_sequences
-                ):
+                )
+                if dropped:
+                    complete = False
+                for sequence in sequences:
                     if sequence not in known:
                         known.add(sequence)
                         total += 1
@@ -238,7 +319,7 @@ def _enumerate_languages(
                                 f"more than {max_sequences} sequences"
                             )
                         changed = True
-    return languages
+    return languages, complete
 
 
 def _expand(
@@ -246,15 +327,19 @@ def _expand(
     languages: dict[str, set[tuple[int, ...]]],
     max_tokens: int,
     max_sequences: int,
-) -> list[tuple[int, ...]]:
+) -> tuple[list[tuple[int, ...]], bool]:
     """All bounded terminal sequences of one alternative, given the
-    currently known sub-languages."""
+    currently known sub-languages, and whether a partial sequence was
+    dropped for outgrowing the horizon."""
     partials: list[tuple[int, ...]] = [()]
+    dropped = False
     for symbol in alternative:
+        kept = len(partials)
         if isinstance(symbol, NT):
             expansions = languages[symbol.name]
             if not expansions:
-                return []
+                return [], dropped
+            kept *= len(expansions)
             grown: list[tuple[int, ...]] = []
             for partial in partials:
                 room = max_tokens - len(partial)
@@ -272,9 +357,11 @@ def _expand(
                 for partial in partials
                 if len(partial) < max_tokens
             ]
+        if len(partials) != kept:
+            dropped = True
         if not partials:
-            return []
-    return partials
+            return [], dropped
+    return partials, dropped
 
 
 # ----------------------------------------------------------------------
@@ -326,6 +413,53 @@ def _build_automaton(
 
 
 # ----------------------------------------------------------------------
+# Signatures: the sentences with order and parentheses forgotten
+# ----------------------------------------------------------------------
+
+def _signature_table(
+    tagged: dict[tuple[int, ...], frozenset[str]],
+    terminals: Sequence[Keyword | Template],
+) -> SignatureTable:
+    """Reduce the tagged sentences to their distinct signatures.
+
+    ``true`` only ever reaches a source alone (the download query), and
+    a condition always holds an atom otherwise, so sentences mixing
+    ``true`` with anything, or holding no template, match nothing and
+    are left out.
+    """
+    template_index: dict[int, int] = {}
+    templates: list[Template] = []
+    or_id = true_id = -1
+    for terminal_id, terminal in enumerate(terminals):
+        if isinstance(terminal, Template):
+            template_index[terminal_id] = len(templates)
+            templates.append(terminal)
+        elif terminal is Keyword.OR:
+            or_id = terminal_id
+        elif terminal is Keyword.TRUE:
+            true_id = terminal_id
+    merged: dict[tuple[tuple[int, ...], bool], frozenset[str]] = {}
+    for sequence, tags in tagged.items():
+        if sequence != (true_id,):
+            if true_id in sequence:
+                continue
+            members = tuple(sorted(
+                template_index[terminal_id] for terminal_id in sequence
+                if terminal_id in template_index
+            ))
+            if not members:
+                continue
+            key = (members, or_id in sequence)
+        else:
+            key = ((), False)
+        merged[key] = merged.get(key, frozenset()) | tags
+    return SignatureTable(
+        templates,
+        [Signature(*key, merged[key]) for key in sorted(merged)],
+    )
+
+
+# ----------------------------------------------------------------------
 # Entry point
 # ----------------------------------------------------------------------
 
@@ -343,7 +477,8 @@ def compile_productions(
     """
     encoded, terminals = _intern_terminals(productions)
     try:
-        languages = _enumerate_languages(encoded, max_tokens, max_sequences)
+        languages, complete = _enumerate_languages(
+            encoded, max_tokens, max_sequences)
     except _BudgetExceeded as exc:
         return None, CompilationReport(compiled=False, reason=str(exc))
     tagged: dict[tuple[int, ...], frozenset[str]] = {}
@@ -354,10 +489,13 @@ def compile_productions(
             tagged[sequence] = existing | {nonterminal}
         total += len(languages[nonterminal])
     root, states = _build_automaton(tagged, terminals)
+    signatures = _signature_table(tagged, terminals) if complete else None
     report = CompilationReport(
         compiled=True,
         sequences=total,
         states=states,
         horizon=max_tokens,
+        signatures=len(signatures.signatures) if complete else 0,
+        complete=complete,
     )
-    return CompiledChecker(root, report), report
+    return CompiledChecker(root, report, signatures), report

@@ -32,6 +32,7 @@ from repro.ssdl.compiled import (
     DEFAULT_MAX_TOKENS,
     CompilationReport,
     CompiledChecker,
+    SignatureTable,
     compile_productions,
 )
 from repro.ssdl.earley import EarleyRecognizer
@@ -114,12 +115,15 @@ class SourceDescription:
         attributes: Mapping[str, Iterable[str]],
         name: str = "",
         cache_checks: bool = True,
-        check_cache_entries: int = 8192,
+        check_cache_entries: int = 2048,
     ):
         """``cache_checks=False`` reparses on every Check call -- only
         useful for the cache-ablation benchmark.  ``check_cache_entries``
         bounds the Check cache (LRU): a description fielding an unbounded
-        stream of distinct conditions holds a bounded number of results."""
+        stream of distinct conditions holds a bounded number of results.
+        The hits are reuse within one planning run, so the default is
+        sized for that: X18 reads the same hit ratio at 2 048 as at
+        8 192 on all five workloads."""
         if check_cache_entries <= 0:
             raise GrammarError("check_cache_entries must be positive")
         self.name = name
@@ -217,6 +221,15 @@ class SourceDescription:
     def compiled(self) -> bool:
         """Is a compiled recognizer active?"""
         return self._compiled is not None
+
+    @property
+    def signatures(self) -> SignatureTable | None:
+        """The compiled signature table: every sentence of the grammar
+        by template multiset.  None unless a compiled form exists *and*
+        its enumeration was complete -- an uncompiled, over-budget or
+        recursive grammar certifies nothing."""
+        compiled = self._compiled
+        return None if compiled is None else compiled.signatures
 
     def _index_templates(
         self,

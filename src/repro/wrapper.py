@@ -156,7 +156,8 @@ class Wrapper:
             raise InfeasiblePlanError(
                 f"the capabilities of source {self.source.name!r} admit no "
                 f"plan for σ({planning.query.condition}) "
-                f"π({sorted(planning.query.attributes)})"
+                f"π({sorted(planning.query.attributes)})",
+                witness=planning.witness,
             )
         report = self._executor.execute_with_report(planning.plan)
         return WrapperAnswer(

@@ -1,0 +1,659 @@
+"""Certificates before search: a differential oracle, not examples.
+
+The reference is the *same planner on an uncompiled copy of the same
+source*: an uncompiled description has no signature table, so it never
+certifies and takes the full rewrite + generate search (DESIGN.md,
+"Certificates before search").  Against it:
+
+* **certified ⇒ the reference is infeasible**, and the witness is a
+  DNF term of the condition;
+* **floor cut ⇒ plan text and cost byte-identical** to the reference;
+* every other run is untouched -- same plan, same cost, same counters;
+* descriptions that are uncompiled, incomplete (recursive lists) or
+  asked a condition over the DNF budget never certify;
+* verdicts do not depend on ``PYTHONHASHSEED``.
+
+Batteries: seeded and hypothesis-drawn ``make_description`` grammars
+(richness 0.3-0.9, with and without a download rule), the library
+grammars on the golden corpus, a literal/mixed-type/``or`` grammar,
+``or``-list and recursive grammars, and order-sensitive native grammars
+under GenModular.
+"""
+
+from __future__ import annotations
+
+import functools
+import hashlib
+import os
+import pathlib
+import random
+import subprocess
+import sys
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+from repro.conditions.atoms import Atom, Op
+from repro.conditions.parser import parse_condition
+from repro.conditions.tree import TRUE, And, Condition, Leaf, Or
+from repro.data.relation import Relation
+from repro.data.schema import Schema
+from repro.errors import InfeasiblePlanError, ReproError
+from repro.mediator import Mediator
+from repro.observability.metrics import MetricsRegistry, use_metrics
+from repro.observability.trace import Tracer, use_tracer
+from repro.planners.base import PlannerStats, PlanningResult
+from repro.planners.certificate import MAX_TERMS, certify
+from repro.planners.gencompact import GenCompact
+from repro.planners.genmodular import GenModular
+from repro.planners.ipg import MAX_FANOUT
+from repro.plans.cost import BottleneckCostModel, CostModel
+from repro.plans.nodes import SourceQuery
+from repro.plans.printer import to_paper_notation
+from repro.query import TargetQuery
+from repro.source import library
+from repro.source.source import CapabilitySource
+from repro.ssdl.commute import commutation_closure
+from repro.ssdl.text import parse_ssdl
+from repro.workloads.synthetic import (
+    WorldConfig,
+    make_description,
+    make_table,
+    random_condition,
+)
+from tests.test_golden_battery import CORPUS
+from tests.test_planner_hot_path import _MIXED_CONDITIONS, _MIXED_SSDL
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+# ----------------------------------------------------------------------
+# The oracle
+# ----------------------------------------------------------------------
+
+class Twins:
+    """One relation behind two sources: ``compiled`` (what ships) and
+    ``reference`` (never compiled, so it never certifies)."""
+
+    def __init__(self, relation: Relation, describe, name: str = "w"):
+        self.compiled = CapabilitySource(name, relation, describe())
+        self.compiled.compile_capabilities()
+        self.reference = CapabilitySource(name, relation, describe())
+        self.cost_model = CostModel({name: self.compiled.stats})
+
+
+def _holds_when_exactly(condition: Condition, true_atoms: set[Atom]) -> bool:
+    if condition.is_true:
+        return True
+    if condition.is_leaf:
+        return condition.atom in true_atoms
+    combine = all if condition.is_and else any
+    return combine(_holds_when_exactly(child, true_atoms)
+                   for child in condition.children)
+
+
+_COUNTERS = ("cts_processed", "subplans_considered", "check_calls",
+             "recursive_calls", "mcsc_problems", "mcsc_sets", "pr1_fires",
+             "pr2_fires", "pr3_fires", "rewrite_truncated")
+
+
+def assert_matches_reference(planner, twins: Twins, query: TargetQuery,
+                             cost_model=None) -> PlanningResult:
+    """Plan on both twins and hold the shipped run to the reference."""
+    cost_model = cost_model or twins.cost_model
+    got = planner.plan(query, twins.compiled, cost_model)
+    want = planner.plan(query, twins.reference, cost_model)
+    assert (want.stats.certified_infeasible, want.stats.rewrite_skipped,
+            want.witness) == (0, 0, None)
+    assert got.feasible == want.feasible, query
+    assert got.plan == want.plan, query
+    assert to_paper_notation(got.plan) == to_paper_notation(want.plan)
+    assert repr(got.cost) == repr(want.cost), query
+    stats = got.stats
+    if stats.certified_infeasible:
+        assert not want.feasible
+        witness = got.witness
+        atoms = set(witness.atoms())
+        assert witness.is_true or witness.is_leaf or (
+            witness.is_and and all(c.is_leaf for c in witness.children))
+        assert atoms <= set(query.condition.atoms())
+        assert _holds_when_exactly(query.condition, atoms)
+        assert (stats.cts_processed, stats.check_calls,
+                stats.subplans_considered, stats.recursive_calls) \
+            == (0, 0, 0, 0)
+    else:
+        assert got.witness is None
+        if stats.rewrite_skipped:
+            assert stats.cts_processed == 1 and got.feasible
+            assert isinstance(planner, GenCompact)
+        else:
+            for counter in _COUNTERS:
+                assert getattr(stats, counter) == getattr(want.stats, counter)
+    return got
+
+
+@functools.lru_cache(maxsize=None)
+def _world(seed: int) -> tuple[WorldConfig, Twins]:
+    rng = random.Random(seed)
+    config = WorldConfig(
+        n_attributes=rng.choice((4, 6, 8)), n_rows=120,
+        richness=rng.choice((0.3, 0.5, 0.7, 0.9)),
+        download_prob=rng.choice((0.0, 0.0, 1.0)), seed=seed)
+    return config, Twins(make_table(config), lambda: make_description(config))
+
+
+def _world_query(config: WorldConfig, rng: random.Random,
+                 max_atoms: int = 6) -> TargetQuery:
+    others = [f"a{i}" for i in range(config.n_attributes)]
+    return TargetQuery(
+        random_condition(config, rng.randint(1, max_atoms), rng),
+        frozenset(["key"] + rng.sample(others, rng.randint(1, 2))), "w")
+
+
+# ----------------------------------------------------------------------
+# 1. The signature table
+# ----------------------------------------------------------------------
+
+class TestSignatureTable:
+    def test_world_grammar_dedupes_orders_and_parentheses(self):
+        closed = commutation_closure(make_description(
+            WorldConfig(richness=0.7, download_prob=0.15, seed=42)))
+        report = closed.compile()
+        assert (report.sequences, report.signatures, report.complete) \
+            == (20, 12, True)
+        table = closed.signatures
+        assert len(table.signatures) == 12
+        assert list(table.signatures) == sorted(table.signatures)
+        # A commuted rule and its native spelling are one signature.
+        native = make_description(
+            WorldConfig(richness=0.7, download_prob=0.15, seed=42))
+        native.compile()
+        assert [s[:2] for s in native.signatures.signatures] \
+            == [s[:2] for s in table.signatures]
+
+    def test_uncompiled_over_budget_and_recursive_have_no_table(self):
+        description = library.bookstore_description()
+        assert description.signatures is None  # not compiled yet
+        assert description.compile().complete
+        assert description.signatures is not None
+        description.invalidate_compiled()
+        assert description.signatures is None
+        assert not description.compile(max_sequences=2).compiled
+        assert description.signatures is None
+        # ``size_list`` recurses: sentences were dropped at the horizon.
+        cars = library.car_guide_description()
+        report = cars.compile()
+        assert report.compiled and not report.complete
+        assert report.signatures == 0 and cars.signatures is None
+        # A horizon too tight for a finite grammar is incomplete too.
+        assert not library.bookstore_description().compile(
+            max_tokens=2).complete
+
+    def test_true_arrives_alone_and_literals_keep_their_constant(self):
+        description = parse_ssdl(_MIXED_SSDL, name="mixed")
+        assert description.compile().complete
+        table = description.signatures
+        by_templates = {
+            (tuple(str(table.templates[i]) for i in s.templates), s.has_or):
+                s.nonterminals
+            for s in table.signatures}
+        # ``true`` alone is the download sentence; ``( ... ) and true``
+        # (s4 over s3's ``true`` alternative) matches nothing: dropped.
+        assert by_templates[((), False)] == {"s3"}
+        assert (("style = 'sedan'", "price < $num"), False) in by_templates
+        assert (("flag = $bool", "size in $list"), True) in by_templates
+        assert not any("true" in names for names, _ in by_templates)
+        masks = table.matching([
+            Atom("style", Op.EQ, "sedan"), Atom("style", Op.EQ, "coupe"),
+            Atom("code", Op.EQ, 7.0), Atom("flag", Op.EQ, 1),
+            Atom("rank", Op.EQ, True)])
+        matched = {str(table.templates[i]): mask
+                   for i, mask in enumerate(masks) if mask}
+        assert matched == {"style = 'sedan'": 0b00001, "code = 7": 0b00100,
+                           "rank = 1": 0b10000}
+
+    def test_repeated_templates_stay_a_multiset(self):
+        description = parse_ssdl(
+            "s -> s1\ns1 -> a = $str or a = $str | "
+            "a = $str or a = $str or a = $str\nattributes s1 : a",
+            name="orlist")
+        assert description.compile().complete
+        assert [(s.templates, s.has_or)
+                for s in description.signatures.signatures] \
+            == [((0, 0), True), ((0, 0, 0), True)]
+
+
+# ----------------------------------------------------------------------
+# 2. Differential batteries over random grammars
+# ----------------------------------------------------------------------
+
+def _seeded_battery(planner, grammars: range, per_grammar: int,
+                    max_atoms: int = 6) -> PlannerStats:
+    total = PlannerStats()
+    for seed in grammars:
+        config, twins = _world(seed)
+        rng = random.Random(seed * 31 + 7)
+        for _ in range(per_grammar):
+            query = _world_query(config, rng, max_atoms)
+            total.merge(
+                assert_matches_reference(planner, twins, query).stats)
+    return total
+
+
+def test_gencompact_matches_the_reference_on_seeded_grammars():
+    total = _seeded_battery(GenCompact(), range(100, 116), 30)
+    # The battery is not vacuous: both cuts fire, often.
+    assert total.certified_infeasible > 120
+    assert total.rewrite_skipped > 100
+
+
+def test_genmodular_matches_the_reference_on_native_grammars():
+    """GenModular plans against the *native*, order-sensitive grammar;
+    the signatures forget order, so they certify there too -- and the
+    floor never applies."""
+    total = _seeded_battery(GenModular(max_rewrites=25), range(200, 208),
+                            15, max_atoms=4)
+    assert total.certified_infeasible > 25
+    assert total.rewrite_skipped == 0
+    closed = _seeded_battery(
+        GenModular(max_rewrites=15, use_closed_description=True),
+        range(208, 211), 10, max_atoms=4)
+    assert closed.certified_infeasible > 5
+
+
+@given(st.integers(300, 340), st.integers(0, 10**6))
+@settings(max_examples=80, deadline=None)
+def test_gencompact_matches_the_reference_hypothesis(world_seed, query_seed):
+    config, twins = _world(world_seed)
+    query = _world_query(config, random.Random(query_seed))
+    assert_matches_reference(GenCompact(), twins, query)
+
+
+@pytest.mark.parametrize("planner", [
+    GenCompact(pr1=False), GenCompact(pr2=False, pr3=False),
+    GenCompact(mcsc_solver="greedy"), GenCompact(max_rewrites=5),
+], ids=lambda p: f"{p.name}-{p.mcsc_solver}-{p.max_rewrites}")
+def test_ablated_gencompact_matches_its_own_reference(planner):
+    total = _seeded_battery(planner, range(400, 404), 15, max_atoms=5)
+    assert total.certified_infeasible and total.rewrite_skipped
+
+
+class _SurchargedCostModel(CostModel):
+    """Additive still, but prices a source query its own way -- and says
+    nothing about a floor."""
+
+    def source_query_cost(self, query):
+        return 3.0 + super().source_query_cost(query)
+
+
+@pytest.mark.parametrize("model_class", [
+    BottleneckCostModel, _SurchargedCostModel])
+def test_a_model_vouching_for_no_floor_never_cuts(model_class):
+    """The floor is the cost model's to give
+    (``CostModel.source_query_floor``), and a model that combines or
+    prices source queries its own way -- the bottleneck model's max, an
+    overridden ``source_query_cost`` -- gives none until it states one:
+    the search always runs to the end.  Certificates do not depend on
+    cost."""
+    skipped = certified = 0
+    for seed in range(500, 504):
+        config, twins = _world(seed)
+        model = model_class({"w": twins.compiled.stats})
+        assert model.source_query_floor("w", 0.5) is None
+        rng = random.Random(seed)
+        for _ in range(12):
+            got = assert_matches_reference(
+                GenCompact(), twins, _world_query(config, rng, 5), model)
+            skipped += got.stats.rewrite_skipped
+            certified += got.stats.certified_infeasible
+    assert skipped == 0 and certified > 0
+
+
+def test_the_floor_is_eq1_at_the_least_selectivity():
+    """One spelling of Eq. 1: the floor of a selectivity is what a
+    source query selecting exactly that share costs."""
+    config, twins = _world(100)
+    stats = twins.compiled.stats
+    model = CostModel({"w": stats}, per_source={"w": (7.0, 0.25)})
+    atom = random_condition(config, 1, random.Random(3))
+    assert model.source_query_floor("w", stats.selectivity(atom)) \
+        == model.source_query_cost(SourceQuery(atom, frozenset({"key"}), "w"))
+
+
+# ----------------------------------------------------------------------
+# 3. Library grammars, literals, mixed-type constants, lists
+# ----------------------------------------------------------------------
+
+_LIBRARY = {
+    "bookstore": library.bookstore_description,
+    "car_guide": library.car_guide_description,
+    "bank": library.bank_description,
+    "flights": library.flights_description,
+    "classifieds": library.classifieds_description,
+}
+
+
+@pytest.fixture(scope="module")
+def library_twins():
+    catalog = library.standard_catalog(seed=1999)
+    return {name: Twins(catalog[name].relation, describe, name)
+            for name, describe in _LIBRARY.items()}
+
+
+@pytest.mark.parametrize("source_name,attrs,text", CORPUS)
+def test_golden_corpus_matches_the_reference(
+        library_twins, source_name, attrs, text):
+    twins = library_twins[source_name]
+    condition = parse_condition(text)
+    query = TargetQuery(condition, frozenset(attrs), source_name)
+    assert assert_matches_reference(GenCompact(), twins, query).feasible
+    assert_matches_reference(GenModular(max_rewrites=40), twins, query)
+    # Asking for what no rule exports is infeasible on every source;
+    # only the recursive ``car_guide`` grammar cannot say so up front.
+    schema = twins.compiled.schema.attribute_names
+    unexported = [a for a in schema
+                  if a not in twins.compiled.description.all_attributes()]
+    if unexported:
+        got = assert_matches_reference(
+            GenCompact(), twins,
+            TargetQuery(condition, frozenset(unexported[:1]), source_name))
+        assert not got.feasible
+        assert got.stats.certified_infeasible == (source_name != "car_guide")
+
+
+def test_recursive_grammars_never_certify(library_twins):
+    twins = library_twins["car_guide"]
+    assert twins.compiled.compiled
+    assert twins.compiled.closed_description.signatures is None
+    rng = random.Random(9)
+    makes = ["BMW", "Ford", "Honda", "Toyota"]
+    for _ in range(12):
+        leaves = [
+            Leaf(Atom("make", Op.EQ, rng.choice(makes))),
+            Leaf(Atom("price", Op.LE, rng.randrange(8000, 30000, 1000))),
+            Leaf(Atom("mileage", Op.LE, 50000)),   # no rule takes it
+            Leaf(Atom("size", Op.EQ, "compact")),
+        ]
+        rng.shuffle(leaves)
+        condition = And([leaves[0], Or(leaves[1:3])]) if rng.random() < .5 \
+            else Or([leaves[0], And(leaves[1:3])])
+        got = assert_matches_reference(
+            GenCompact(), twins,
+            TargetQuery(condition, frozenset({"id", "model"}), "car_guide"))
+        assert (got.stats.certified_infeasible, got.stats.rewrite_skipped) \
+            == (0, 0)
+
+
+_MIXED_VALUES = {
+    "style": ["sedan", "coupe"], "price": [3.5, 7, 8, 20],
+    "flag": [True, False], "size": ["compact", "midsize"],
+    "code": [7, "x", 8], "rank": [1, 2], "name": ["art", "x", "sedan"],
+    "zip": ["x", "coupe"],
+}
+
+
+@pytest.fixture(scope="module")
+def mixed_twins():
+    rng = random.Random(4)
+    schema = Schema.of("mixed", list(_MIXED_VALUES))
+    rows = [{name: rng.choice(values)
+             for name, values in _MIXED_VALUES.items()} for _ in range(60)]
+    return Twins(Relation(schema, rows, validate=False),
+                 lambda: parse_ssdl(_MIXED_SSDL, name="mixed"), "mixed")
+
+
+@given(_MIXED_CONDITIONS, st.sampled_from([
+    ("code",), ("style", "price"), ("flag", "size"), ("code", "name"),
+    ("style",), ("zip",)]))
+@settings(max_examples=150, deadline=None)
+def test_literal_or_and_mixed_type_templates(mixed_twins, condition, attrs):
+    """``style = 'sedan'`` literals, an ``or`` rule, a download rule and
+    the near-miss constants of the PR 15 bug class (7 / 7.0 / True / 1)."""
+    assert_matches_reference(
+        GenCompact(), mixed_twins,
+        TargetQuery(condition, frozenset(attrs), "mixed"))
+
+
+def test_typed_constants_are_certified_apart():
+    """``id = true`` is not ``id = 1``: ``$num`` admits no bool, and the
+    atoms are different propositions to the certificate, in either
+    order and with or without a plan cache."""
+    for first, second in (("true", "1"), ("1", "true")):
+        for cache in (None, 64):
+            mediator = Mediator(plan_cache_entries=cache)
+            for source in library.standard_catalog().values():
+                mediator.add_source(source)
+            for constant in (first, second):
+                sql = f"SELECT model FROM car_guide WHERE id = {constant}"
+                if constant == "1":
+                    assert mediator.ask(sql).planning.feasible
+                else:
+                    with pytest.raises(InfeasiblePlanError):
+                        mediator.ask(sql)
+    description = parse_ssdl(
+        "s -> s1\ns1 -> id = $num\nattributes s1 : id, model", name="ids")
+    description.compile()
+    mixed = Or([Leaf(Atom("id", Op.EQ, True)), Leaf(Atom("id", Op.EQ, 1))])
+    certificate = certify(
+        TargetQuery(mixed, frozenset({"model"}), "ids"), description)
+    assert certificate.witness == Leaf(Atom("id", Op.EQ, True))
+    assert certify(
+        TargetQuery(Leaf(Atom("id", Op.EQ, 1)), frozenset({"model"}), "ids"),
+        description).witness is None
+
+
+def test_or_lists_certify_only_when_they_are_finite():
+    schema = Schema.of("sizes", ["id", "size", "make"])
+    rows = [{"id": i, "size": s, "make": m} for i, (s, m) in enumerate(
+        [("compact", "BMW"), ("midsize", "Ford"), ("fullsize", "BMW")] * 5)]
+    relation = Relation(schema, rows, validate=False)
+    finite = ("s -> s1\ns1 -> size = $str | size = $str or size = $str | "
+              "size = $str or size = $str or size = $str\n"
+              "attributes s1 : id, size")
+    recursive = ("s -> s1\ns1 -> size = $str | list\n"
+                 "list -> size = $str or size = $str | size = $str or list\n"
+                 "attributes s1 : id, size")
+    sizes = [Leaf(Atom("size", Op.EQ, s))
+             for s in ("compact", "midsize", "fullsize", "van")]
+    bmw = Leaf(Atom("make", Op.EQ, "BMW"))
+    queries = [
+        TargetQuery(Or(sizes[:3]), frozenset({"id"}), "sizes"),
+        TargetQuery(Or(sizes), frozenset({"id"}), "sizes"),
+        TargetQuery(Or([sizes[0], bmw]), frozenset({"id"}), "sizes"),
+        TargetQuery(And([Or(sizes[:2]), bmw]), frozenset({"id"}), "sizes"),
+        TargetQuery(Or(sizes[:2]), frozenset({"id", "make"}), "sizes"),
+    ]
+    certified = {}
+    for label, text in (("finite", finite), ("recursive", recursive)):
+        twins = Twins(relation, lambda: parse_ssdl(text, name=label), "sizes")
+        results = [assert_matches_reference(GenCompact(), twins, query)
+                   for query in queries]
+        certified[label] = [r.stats.certified_infeasible for r in results]
+        assert [r.feasible for r in results] == [True, True, False, False,
+                                                 False]
+    # The fourth is a miss: each of its terms holds a ``size`` atom the
+    # form takes; that ``make`` cannot be filtered afterwards (it is not
+    # exported) is beyond a one-sided certificate.
+    assert certified == {"finite": [0, 0, 1, 0, 1],
+                         "recursive": [0, 0, 0, 0, 0]}
+
+
+# ----------------------------------------------------------------------
+# 4. Budgets and edges
+# ----------------------------------------------------------------------
+
+def _wide_query(config: WorldConfig, clauses: int) -> TargetQuery:
+    """An AND of ``clauses`` two-way ORs: 2**clauses DNF terms."""
+    rng = random.Random(clauses)
+    leaves = [Leaf(Atom(f"a{1 + 2 * (i % 2)}", Op.LE, 10 * i + rng.randrange(9)))
+              for i in range(2 * clauses)]
+    return TargetQuery(
+        And([Or(leaves[2 * i:2 * i + 2]) for i in range(clauses)]),
+        frozenset({"key", "a0"}), "w")
+
+
+def test_dnf_budget_overflow_takes_the_search():
+    """Over ``MAX_TERMS`` DNF terms there is no certificate at all --
+    neither cut -- and the result is the reference's."""
+    config = WorldConfig(n_attributes=4, n_rows=60, richness=0.3,
+                         download_prob=0.0, seed=77)
+    twins = Twins(make_table(config), lambda: make_description(config))
+    description = twins.compiled.closed_description
+    assert 2 ** 8 == MAX_TERMS
+    within, beyond = _wide_query(config, 8), _wide_query(config, 9)
+    assert certify(within, description) is not None
+    assert certify(beyond, description) is None
+    planner = GenCompact(max_rewrites=3)
+    got = assert_matches_reference(planner, twins, beyond)
+    assert (got.stats.certified_infeasible, got.stats.rewrite_skipped) \
+        == (0, 0)
+    assert_matches_reference(planner, twins, within)
+
+
+def test_a_certified_query_no_longer_reaches_the_fanout_guard():
+    """The one behaviour edge: IPG refuses connectors wider than
+    ``MAX_FANOUT`` with a ``ReproError``; a query the signatures prove
+    infeasible is answered before IPG ever sees its fanout."""
+    config = WorldConfig(n_attributes=6, n_rows=60, richness=0.5,
+                         download_prob=0.0, seed=42)
+    twins = Twins(make_table(config), lambda: make_description(config))
+    unmatched = Leaf(Atom("a9", Op.EQ, "nowhere"))
+    wide = Or([unmatched] + [
+        Leaf(Atom("a1", Op.LE, 10 * i)) for i in range(MAX_FANOUT)])
+    query = TargetQuery(wide, frozenset({"key"}), "w")
+    with pytest.raises(ReproError, match="fanout"):
+        GenCompact().plan(query, twins.reference, twins.cost_model)
+    result = GenCompact().plan(query, twins.compiled, twins.cost_model)
+    assert not result.feasible and result.witness == unmatched
+
+
+def test_true_is_feasible_exactly_when_the_source_allows_download():
+    for download, seed in ((1.0, 601), (0.0, 602)):
+        config = WorldConfig(n_attributes=4, n_rows=40, richness=0.5,
+                             download_prob=download, seed=seed)
+        twins = Twins(make_table(config), lambda: make_description(config))
+        got = assert_matches_reference(
+            GenCompact(), twins, TargetQuery(TRUE, frozenset({"key"}), "w"))
+        assert got.feasible == bool(download)
+        if not download:
+            assert got.witness is TRUE
+
+
+# ----------------------------------------------------------------------
+# 5. Verdicts do not depend on the hash seed
+# ----------------------------------------------------------------------
+
+def verdict_digest() -> str:
+    """SHA-256 over every verdict of a fixed battery: whether the run was
+    certified (and its witness), whether the floor cut it."""
+    digest = hashlib.sha256()
+    for seed in range(700, 706):
+        config, twins = _world(seed)
+        rng = random.Random(seed)
+        for _ in range(25):
+            query = _world_query(config, rng)
+            result = GenCompact().plan(query, twins.compiled,
+                                       twins.cost_model)
+            digest.update(repr((
+                str(query), result.stats.certified_infeasible,
+                result.stats.rewrite_skipped, str(result.witness),
+            )).encode())
+    return digest.hexdigest()
+
+
+def test_verdicts_are_identical_under_hash_seeds_0_and_1():
+    digests = set()
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=f"{ROOT / 'src'}{os.pathsep}{ROOT}")
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "from tests.test_certificates import verdict_digest; "
+             "print(verdict_digest())"],
+            cwd=ROOT, env=env, text=True, capture_output=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        digests.add(done.stdout.strip())
+    assert len(digests) == 1
+
+
+# ----------------------------------------------------------------------
+# 6. An infeasible ask says why
+# ----------------------------------------------------------------------
+
+class TestAnInfeasibleAskSaysWhy:
+    SQL = ("SELECT title, author FROM bookstore "
+           "WHERE title contains 'dreams' "
+           "or (price <= 400 and id >= 7)")
+    WHY = ("no query the source's form accepts can return rows matching "
+           "`price <= 400 and id >= 7` with {author, title}")
+
+    @pytest.fixture
+    def mediator(self):
+        mediator = Mediator()
+        for source in library.standard_catalog().values():
+            mediator.add_source(source)
+        return mediator
+
+    def test_error_message_witness_and_explain(self, mediator):
+        with pytest.raises(InfeasiblePlanError) as raised:
+            mediator.ask(self.SQL)
+        assert raised.value.witness == parse_condition(
+            "price <= 400 and id >= 7")
+        assert str(raised.value).endswith(": " + self.WHY)
+        planning = mediator.plan(self.SQL)
+        assert planning.witness == raised.value.witness
+        assert planning.why_infeasible() == self.WHY
+        assert mediator.explain(self.SQL) == (
+            "[GenCompact] INFEASIBLE: ∅ -- " + self.WHY)
+
+    def test_an_uncertified_infeasible_ask_keeps_the_old_message(self):
+        mediator = Mediator(compile_capabilities=False)
+        mediator.add_source(library.bookstore())
+        with pytest.raises(InfeasiblePlanError) as raised:
+            mediator.ask(self.SQL)
+        assert raised.value.witness is None
+        assert str(raised.value).endswith("of source 'bookstore'")
+        assert mediator.explain(self.SQL) == "[GenCompact] INFEASIBLE: ∅"
+
+    def test_span_attributes_and_registry_counters(self, mediator):
+        feasible = ("SELECT title FROM bookstore WHERE author = 'Carl Jung' "
+                    "and title contains 'dreams'")
+        registry = MetricsRegistry()
+        with use_metrics(registry), use_tracer(Tracer()) as tracer:
+            infeasible = mediator.plan(self.SQL)
+            cut = mediator.plan(feasible)
+        assert (infeasible.stats.certified_infeasible,
+                infeasible.stats.rewrite_skipped) == (1, 0)
+        assert (cut.stats.certified_infeasible,
+                cut.stats.rewrite_skipped, cut.stats.cts_processed) \
+            == (0, 1, 1)
+        assert registry.counter("planner.certified_infeasible").value == 1
+        assert registry.counter("planner.rewrite_skipped").value == 1
+        first, second = [s for s in tracer.finished_spans()
+                         if s.name == "planner.plan"]
+        assert (first.attributes["certified_infeasible"],
+                first.attributes["rewrite_skipped"],
+                first.attributes["feasible"],
+                first.attributes["check_calls"]) == (1, 0, False, 0)
+        assert (second.attributes["certified_infeasible"],
+                second.attributes["rewrite_skipped"],
+                second.attributes["feasible"]) == (0, 1, True)
+        (skipped,) = [s for s in tracer.finished_spans()
+                      if s.name == "planner.rewrite"]
+        assert skipped.attributes == {
+            "trees": 1, "budget_spent": 0, "truncated": False,
+            "skipped": True}
+        # Certificates issue no Check: the description-side identity of
+        # compiled descriptions keeps holding.
+        description = mediator.source("bookstore").closed_description
+        assert description.check_calls == (
+            description.check_compiled + description.check_fallbacks
+            + description.check_prefiltered)
+
+    def test_stats_merge_sums_the_new_counters(self):
+        total = PlannerStats()
+        total.merge(PlannerStats(certified_infeasible=1))
+        total.merge(PlannerStats(rewrite_skipped=1))
+        total.merge(PlannerStats(certified_infeasible=1, rewrite_skipped=1))
+        assert (total.certified_infeasible, total.rewrite_skipped) == (2, 2)

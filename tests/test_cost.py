@@ -5,7 +5,6 @@ import math
 import pytest
 
 from repro.conditions.parser import parse_condition
-from repro.conditions.tree import TRUE
 from repro.errors import PlanExecutionError
 from repro.plans.cost import (
     CostModel,
@@ -13,8 +12,6 @@ from repro.plans.cost import (
     enumerate_concrete,
 )
 from repro.plans.nodes import (
-    ChoicePlan,
-    IntersectPlan,
     Postprocess,
     SourceQuery,
     UnionPlan,

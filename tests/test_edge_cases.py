@@ -12,7 +12,6 @@ from repro.conditions.rewrite import (
 )
 from repro.conditions.tree import TRUE, And, Or, leaf
 from repro.errors import (
-    ConditionError,
     PlanExecutionError,
     SSDLParseError,
 )
@@ -30,7 +29,6 @@ from repro.plans.nodes import (
 )
 from repro.query import TargetQuery
 from repro.ssdl.text import parse_ssdl
-from tests.conftest import make_example41_source
 
 
 class TestSSDLTextEdges:

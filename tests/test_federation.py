@@ -61,7 +61,7 @@ class TestRemoveSource:
         assert len(served_mediator.plan_cache) == 0
         assert len(served_mediator.plan_templates) == 0
         assert not source.description.compiled
-        assert "cars2" not in served_mediator._compiled_versions
+        assert not source.capabilities_compiled
 
     def test_survivor_still_served(self, served_mediator):
         served_mediator.remove_source("cars2")

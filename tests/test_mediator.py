@@ -107,3 +107,80 @@ class TestMediator:
     def test_cost_model_covers_all_sources(self, mediator):
         cm = mediator.cost_model()
         assert "cars" in cm.stats
+
+
+class TestCompilesEachDescriptionOnce:
+    """A description is compiled when it joins the catalog and never
+    again: what other sources do is no reason to recompile it."""
+
+    @pytest.fixture
+    def compiles(self, monkeypatch):
+        from collections import Counter
+
+        from repro.ssdl.description import SourceDescription
+
+        counts = Counter()
+        compile_ = SourceDescription.compile
+
+        def counting(self, *args, **kwargs):
+            counts[self.name] += 1
+            return compile_(self, *args, **kwargs)
+
+        monkeypatch.setattr(SourceDescription, "compile", counting)
+        return counts
+
+    ASKS = {
+        "bookstore": "SELECT title FROM bookstore WHERE author = 'Carl Jung'",
+        "car_guide": "SELECT model FROM car_guide WHERE make = 'BMW'",
+        "classifieds": "SELECT id FROM classifieds WHERE make = 'Toyota'",
+    }
+
+    def test_set_up_and_asks_compile_every_description_once(self, compiles):
+        from repro.source.library import standard_catalog
+
+        mediator = Mediator(plan_cache_entries=8)
+        for source in standard_catalog().values():
+            mediator.add_source(source)
+        after_set_up = dict(compiles)
+        assert set(after_set_up.values()) == {1}
+        assert len(after_set_up) == 2 * len(mediator.catalog)  # + closures
+        for _ in range(3):
+            for sql in self.ASKS.values():
+                mediator.ask(sql)
+        assert dict(compiles) == after_set_up
+
+    def test_a_mutation_compiles_nothing_of_the_other_sources(self, compiles):
+        from repro.source.library import bookstore_description, standard_catalog
+
+        mediator = Mediator()
+        for source in standard_catalog().values():
+            mediator.add_source(source)
+        compiles.clear()
+        mediator.mutate_source("bookstore", bookstore_description())
+        assert set(compiles) == {"bookstore", "bookstore+commuted"}
+        for sql in self.ASKS.values():
+            mediator.ask(sql)
+        mediator.remove_source("classifieds")
+        mediator.ask(self.ASKS["car_guide"])
+        assert dict(compiles) == {"bookstore": 1, "bookstore+commuted": 1}
+
+    def test_an_over_budget_grammar_is_not_retried_on_every_ask(
+            self, compiles):
+        mediator = Mediator()
+        source = make_example41_source()
+        # What add_source leaves behind for a grammar past the budget:
+        # compilation attempted, no recognizer.
+        source.compile_capabilities(max_sequences=1)
+        assert not source.compiled and source.capabilities_compiled
+        compiles.clear()
+        mediator.add_source(source)
+        mediator.ask("SELECT model FROM cars WHERE make = 'BMW' and price < 40000")
+        assert not compiles
+
+    def test_invalidated_forms_are_compiled_again_on_the_next_ask(
+            self, mediator, compiles):
+        source = mediator.source("cars")
+        source.invalidate_compiled()
+        assert not source.capabilities_compiled
+        mediator.ask("SELECT model FROM cars WHERE make = 'BMW' and price < 40000")
+        assert source.compiled and set(compiles.values()) == {1}

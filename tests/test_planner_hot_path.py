@@ -489,18 +489,18 @@ _PIN_WORLD = WorldConfig(n_attributes=6, n_rows=300, richness=0.7,
                          download_prob=0.0, seed=42)
 _PIN_ATTRS = frozenset({"key", "a1"})
 
-#: name -> (scenario or condition text, check_calls, check_prefiltered,
+#: name -> (scenario factory or condition text, check_calls, check_prefiltered,
 #: subplans_considered, mcsc_problems, chosen plan).  The synthetic trees'
 #: rewrite closures fit the budget, so none of this depends on the order
 #: a hash-ordered set is walked in.
 _PINS = {
     "example_1_1": (
-        bookstore_scenario(500), 22, 0, 16, 5,
+        lambda: bookstore_scenario(500), 22, 0, 16, 5,
         "SP(author = 'Sigmund Freud' or author = 'Carl Jung', "
         "{author, id, price, title}, SP(title contains 'dreams', "
         "{author, id, price, title}, bookstore))"),
     "example_1_2": (
-        car_scenario(500), 828, 0, 2142, 125,
+        lambda: car_scenario(500), 828, 0, 2142, 125,
         "SP((make = 'Toyota' and price <= 20000) or (make = 'BMW' and "
         "price <= 40000), {id, make, model, price}, SP(style = 'sedan' and "
         "(size = 'compact' or size = 'midsize'), {id, make, model, price}, "
@@ -528,26 +528,40 @@ _PINS = {
 }
 
 
+#: What the same pins read once the source is compiled, where that
+#: differs: the description's signatures certify ``infeasible_and``
+#: before any Check (``infeasible_or`` is one the certificate misses).
+_COMPILED_PINS = {"infeasible_and": (0, 0, 0, 0)}
+
+
 @pytest.mark.parametrize("name", _PINS)
 def test_search_space_is_pinned(name):
-    what, check_calls, prefiltered, subplans, mcsc, plan_text = _PINS[name]
-    if isinstance(what, str):
-        source = make_source(_PIN_WORLD)
-        query = TargetQuery(parse_condition(what), _PIN_ATTRS, source.name)
-    else:
-        source, query = what.source, what.query
-    source.compile_capabilities()
-    result = GenCompact().plan(
-        query, source, CostModel({source.name: source.stats}))
-    stats = result.stats
-    assert (stats.check_calls, stats.check_prefiltered,
-            stats.subplans_considered, stats.mcsc_problems) \
-        == (check_calls, prefiltered, subplans, mcsc)
-    assert (to_paper_notation(result.plan) if result.feasible else None) \
-        == plan_text
-    # Every cache-missing Check is accounted for (compiled descriptions).
-    assert stats.check_prefiltered <= stats.check_calls
-    description = source.closed_description
-    assert description.check_calls == (
-        description.check_compiled + description.check_fallbacks
-        + description.check_prefiltered)
+    what, *pinned, plan_text = _PINS[name]
+    for compiled in (False, True):
+        if isinstance(what, str):
+            source = make_source(_PIN_WORLD)
+            query = TargetQuery(parse_condition(what), _PIN_ATTRS, source.name)
+        else:
+            scenario = what()
+            source, query = scenario.source, scenario.query
+        want = tuple(pinned)
+        if compiled:
+            source.compile_capabilities()
+            want = _COMPILED_PINS.get(name, want)
+        result = GenCompact().plan(
+            query, source, CostModel({source.name: source.stats}))
+        stats = result.stats
+        assert (stats.check_calls, stats.check_prefiltered,
+                stats.subplans_considered, stats.mcsc_problems) == want
+        assert (to_paper_notation(result.plan) if result.feasible else None) \
+            == plan_text
+        assert stats.certified_infeasible == (want == (0, 0, 0, 0))
+        assert (result.witness is not None) == stats.certified_infeasible
+        # Every cache-missing Check is accounted for (a certificate
+        # issues none).
+        assert stats.check_prefiltered <= stats.check_calls
+        if compiled:
+            description = source.closed_description
+            assert description.check_calls == (
+                description.check_compiled + description.check_fallbacks
+                + description.check_prefiltered)

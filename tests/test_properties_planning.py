@@ -33,7 +33,6 @@ from repro.plans.execute import Executor, reference_answer
 from repro.query import TargetQuery
 from repro.workloads.synthetic import (
     WorldConfig,
-    make_queries,
     make_source,
     random_condition,
 )

@@ -4,7 +4,6 @@
 from repro.conditions.parser import parse_condition
 from repro.conditions.rewrite import (
     GENCOMPACT_RULES,
-    GENMODULAR_RULES,
     RewriteEngine,
     associative_rule,
     commutative_rule,

@@ -14,7 +14,6 @@ from repro.conditions.parser import parse_condition
 from repro.conditions.tree import And, Or, leaf
 from repro.planners.gencompact import GenCompact
 from repro.plans.cost import CostModel
-from repro.query import TargetQuery
 from repro.ssdl.commute import commutation_closure
 from repro.ssdl.text import parse_ssdl
 from repro.workloads.synthetic import WorldConfig, make_queries, make_source

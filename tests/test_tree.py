@@ -5,7 +5,6 @@ import pytest
 from repro.conditions.tree import (
     TRUE,
     And,
-    Leaf,
     Or,
     TrueCondition,
     conjunction,
