@@ -142,6 +142,12 @@ class PlanExecutionError(ReproError):
     """A plan could not be executed (unknown source, bad structure...)."""
 
 
+class InterpreterSuspendedError(PlanExecutionError):
+    """The plan interpreter awaited real I/O under the loop-free driver
+    of the serial and thread-pool engines (an engine bug: primitives
+    that suspend need an event-loop driver)."""
+
+
 class QueryFixingError(ReproError):
     """A source query accepted by the commutation-closed description could not
     be reordered into a form the native description accepts."""

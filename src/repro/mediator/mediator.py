@@ -63,8 +63,6 @@ class Mediator:
         retry_policy: RetryPolicy | None = None,
         parallel_workers: int | None = None,
         executor: str | None = None,
-        async_coalesce: bool = True,
-        async_batch_window: float | None = None,
         plan_cache_entries: int | None = None,
         plan_templates: bool = True,
         compile_capabilities: bool = True,
@@ -95,10 +93,9 @@ class Mediator:
         built lazily and share the catalog, result cache and retry
         policy, so switching engines never changes answers).  The
         async engine runs source calls as tasks on one event-loop
-        thread with single-flight coalescing (``async_coalesce``) and
-        optional disjunct batching (``async_batch_window`` seconds);
-        call :meth:`close` -- or use the mediator as a context manager
-        -- to stop its loop thread.
+        thread with single-flight coalescing; call :meth:`close` -- or
+        use the mediator as a context manager -- to stop its loop
+        thread.
 
         Serving knobs: ``plan_cache_entries`` enables the canonical
         :class:`~repro.serving.PlanCache` -- equivalent rewritings of a
@@ -218,8 +215,6 @@ class Mediator:
             self.result_cache = ResultCache(result_cache_tuples)
         self.retry_policy = retry_policy
         self.parallel_workers = parallel_workers
-        self.async_coalesce = async_coalesce
-        self.async_batch_window = async_batch_window
         #: Lazily built engines, keyed "serial" | "parallel" | "async";
         #: all share the live catalog, result cache and retry policy.
         self._executors: dict[str, Executor] = {}
@@ -259,8 +254,6 @@ class Mediator:
                 engine = AsyncExecutor(
                     self.catalog, cache=self.result_cache,
                     retry_policy=self.retry_policy,
-                    coalesce=self.async_coalesce,
-                    batch_window=self.async_batch_window,
                 )
             self._executors[choice] = engine
         return engine

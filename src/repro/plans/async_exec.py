@@ -3,16 +3,22 @@
 The :class:`~repro.plans.parallel.ParallelExecutor` burns one worker
 thread per in-flight source call; at the ROADMAP's millions-of-users
 scale that caps out around the pool size.  :class:`AsyncExecutor`
-rebuilds execution on :mod:`asyncio` behind the **same blocking
-interface**: ``execute``/``execute_with_report`` are ordinary calls,
-but inside they submit the plan to a private, lazily started event
+drives the one plan interpreter of :mod:`repro.plans.execute` on
+:mod:`asyncio` behind the **same blocking interface**:
+``execute``/``execute_with_report`` are ordinary calls, but inside they
+submit the interpreter's coroutine to a private, lazily started event
 loop on one daemon thread, where every source call is a *task* --
 thousands of concurrent simulated-latency calls cost coroutine frames,
 not threads.
 
-On top of the fan-out the executor layers the execution-time sharing
-the serial engines cannot express (see
-:mod:`repro.plans.coalesce`):
+It is a driver, not a copy: query fixing, result caching, retry with
+backoff, mirror failover and execution-time Choice resolution are the
+serial engine's code.  What this engine supplies is its primitives --
+``_call`` awaits :meth:`~repro.source.source.CapabilitySource
+.execute_async`, ``_backoff`` is ``asyncio.sleep`` (never a blocked
+thread) -- plus the execution-time sharing the loop-free engines cannot
+express (see :mod:`repro.plans.coalesce`), as a wrapper around the
+attempts loop and as its fan-out policy:
 
 * **single-flight coalescing** -- identical in-flight ``SP(C, A)``
   calls (canonicalized, so commuted spellings match) share one
@@ -26,13 +32,10 @@ the serial engines cannot express (see
   accumulates before the slowest source returns while the final
   relation stays byte-identical to serial child-order folding.
 
-Everything else matches the serial executor per branch: query fixing,
-result caching, retry with backoff (waited with ``asyncio.sleep``,
-never a blocked thread), mirror failover and execution-time Choice
-resolution.  Error choice matches the parallel executor: a Union
-surfaces its earliest-index child's failure after every branch
-settles; an Intersect **cancels** its surviving branches on the first
-failure (the result is doomed anyway) and reaps them before raising.
+Error choice matches the parallel executor: a Union surfaces its
+earliest-index child's failure after every branch settles; an
+Intersect **cancels** its surviving branches on the first failure (the
+result is doomed anyway) and reaps them before raising.
 
 Accounting is exact under sharing: like the serial engines, this one
 tallies traffic *per execution context at the call site* -- a shared
@@ -50,36 +53,16 @@ experiments that must be bit-identical should stay serial.
 from __future__ import annotations
 
 import asyncio
-import logging
 import threading
-import time
 from typing import Mapping
 
 from repro.data.relation import Relation
-from repro.errors import (
-    PlanExecutionError,
-    TransientSourceError,
-    UnsupportedQueryError,
-)
-from repro.observability.metrics import get_metrics
-from repro.observability.trace import (
-    get_tracer,
-    trace_event,
-    wants_trace_event,
-)
+from repro.observability.trace import get_tracer
 from repro.plans.coalesce import RequestCoalescer, flight_key
-from repro.plans.execute import NO_RETRY, Executor, _ExecutionContext
-from repro.plans.nodes import (
-    ChoicePlan,
-    IntersectPlan,
-    Plan,
-    Postprocess,
-    SourceQuery,
-    UnionPlan,
-)
+from repro.plans.execute import Executor, _ExecutionContext
+from repro.plans.nodes import IntersectPlan, Plan, SourceQuery, UnionPlan
+from repro.plans.retry import RetryPolicy
 from repro.source.source import CapabilitySource
-
-logger = logging.getLogger(__name__)
 
 
 class AsyncExecutor(Executor):
@@ -199,7 +182,7 @@ class AsyncExecutor(Executor):
 
     # -- entry points --------------------------------------------------
     def _run(self, plan: Plan, ctx: _ExecutionContext) -> Relation:
-        """Submit one plan execution to the loop and block for it."""
+        """The driver: submit the interpreter to the loop, block for it."""
         loop = self._ensure_loop()
         tracer = get_tracer()
         token = tracer.current_context()
@@ -210,35 +193,12 @@ class AsyncExecutor(Executor):
             # loop runs for this plan (same idiom as ParallelExecutor's
             # current_context()/attach pair).
             with get_tracer().attach(token):
-                return await self._a_execute(plan, ctx)
+                return await self._execute(plan, ctx)
 
         return asyncio.run_coroutine_threadsafe(entry(), loop).result()
 
-    # -- the async tree walk -------------------------------------------
-    async def _a_execute(
-        self, plan: Plan, ctx: _ExecutionContext
-    ) -> Relation:
-        if isinstance(plan, ChoicePlan):
-            return await self._a_execute_choice(plan, ctx)
-        if isinstance(plan, SourceQuery):
-            return await self._a_execute_source_query(plan, ctx)
-        if isinstance(plan, Postprocess):
-            inner = await self._a_execute(plan.input, ctx)
-            if plan.condition.is_true:
-                return inner.project(plan.attrs)
-            return inner.select(plan.condition).project(plan.attrs)
-        if isinstance(plan, (UnionPlan, IntersectPlan)):
-            if not plan.children:
-                raise PlanExecutionError(
-                    f"cannot execute a {plan.op_name} plan with no inputs; "
-                    f"plans must combine at least one sub-plan"
-                )
-            return await self._a_execute_combination(plan, ctx)
-        raise PlanExecutionError(
-            f"cannot execute plan node {type(plan).__name__}"
-        )
-
-    async def _a_execute_combination(
+    # -- the fan-out policy ---------------------------------------------
+    async def _execute_combination(
         self, plan: UnionPlan | IntersectPlan, ctx: _ExecutionContext
     ) -> Relation:
         """Fan the children out as tasks; stream-merge the ready prefix.
@@ -250,13 +210,13 @@ class AsyncExecutor(Executor):
         """
         children = plan.children
         if len(children) == 1:
-            return await self._a_execute(children[0], ctx)
+            return await self._execute(children[0], ctx)
         tracer = get_tracer()
         token = tracer.current_context()
 
         async def branch(child: Plan) -> Relation:
             with get_tracer().attach(token):
-                return await self._a_execute(child, ctx)
+                return await self._execute(child, ctx)
 
         tasks = [asyncio.ensure_future(branch(child)) for child in children]
         index_of = {task: index for index, task in enumerate(tasks)}
@@ -314,97 +274,41 @@ class AsyncExecutor(Executor):
             raise errors[0][1]
         return merged  # type: ignore[return-value]
 
-    async def _a_execute_choice(
-        self, plan: ChoicePlan, ctx: _ExecutionContext
-    ) -> Relation:
-        if self.cost_model is None:
-            raise PlanExecutionError(
-                "plan still contains a Choice operator; resolve it with the "
-                "cost model before execution (or construct the Executor "
-                "with cost_model=... to resolve and fail over at runtime)"
-            )
-        ranked = sorted(plan.children, key=self.cost_model.cost)
-        last_fault: TransientSourceError | None = None
-        for index, alternative in enumerate(ranked):
-            if ctx.any_failed(
-                sq.source for sq in alternative.source_queries()
-            ):
-                continue
-            try:
-                return await self._a_execute(alternative, ctx)
-            except TransientSourceError as fault:
-                trace_event(
-                    logger, logging.WARNING,
-                    "Choice alternative %d failed (%s); trying the next one",
-                    index, fault,
-                    event="choice.failover", alternative=index,
-                    fault=str(fault),
-                )
-                last_fault = fault
-                ctx.add_failover()
-                continue
-        if last_fault is not None:
-            raise last_fault
-        raise PlanExecutionError(
-            "every Choice alternative depends on a failed source"
-        )
+    # -- the primitives --------------------------------------------------
+    async def _call(self, source: CapabilitySource, condition,
+                    attrs: frozenset) -> Relation:
+        return await source.execute_async(condition, attrs)
 
-    # -- source queries ------------------------------------------------
-    async def _a_execute_source_query(
-        self, plan: SourceQuery, ctx: _ExecutionContext
-    ) -> Relation:
-        tracer = get_tracer()
-        attributes = {}
-        if tracer.enabled:
-            task = asyncio.current_task()
-            attributes = {
-                "source": plan.source,
-                "condition": str(plan.condition),
-                "worker": task.get_name() if task is not None else "loop",
-            }
-        with tracer.span("executor.source_call", **attributes) as span:
-            started = time.perf_counter()
-            try:
-                return await self._a_source_query(plan, ctx, span)
-            finally:
-                ctx.observe_call(time.perf_counter() - started)
+    async def _backoff(self, policy: RetryPolicy, delay: float) -> None:
+        # Backing off suspends this task only -- the loop (and every
+        # sibling call) keeps running.
+        if policy.real_sleep and delay > 0.0:
+            await asyncio.sleep(delay)
 
-    async def _a_source_query(
-        self, plan: SourceQuery, ctx: _ExecutionContext, span
+    async def _fetch(
+        self, plan: SourceQuery, ctx: _ExecutionContext, span,
+        source: CapabilitySource,
     ) -> Relation:
-        source = self._source(plan.source)
-        if self.cache is not None:
-            cached = self.cache.get(plan.source, plan.condition, plan.attrs)
-            if cached is not None:
-                if wants_trace_event(logger, logging.DEBUG):
-                    trace_event(
-                        logger, logging.DEBUG,
-                        "cache hit for %s SP(%s)", plan.source,
-                        plan.condition,
-                        event="cache.hit", source=plan.source,
-                        condition=str(plan.condition),
-                    )
-                get_metrics().counter("executor.cache_hits").inc()
-                span.set_attributes(cache_hit=True, attempts=0)
-                return cached
+        """The attempts loop, behind disjunct batching and single flight."""
         coalescer = self._coalescer
         if coalescer is not None and coalescer.batch_window is not None:
-            answer = await self._a_try_batched(plan, ctx, span, source)
+            answer = await self._batched(plan, ctx, span, source)
             if answer is not None:
                 return answer
         if coalescer is not None and self.coalesce:
             result, shared = await coalescer.single_flight(
                 flight_key(plan.source, plan.condition, plan.attrs),
-                lambda: self._a_attempts(plan, ctx, span),
+                lambda: self._attempts(plan, ctx, span, source),
             )
             if shared:
                 ctx.add_coalesced()
                 span.set_attributes(coalesced=True, rows=len(result))
             return result
-        return await self._a_attempts(plan, ctx, span)
+        return await self._attempts(plan, ctx, span, source)
 
-    async def _a_try_batched(
-        self, plan: SourceQuery, ctx: _ExecutionContext, span, source
+    async def _batched(
+        self, plan: SourceQuery, ctx: _ExecutionContext, span,
+        source: CapabilitySource,
     ) -> Relation | None:
         """Offer this call to the disjunct batcher; ``None`` = not
         batched (caller falls through to single flight)."""
@@ -425,8 +329,8 @@ class AsyncExecutor(Executor):
             led = True
             merged_plan = SourceQuery(merged_condition, fetch_attrs,
                                       plan.source)
-            return await self._a_attempts(
-                merged_plan, ctx, span, fill_cache=False
+            return await self._attempts(
+                merged_plan, ctx, span, source, fill_cache=False
             )
 
         merged, role = await self._coalescer.batch_call(
@@ -444,113 +348,3 @@ class AsyncExecutor(Executor):
         if self.cache is not None:
             self.cache.put(plan.source, plan.condition, plan.attrs, answer)
         return answer
-
-    async def _a_attempts(
-        self, plan: SourceQuery, ctx: _ExecutionContext, span,
-        fill_cache: bool = True,
-    ) -> Relation:
-        """The retry/failover loop for one physical source query --
-        the serial loop with every wait turned into ``asyncio.sleep``."""
-        source = self._source(plan.source)
-        policy = self.retry_policy if self.retry_policy is not None \
-            else NO_RETRY
-        attempt = 0
-        retries = 0
-        backoff = 0.0
-        while True:
-            attempt += 1
-            ctx.add_attempt()
-            try:
-                result = await self._a_submit(source, plan, ctx, fill_cache)
-                span.set_attributes(
-                    attempts=attempt, retries=retries,
-                    backoff_seconds=backoff, rows=len(result),
-                )
-                return result
-            except TransientSourceError as fault:
-                if policy.should_retry(attempt) and ctx.take_retry_token():
-                    delay = policy.backoff_delay(
-                        attempt, key=f"{plan.source}|{plan.condition}",
-                        fault=fault,
-                    )
-                    retries += 1
-                    backoff += delay
-                    ctx.add_retry(delay)
-                    ctx.tally(plan.source, retries=1)
-                    source.meter.record_retry()
-                    trace_event(
-                        logger, logging.DEBUG,
-                        "transient failure at %s (%s); retry %d/%d after "
-                        "%.3fs", plan.source, fault, attempt,
-                        policy.max_attempts - 1, delay,
-                        event="retry", source=plan.source, attempt=attempt,
-                        delay_seconds=delay, fault=str(fault),
-                    )
-                    if policy.real_sleep and delay > 0.0:
-                        # The async analogue of policy.wait(): backing
-                        # off suspends this task only -- the loop (and
-                        # every sibling call) keeps running.
-                        await asyncio.sleep(delay)
-                    continue
-                span.set_attributes(
-                    attempts=attempt, retries=retries, backoff_seconds=backoff
-                )
-                ctx.mark_failed(plan.source)
-                if self.failover is not None:
-                    alternative = self.failover.replan(
-                        plan, frozenset(ctx.failed_sources)
-                    )
-                    if alternative is not None:
-                        ctx.add_failover()
-                        targets = sorted(
-                            {sq.source for sq in alternative.source_queries()}
-                        )
-                        span.set_attribute("failover_targets", targets)
-                        trace_event(
-                            logger, logging.WARNING,
-                            "failing over %s SP(%s) after %d attempts: %s",
-                            plan.source, plan.condition, attempt, fault,
-                            event="failover", source=plan.source,
-                            attempts=attempt, targets=targets,
-                            fault=str(fault),
-                        )
-                        return await self._a_execute(alternative, ctx)
-                raise
-
-    async def _a_submit(
-        self, source: CapabilitySource, plan: SourceQuery,
-        ctx: _ExecutionContext, fill_cache: bool,
-    ) -> Relation:
-        """One attempt: fix order, await the source, tally, fill cache."""
-        condition = plan.condition
-        if self.fix_queries and not condition.is_true:
-            condition = source.fix(condition, plan.attrs)
-            if condition != plan.condition \
-                    and wants_trace_event(logger, logging.DEBUG):
-                trace_event(
-                    logger, logging.DEBUG,
-                    "fixed query order for %s: %s -> %s",
-                    plan.source, plan.condition, condition,
-                    event="query.fixed", source=plan.source,
-                    planned=str(plan.condition), fixed=str(condition),
-                )
-        try:
-            result = await source.execute_async(condition, plan.attrs)
-        except UnsupportedQueryError:
-            ctx.tally(source.name, rejected=1)
-            raise
-        except TransientSourceError:
-            ctx.tally(source.name, failures=1)
-            raise
-        if wants_trace_event(logger, logging.DEBUG):
-            trace_event(
-                logger, logging.DEBUG,
-                "source %s answered SP(%s) with %d tuples",
-                plan.source, condition, len(result),
-                event="source.answered", source=plan.source,
-                condition=str(condition), rows=len(result),
-            )
-        ctx.tally(source.name, queries=1, tuples=len(result))
-        if fill_cache and self.cache is not None:
-            self.cache.put(plan.source, plan.condition, plan.attrs, result)
-        return result

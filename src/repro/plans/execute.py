@@ -20,10 +20,22 @@ the resilience point of the architecture:
   plans -- can be resolved *at execution time* when the executor holds a
   cost model: the cheapest alternative runs first and the survivors are
   natural failover targets when it dies.
+
+All of that is written once, as the ``async def`` plan interpreter on
+:class:`Executor`.  The three engines -- this serial one,
+:class:`~repro.plans.parallel.ParallelExecutor` and
+:class:`~repro.plans.async_exec.AsyncExecutor` -- differ only in four
+primitives: ``_run`` (the driver of one execution),
+``_execute_combination`` (the fan-out policy), ``_call`` (one source
+call) and ``_backoff`` (one retry's wait); the async engine also wraps
+``_fetch`` in single-flight coalescing and disjunct batching.  Here the
+primitives are blocking calls, so the interpreter never suspends and
+:func:`_drive` runs it to completion with one ``send`` -- no event loop.
 """
 
 from __future__ import annotations
 
+import asyncio
 import logging
 import threading
 import time
@@ -32,6 +44,7 @@ from typing import Iterable, Mapping, Protocol
 
 from repro.data.relation import Relation
 from repro.errors import (
+    InterpreterSuspendedError,
     PlanExecutionError,
     TransientSourceError,
     UnsupportedQueryError,
@@ -63,6 +76,35 @@ logger = logging.getLogger(__name__)
 
 #: What an executor without a retry policy applies (immutable, shared).
 NO_RETRY = RetryPolicy.none()
+
+
+def _drive(coroutine):
+    """Run the interpreter to completion inline, without an event loop.
+
+    With blocking primitives nothing in the interpreter's ``await``
+    chain ever suspends, so one ``send`` finishes it.  A coroutine that
+    does suspend is waiting on something only a loop can deliver: it
+    is closed (its ``finally`` blocks end the open spans) and
+    :class:`~repro.errors.InterpreterSuspendedError` is raised.
+    """
+    try:
+        coroutine.send(None)
+    except StopIteration as done:
+        return done.value
+    coroutine.close()
+    raise InterpreterSuspendedError(
+        "the plan interpreter suspended under the loop-free driver; "
+        "primitives that await real I/O need an event-loop driver"
+    )
+
+
+def _worker_name() -> str:
+    """Who runs a source call: the event-loop task, else the thread."""
+    try:
+        task = asyncio.current_task()
+    except RuntimeError:  # no running loop: the serial or pool driver
+        return threading.current_thread().name
+    return task.get_name() if task is not None else "loop"
 
 
 @dataclass
@@ -320,8 +362,9 @@ class Executor:
         return self._run(plan, self._new_context())
 
     def _run(self, plan: Plan, ctx: _ExecutionContext) -> Relation:
-        """One top-level execution (the async engine hands it to its loop)."""
-        return self._execute(plan, ctx)
+        """The driver of one top-level execution: inline, no loop (the
+        async engine hands the same interpreter to its event loop)."""
+        return _drive(self._execute(plan, ctx))
 
     def _new_context(self) -> _ExecutionContext:
         policy = self.retry_policy
@@ -340,13 +383,14 @@ class Executor:
             registry_call_seconds=bound[2],
         )
 
-    def _execute(self, plan: Plan, ctx: _ExecutionContext) -> Relation:
+    # -- the plan interpreter ------------------------------------------
+    async def _execute(self, plan: Plan, ctx: _ExecutionContext) -> Relation:
         if isinstance(plan, ChoicePlan):
-            return self._execute_choice(plan, ctx)
+            return await self._execute_choice(plan, ctx)
         if isinstance(plan, SourceQuery):
-            return self._execute_source_query(plan, ctx)
+            return await self._execute_source_query(plan, ctx)
         if isinstance(plan, Postprocess):
-            inner = self._execute(plan.input, ctx)
+            inner = await self._execute(plan.input, ctx)
             if plan.condition.is_true:
                 return inner.project(plan.attrs)
             return inner.select(plan.condition).project(plan.attrs)
@@ -356,20 +400,22 @@ class Executor:
                     f"cannot execute a {plan.op_name} plan with no inputs; "
                     f"plans must combine at least one sub-plan"
                 )
-            return self._execute_combination(plan, ctx)
+            return await self._execute_combination(plan, ctx)
         raise PlanExecutionError(f"cannot execute plan node {type(plan).__name__}")
 
-    def _execute_combination(
+    async def _execute_combination(
         self, plan: UnionPlan | IntersectPlan, ctx: _ExecutionContext
     ) -> Relation:
         """Evaluate a Union/Intersect node's children and combine them.
 
-        The serial executor runs the children left to right; the
-        parallel executor overrides exactly this method to fan them out
-        (the children of a combination node are independent -- no data
-        flows between them).
+        The fan-out policy: the serial executor runs the children left
+        to right; the parallel and async engines override exactly this
+        method to fan them out (the children of a combination node are
+        independent -- no data flows between them).
         """
-        parts = [self._execute(child, ctx) for child in plan.children]
+        parts = []
+        for child in plan.children:
+            parts.append(await self._execute(child, ctx))
         return self._combine(plan, parts)
 
     @staticmethod
@@ -385,9 +431,8 @@ class Executor:
             out = combine(out, part)
         return out
 
-    # ------------------------------------------------------------------
-    def _execute_choice(self, plan: ChoicePlan, ctx: _ExecutionContext
-                        ) -> Relation:
+    async def _execute_choice(self, plan: ChoicePlan, ctx: _ExecutionContext
+                              ) -> Relation:
         """Resolve a Choice at execution time (cheapest first, then failover).
 
         The paper resolves Choice with the cost model *before* execution
@@ -408,7 +453,7 @@ class Executor:
             ):
                 continue
             try:
-                result = self._execute(alternative, ctx)
+                return await self._execute(alternative, ctx)
             except TransientSourceError as fault:
                 trace_event(
                     logger, logging.WARNING,
@@ -419,37 +464,31 @@ class Executor:
                 )
                 last_fault = fault
                 ctx.add_failover()
-                continue
-            return result
         if last_fault is not None:
             raise last_fault
         raise PlanExecutionError(
             "every Choice alternative depends on a failed source"
         )
 
-    def _execute_source_query(self, plan: SourceQuery, ctx: _ExecutionContext
-                              ) -> Relation:
+    async def _execute_source_query(
+        self, plan: SourceQuery, ctx: _ExecutionContext
+    ) -> Relation:
+        """One source query under its span: a cache hit, or a fetch."""
         tracer = get_tracer()
         attributes = {
             "source": plan.source,
             "condition": str(plan.condition),
-            "worker": threading.current_thread().name,
+            "worker": _worker_name(),
         } if tracer.enabled else {}
         with tracer.span("executor.source_call", **attributes) as span:
             started = time.perf_counter()
             try:
-                return self._source_query_attempts(plan, ctx, span)
-            finally:
-                ctx.observe_call(time.perf_counter() - started)
-
-    def _source_query_attempts(
-        self, plan: SourceQuery, ctx: _ExecutionContext, span
-    ) -> Relation:
-        """The retry/failover loop for one source query, under its span."""
-        source = self._source(plan.source)
-        if self.cache is not None:
-            cached = self.cache.get(plan.source, plan.condition, plan.attrs)
-            if cached is not None:
+                source = self._source(plan.source)
+                cached = None if self.cache is None else self.cache.get(
+                    plan.source, plan.condition, plan.attrs
+                )
+                if cached is None:
+                    return await self._fetch(plan, ctx, span, source)
                 if wants_trace_event(logger, logging.DEBUG):
                     trace_event(
                         logger, logging.DEBUG,
@@ -461,6 +500,14 @@ class Executor:
                 get_metrics().counter("executor.cache_hits").inc()
                 span.set_attributes(cache_hit=True, attempts=0)
                 return cached
+            finally:
+                ctx.observe_call(time.perf_counter() - started)
+
+    async def _attempts(
+        self, plan: SourceQuery, ctx: _ExecutionContext, span,
+        source: CapabilitySource, fill_cache: bool = True,
+    ) -> Relation:
+        """The retry/failover loop for one physical source query."""
         policy = self.retry_policy if self.retry_policy is not None \
             else NO_RETRY
         attempt = 0
@@ -470,7 +517,7 @@ class Executor:
             attempt += 1
             ctx.add_attempt()
             try:
-                result = self._submit(source, plan, ctx)
+                result = await self._submit(source, plan, ctx, fill_cache)
                 span.set_attributes(
                     attempts=attempt, retries=retries,
                     backoff_seconds=backoff, rows=len(result),
@@ -495,7 +542,7 @@ class Executor:
                         event="retry", source=plan.source, attempt=attempt,
                         delay_seconds=delay, fault=str(fault),
                     )
-                    policy.wait(delay)
+                    await self._backoff(policy, delay)
                     continue
                 # Retries exhausted: the source is failed for the rest
                 # of this plan execution; try to route around it.
@@ -521,11 +568,16 @@ class Executor:
                             attempts=attempt, targets=targets,
                             fault=str(fault),
                         )
-                        return self._execute(alternative, ctx)
+                        return await self._execute(alternative, ctx)
                 raise
 
-    def _submit(self, source: CapabilitySource, plan: SourceQuery,
-                ctx: _ExecutionContext) -> Relation:
+    #: How a source query that missed the cache is fetched: the attempts
+    #: loop itself here; the async engine overrides this hook to wrap
+    #: the loop in single-flight coalescing and disjunct batching.
+    _fetch = _attempts
+
+    async def _submit(self, source: CapabilitySource, plan: SourceQuery,
+                      ctx: _ExecutionContext, fill_cache: bool) -> Relation:
         """One attempt: fix order, call the source, tally, fill the cache."""
         condition = plan.condition
         if self.fix_queries and not condition.is_true:
@@ -540,7 +592,7 @@ class Executor:
                     planned=str(plan.condition), fixed=str(condition),
                 )
         try:
-            result = source.execute(condition, plan.attrs)
+            result = await self._call(source, condition, plan.attrs)
         except UnsupportedQueryError:
             ctx.tally(source.name, rejected=1)
             raise
@@ -556,9 +608,19 @@ class Executor:
                 condition=str(condition), rows=len(result),
             )
         ctx.tally(source.name, queries=1, tuples=len(result))
-        if self.cache is not None:
+        if fill_cache and self.cache is not None:
             self.cache.put(plan.source, plan.condition, plan.attrs, result)
         return result
+
+    # -- the I/O primitives (blocking here) -----------------------------
+    async def _call(self, source: CapabilitySource, condition,
+                    attrs: frozenset) -> Relation:
+        """One source call."""
+        return source.execute(condition, attrs)
+
+    async def _backoff(self, policy: RetryPolicy, delay: float) -> None:
+        """Spend one retry's backoff delay."""
+        policy.wait(delay)
 
     # ------------------------------------------------------------------
     def execute_with_report(self, plan: Plan) -> ExecutionReport:

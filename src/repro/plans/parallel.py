@@ -7,11 +7,15 @@ Union over five wrappers is five sequential waits.  The children of a
 Union/Intersect node are *independent* (no data flows between them),
 which makes them the natural unit of concurrency.
 
-:class:`ParallelExecutor` is the serial executor with exactly one
-method overridden: combination nodes fan their children out on a
-bounded thread pool.  Everything else -- query fixing, caching, retry
-with backoff, mirror failover, execution-time Choice resolution -- is
-inherited unchanged and runs *per branch*, concurrently:
+:class:`ParallelExecutor` is a second *driver* of the one plan
+interpreter in :mod:`repro.plans.execute`, not a copy of it: it
+overrides only the fan-out policy.  A combination node hands branches
+to a bounded thread pool, and each offloaded branch runs the
+interpreter with the same loop-free driver the serial engine uses, on
+its worker thread.  Source calls and backoff stay the serial engine's
+blocking primitives, so query fixing, caching, retry, mirror failover
+and execution-time Choice resolution are the serial code, running *per
+branch*:
 
 * retries back off inside the branch's own thread, never stalling the
   siblings;
@@ -52,7 +56,7 @@ from typing import Mapping
 
 from repro.data.relation import Relation
 from repro.observability.trace import Span, get_tracer
-from repro.plans.execute import Executor, _ExecutionContext
+from repro.plans.execute import Executor, _drive, _ExecutionContext
 from repro.plans.nodes import IntersectPlan, Plan, UnionPlan
 from repro.source.source import CapabilitySource
 
@@ -121,12 +125,12 @@ class ParallelExecutor(Executor):
             return self._pool
 
     # ------------------------------------------------------------------
-    def _execute_combination(
+    async def _execute_combination(
         self, plan: UnionPlan | IntersectPlan, ctx: _ExecutionContext
     ) -> Relation:
         children = plan.children
         if len(children) == 1 or self.max_workers == 1:
-            return super()._execute_combination(plan, ctx)
+            return await super()._execute_combination(plan, ctx)
 
         futures: list[tuple[int, Future]] = []
         errors: list[tuple[int, BaseException]] = []
@@ -157,7 +161,7 @@ class ParallelExecutor(Executor):
                 futures.append((index, future))
             index, child = pending.popleft()
             try:
-                parts[index] = self._execute(child, ctx)
+                parts[index] = await self._execute(child, ctx)
             except BaseException as exc:  # noqa: BLE001 - re-raised below
                 errors.append((index, exc))
         if futures:
@@ -184,13 +188,13 @@ class ParallelExecutor(Executor):
         ctx: _ExecutionContext,
         trace_context: Span | None = None,
     ) -> Relation:
-        """Worker-side wrapper: execute one branch, then free the slot.
+        """Worker-side driver: execute one branch, then free the slot.
 
         Re-attaches the submitting thread's span context so the
         branch's spans stay parented in the caller's trace tree.
         """
         try:
             with get_tracer().attach(trace_context):
-                return self._execute(child, ctx)
+                return _drive(self._execute(child, ctx))
         finally:
             self._slots.release()

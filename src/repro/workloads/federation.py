@@ -81,9 +81,18 @@ class AskOutcome:
     error: str | None = None
 
 
-def oracle_ask(mediator: Mediator, query: TargetQuery) -> AskOutcome:
-    """Ask with the drift oracle attached (see module docstring)."""
-    admitted = mediator.catalog_version
+def oracle_ask(mediator: Mediator, query: TargetQuery,
+               admitted: int | None = None) -> AskOutcome:
+    """Ask with the drift oracle attached (see module docstring).
+
+    ``admitted`` is the catalog version the ask was admitted under
+    (default: read now).  A caller that *picks* its query from the
+    live catalog must read it before the pick: a source removed
+    between pick and ask has then moved the version, and the ask is
+    classified ``removed`` rather than a ``stale`` serve.
+    """
+    if admitted is None:
+        admitted = mediator.catalog_version
     try:
         answer = mediator.ask(query)
     except InfeasiblePlanError:
@@ -223,10 +232,18 @@ class DriftingCatalog:
             richness = self._rng.choice(_RICHNESS)
             config = self._world(f"mutate:{name}:{generation}", richness)
         description = make_description(config)
-        self.mediator.mutate_source(name, description)
+        kind = "mutate"
+        try:
+            self.mediator.mutate_source(name, description)
+        except PlanExecutionError:
+            # A concurrent remove_source took the target between the
+            # pick (under the lock) and this call: a lost race, not a
+            # failure.  Mutators deliberately keep racing each other.
+            if name in self.mediator.catalog:
+                raise
+            kind = "mutate_lost_race"
         with self._lock:
-            self.events.append(
-                ("mutate", name, self.mediator.catalog_version))
+            self.events.append((kind, name, self.mediator.catalog_version))
         return name
 
     def drift(self) -> str:
@@ -258,6 +275,13 @@ class DriftingCatalog:
                 return None
             name = rng.choice(sorted(self.queries))
             return rng.choice(self.queries[name])
+
+    def admit(self, rng: random.Random) -> tuple[int, TargetQuery | None]:
+        """An asker's admission: the catalog version, read *before*
+        :meth:`pick_query` -- so a source removed between the pick and
+        the ask has moved the version the oracle compares against."""
+        admitted = self.mediator.catalog_version
+        return admitted, self.pick_query(rng)
 
 
 @register
@@ -356,10 +380,10 @@ class DynamicFederationWorkload(Workload):
             rng = random.Random(derive_seed(self.seed, f"asker:{slot}"))
             barrier.wait()
             while not stop.is_set():
-                query = catalog.pick_query(rng)
+                admitted, query = catalog.admit(rng)
                 if query is None:  # pragma: no cover - catalog never empties
                     continue
-                outcome = oracle_ask(mediator, query)
+                outcome = oracle_ask(mediator, query, admitted)
                 with outcome_lock:
                     outcomes[outcome.kind] += 1
                     if outcome.kind == "stale":

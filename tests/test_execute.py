@@ -1,10 +1,17 @@
 """Unit tests for the executor (mediator-side plan evaluation)."""
 
+import asyncio
+
 import pytest
 
 from repro.conditions.parser import parse_condition
 from repro.conditions.tree import TRUE
-from repro.errors import PlanExecutionError, UnsupportedQueryError
+from repro.errors import (
+    InterpreterSuspendedError,
+    PlanExecutionError,
+    UnsupportedQueryError,
+)
+from repro.observability import Tracer, use_tracer
 from repro.plans.execute import Executor, reference_answer
 from repro.plans.nodes import (
     IntersectPlan,
@@ -117,6 +124,32 @@ class TestReports:
             sq("make = 'Toyota' and color = 'red'")
         )
         assert report.queries == 1
+
+
+class TestLoopFreeDriver:
+    def test_suspending_interpreter_raises_a_typed_error(self, source):
+        """The serial driver runs the interpreter with no event loop; a
+        primitive that awaits real I/O must fail loudly, not hang or
+        return half an answer."""
+        loop = asyncio.new_event_loop()
+        pending = loop.create_future()
+
+        class Suspending(Executor):
+            async def _call(self, source, condition, attrs):
+                return await pending
+
+        executor = Suspending({source.name: source})
+        try:
+            with use_tracer(Tracer()) as tracer, \
+                    pytest.raises(InterpreterSuspendedError):
+                executor.execute(sq("make = 'BMW' and price < 40000"))
+        finally:
+            loop.close()
+        assert not pending.done()  # closed while waiting, never resumed
+        # Closing the coroutine ended its span; nothing reached the source.
+        assert [s.name for s in tracer.finished_spans()] == [
+            "executor.source_call"]
+        assert source.meter.queries == 0
 
 
 class TestReferenceAnswer:

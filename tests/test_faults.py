@@ -5,17 +5,21 @@ import pytest
 from repro.conditions.parser import parse_condition
 from repro.errors import (
     PlanExecutionError,
+    ReproError,
     SourceRateLimitError,
     SourceTimeoutError,
     SourceUnavailableError,
     TransientSourceError,
     UnsupportedQueryError,
 )
+from repro.plans.async_exec import AsyncExecutor
 from repro.plans.cost import CostModel
 from repro.plans.execute import Executor
-from repro.plans.nodes import ChoicePlan, SourceQuery
+from repro.plans.nodes import ChoicePlan, SourceQuery, UnionPlan
+from repro.plans.parallel import ParallelExecutor
 from repro.plans.retry import RetryPolicy
 from repro.source.faults import FaultInjector
+from repro.source.metering import MeterSnapshot
 from tests.conftest import make_example41_source
 
 A = frozenset({"model"})
@@ -286,3 +290,163 @@ class TestPlanSources:
         choice = ChoicePlan([sq(BMW, source="a"), sq(BMW, source="b")])
         assert choice.sources() == {"a", "b"}
         assert sq(BMW, source="a").sources() == {"a"}
+
+
+# ----------------------------------------------------------------------
+# One interpreter, three drivers: identical resilience accounting
+# ----------------------------------------------------------------------
+
+RED = "make = 'BMW' and color = 'red'"
+_FLAT_BACKOFF = dict(base_backoff=0.25, multiplier=1.0, jitter=0.0)
+
+ENGINES = {
+    "serial": Executor,
+    "parallel": lambda catalog, **kw: ParallelExecutor(
+        catalog, max_workers=4, **kw),
+    "async": AsyncExecutor,
+}
+
+
+class _MirrorFailover:
+    """Re-plans a dead source query onto one mirror."""
+
+    def __init__(self, mirror: str):
+        self.mirror = mirror
+
+    def replan(self, query, failed):
+        if self.mirror in failed:
+            return None
+        return SourceQuery(query.condition, query.attrs, self.mirror)
+
+
+def _cars(*names):
+    return {name: make_example41_source(name) for name in names}
+
+
+def _take_down(*sources):
+    for source in sources:
+        source.fault_injector = FaultInjector(seed=0, transient_rate=1.0)
+
+
+def _retry_budget_exhausted():
+    catalog = _cars("c0", "c1")
+    _take_down(catalog["c1"])
+    plan = UnionPlan([sq(BMW, source="c0"), sq(BMW, source="c1")])
+    policy = RetryPolicy(max_attempts=10, retry_budget=2, **_FLAT_BACKOFF)
+    return catalog, plan, dict(retry_policy=policy), None
+
+
+def _failover_to_mirror():
+    catalog = _cars("m0", "m1", "c0")
+    _take_down(catalog["m0"])
+    plan = UnionPlan([sq(BMW, source="m0"), sq(RED, source="c0")])
+    return catalog, plan, dict(
+        retry_policy=RetryPolicy(max_attempts=2, **_FLAT_BACKOFF),
+        failover=_MirrorFailover("m1"),
+    ), None
+
+
+def _choice_cheapest_then_failover():
+    catalog = _cars("cheap", "dear", "c0")
+    _take_down(catalog["cheap"])
+    model = CostModel(
+        {"cheap": catalog["cheap"].stats, "dear": catalog["dear"].stats},
+        per_source={"dear": (1000.0, 10.0)},
+    )
+    choice = ChoicePlan([sq(BMW, source="dear"), sq(BMW, source="cheap")])
+    plan = UnionPlan([choice, sq(RED, source="c0")])
+    return catalog, plan, dict(cost_model=model), None
+
+
+def _cache_hit_masks_fault():
+    from repro.plans.cache import ResultCache
+
+    catalog = _cars("c0", "c1")
+    plan = UnionPlan([sq(BMW, source="c0"), sq(RED, source="c1")])
+
+    def warm_then_fail(executor):
+        executor.execute(plan)
+        _take_down(*catalog.values())
+
+    return catalog, plan, dict(cache=ResultCache(1000)), warm_then_fail
+
+
+def _unfixed_rejection():
+    catalog = _cars("c0", "c1", "c2")
+    plan = UnionPlan([
+        sq(BMW, source="c0"), sq(RED, source="c1"),
+        sq("price < 40000 and make = 'BMW'", source="c2"),
+    ])
+    return catalog, plan, dict(
+        fix_queries=False, retry_policy=RetryPolicy(max_attempts=5),
+    ), None
+
+
+#: Each case, and what every engine must report for it.
+ONE_CORE_CASES = {
+    "retry_budget_exhausted": (_retry_budget_exhausted, dict(
+        error=(SourceUnavailableError, 1), rows=None,
+        attempts=4, retries=2, failovers=0, backoff_seconds=0.5,
+        per_source={"c0": MeterSnapshot(queries=1, tuples=2),
+                    "c1": MeterSnapshot(failures=3, retries=2)})),
+    "failover_to_mirror": (_failover_to_mirror, dict(
+        error=None, rows=[{"model": "328i"}, {"model": "318i"}],
+        attempts=4, retries=1, failovers=1, backoff_seconds=0.25,
+        per_source={"m0": MeterSnapshot(failures=2, retries=1),
+                    "m1": MeterSnapshot(queries=1, tuples=2),
+                    "c0": MeterSnapshot(queries=1, tuples=1)})),
+    "choice_cheapest_then_failover": (_choice_cheapest_then_failover, dict(
+        error=None, rows=[{"model": "328i"}, {"model": "318i"}],
+        attempts=3, retries=0, failovers=1, backoff_seconds=0.0,
+        per_source={"cheap": MeterSnapshot(failures=1),
+                    "dear": MeterSnapshot(queries=1, tuples=2),
+                    "c0": MeterSnapshot(queries=1, tuples=1)})),
+    "cache_hit_masks_fault": (_cache_hit_masks_fault, dict(
+        error=None, rows=[{"model": "328i"}, {"model": "318i"}],
+        attempts=0, retries=0, failovers=0, backoff_seconds=0.0,
+        per_source={})),
+    "unfixed_rejection": (_unfixed_rejection, dict(
+        error=(UnsupportedQueryError, 2), rows=None,
+        attempts=3, retries=0, failovers=0, backoff_seconds=0.0,
+        per_source={"c0": MeterSnapshot(queries=1, tuples=2),
+                    "c1": MeterSnapshot(queries=1, tuples=1),
+                    "c2": MeterSnapshot(rejected=1)})),
+}
+
+
+def _failing_child(plan, exc) -> int:
+    """Index of the (lowest) child whose source the error names."""
+    return next(
+        index for index, child in enumerate(plan.children)
+        if any(f"source {name!r}" in str(exc) for name in child.sources())
+    )
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("case", ONE_CORE_CASES)
+def test_every_engine_reports_the_same_resilience(case, engine):
+    """Retry budgets, failover, Choice resolution, cache hits and
+    rejections exist once, in the shared interpreter: whichever engine
+    drives it, the accounting and the error surfaced are identical."""
+    build, expected = ONE_CORE_CASES[case]
+    catalog, plan, options, prepare = build()
+    executor = ENGINES[engine](catalog, **options)
+    try:
+        if prepare is not None:
+            prepare(executor)
+        ctx = executor._new_context()
+        error = rows = None
+        try:
+            rows = executor._run(plan, ctx).rows
+        except ReproError as exc:
+            error = (type(exc), _failing_child(plan, exc))
+    finally:
+        if engine != "serial":
+            executor.close()
+    report = ctx.report(None, 0.0)
+    assert dict(
+        error=error, rows=rows, attempts=report.attempts,
+        retries=report.retries, failovers=report.failovers,
+        backoff_seconds=report.backoff_seconds,
+        per_source=report.per_source,
+    ) == expected

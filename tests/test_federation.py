@@ -196,6 +196,78 @@ class TestDriftingCatalog:
         assert draws[0] == draws[1]
 
 
+class TestScriptedDriftRaces:
+    """The two harness races behind the 16-thread battery's flakes,
+    each forced by scripting the interleaving instead of hoping the
+    thread scheduler produces it."""
+
+    def _pinned(self, mediator):
+        # min == max sources: every drift event is a mutation.
+        return DriftingCatalog(mediator, seed=5, n_rows=40,
+                               initial_sources=3, min_sources=3,
+                               max_sources=3)
+
+    def test_mutation_that_loses_to_a_removal_is_a_lost_race(self):
+        """Remove-then-mutate on one name: the drifter picked its
+        target, a concurrent remover took it before the mediator call."""
+        mediator = Mediator()
+        catalog = self._pinned(mediator)
+        mutate = mediator.mutate_source
+
+        def removed_first(name, description, **options):
+            catalog.remove_source(name)  # the other drifter wins
+            return mutate(name, description, **options)
+
+        mediator.mutate_source = removed_first
+        assert catalog.drift() == "mutate"  # the drifter survives
+        (removal, lost) = catalog.events[-2:]
+        assert removal[0] == "remove"
+        assert lost == ("mutate_lost_race", removal[1],
+                        mediator.catalog_version)
+        assert removal[1] not in mediator.catalog
+
+    def test_other_mutation_failures_still_raise(self):
+        mediator = Mediator()
+        catalog = self._pinned(mediator)
+
+        def broken(name, description, **options):
+            raise PlanExecutionError("the mutation itself failed")
+
+        mediator.mutate_source = broken
+        with pytest.raises(PlanExecutionError, match="itself failed"):
+            catalog.drift()
+
+    def test_removal_between_pick_and_ask_is_not_stale(self):
+        mediator = Mediator()
+        catalog = DriftingCatalog(mediator, seed=5, n_rows=40)
+        pick = catalog.pick_query
+
+        def picked_then_removed(rng):
+            query = pick(rng)
+            catalog.remove_source(query.source)  # a drifter lands now
+            return query
+
+        catalog.pick_query = picked_then_removed
+        admitted, query = catalog.admit(random.Random(0))
+        outcome = oracle_ask(mediator, query, admitted)
+        assert outcome.kind == "removed"
+        assert mediator.catalog_version > admitted
+        # Admitted *after* the pick, the same ask looked like a stale
+        # serve at an unchanged version -- the misclassification fixed.
+        assert oracle_ask(mediator, query).kind == "stale"
+
+    def test_real_stale_serves_still_classify_stale(self):
+        from repro.query import parse_query
+
+        stub = SimpleNamespace(
+            catalog_version=7,
+            ask=lambda q: SimpleNamespace(
+                planning=SimpleNamespace(catalog_version=6)),
+        )
+        query = parse_query(BMW.format("cars"))
+        assert oracle_ask(stub, query, admitted=7).kind == "stale"
+
+
 class TestDynamicFederationWorkload:
     def test_run_is_deterministic_and_stale_free(self):
         knobs = dict(seed=31, rounds=150, n_rows=60)
@@ -234,10 +306,10 @@ class TestVersionRaceBattery:
         def asker(slot: int) -> None:
             rng = random.Random(seed * 7 + slot)
             while not stop.is_set():
-                query = catalog.pick_query(rng)
+                admitted, query = catalog.admit(rng)
                 if query is None:  # pragma: no cover - never empties
                     continue
-                outcome = oracle_ask(mediator, query)
+                outcome = oracle_ask(mediator, query, admitted)
                 if outcome.kind == "stale":
                     violations.append(outcome)
                 elif outcome.kind == "ok" and (

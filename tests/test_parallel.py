@@ -150,24 +150,24 @@ def test_worker_cap_bounds_global_fan_out():
     lock = threading.Lock()
     current = [0]
 
-    original = Executor._execute_source_query
-
-    def tracking(self, plan, ctx):
+    async def tracking(self, source, condition, attrs):
+        # The I/O primitive every engine calls once per source attempt.
         with lock:
             current[0] += 1
             in_flight.append(current[0])
         try:
             # A small real delay so branches genuinely overlap.
             threading.Event().wait(0.01)
-            return original(self, plan, ctx)
+            return source.execute(condition, attrs)
         finally:
             with lock:
                 current[0] -= 1
 
     plan = _author_union(catalog)
     with ParallelExecutor(catalog, max_workers=2) as executor:
-        executor._execute_source_query = tracking.__get__(executor)
+        executor._call = tracking.__get__(executor)
         executor.execute(plan)
+    assert len(in_flight) == len(catalog)  # every branch went through it
     assert max(in_flight) <= 3
     assert max(in_flight) >= 2  # and it really did run concurrently
 
