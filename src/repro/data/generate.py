@@ -84,6 +84,19 @@ def _zipf_choice(rng: random.Random, items: list, skew: float = 1.2):
     return rng.choices(items, weights=weights, k=1)[0]
 
 
+def _relation(schema: Schema, rows: list[dict]) -> Relation:
+    """``rows`` as a relation in which equal values of a column are one
+    object: a generated title, year or price recurs thousands of times,
+    and a copy per row was a quarter of a catalog's resident size.  (A
+    generated column holds values of one type, so sharing by equality
+    never changes a value's type.)"""
+    pools: dict[str, dict] = {name: {} for name in schema.attribute_names}
+    for row in rows:
+        for name, value in row.items():
+            row[name] = pools[name].setdefault(value, value)
+    return Relation(schema, rows, validate=False)
+
+
 # ----------------------------------------------------------------------
 # Schemas
 # ----------------------------------------------------------------------
@@ -168,7 +181,7 @@ def generate_books(n: int = 20000, seed: int = 1999) -> Relation:
                 "year": rng.randint(1890, 1999),
             }
         )
-    return Relation(BOOKS_SCHEMA, rows, validate=False)
+    return _relation(BOOKS_SCHEMA, rows)
 
 
 def generate_cars(n: int = 12000, seed: int = 1999) -> Relation:
@@ -193,7 +206,7 @@ def generate_cars(n: int = 12000, seed: int = 1999) -> Relation:
                 "mileage": rng.randint(0, 150000),
             }
         )
-    return Relation(CARS_SCHEMA, rows, validate=False)
+    return _relation(CARS_SCHEMA, rows)
 
 
 def generate_accounts(n: int = 5000, seed: int = 1999) -> Relation:
@@ -211,7 +224,7 @@ def generate_accounts(n: int = 5000, seed: int = 1999) -> Relation:
                 "pin": rng.randint(1000, 9999),
             }
         )
-    return Relation(ACCOUNTS_SCHEMA, rows, validate=False)
+    return _relation(ACCOUNTS_SCHEMA, rows)
 
 
 def generate_flights(n: int = 15000, seed: int = 1999) -> Relation:
@@ -232,7 +245,7 @@ def generate_flights(n: int = 15000, seed: int = 1999) -> Relation:
                 "day": rng.randint(1, 365),
             }
         )
-    return Relation(FLIGHTS_SCHEMA, rows, validate=False)
+    return _relation(FLIGHTS_SCHEMA, rows)
 
 
 #: Registry used by the source library and the examples.

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import bisect
 import random
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 
@@ -34,39 +35,74 @@ MIN_SELECTIVITY = 1e-6
 
 @dataclass
 class _AttributeStats:
-    """Value distribution of one attribute."""
+    """Value distribution of one attribute.
 
-    counts: Counter
-    sorted_values: list
+    An orderable column keeps its distinct values sorted beside the
+    running row count before each (``below[i]`` rows hold a value less
+    than ``values[i]``): equality and range estimates are bisections,
+    and the column costs two machine words per *distinct* value.  A
+    column whose values cannot be ordered keeps a value -> count map
+    and estimates no range.
+    """
+
+    values: list
+    below: array | None
+    counts: dict | None
     n_rows: int
+
+    @classmethod
+    def of(cls, column, n_rows: int) -> "_AttributeStats":
+        counts = Counter(column)
+        counts.pop(None, None)
+        try:
+            values = sorted(counts)
+        except TypeError:
+            # Mixed types in one column cannot be totally ordered.
+            return cls(list(counts), None, dict(counts), n_rows)
+        below = array("q", [0])
+        for value in values:
+            below.append(below[-1] + counts[value])
+        return cls(values, below, None, n_rows)
 
     @property
     def distinct(self) -> int:
-        return len(self.counts)
+        return len(self.values)
+
+    def _count(self, value) -> int | None:
+        if self.counts is not None:
+            return self.counts.get(value)
+        try:
+            index = bisect.bisect_left(self.values, value)
+        except TypeError:
+            return None
+        if index < len(self.values) and self.values[index] == value:
+            return self.below[index + 1] - self.below[index]
+        return None
 
     def eq_selectivity(self, value) -> float:
         if self.n_rows == 0:
             return 0.0
-        count = self.counts.get(value)
+        count = self._count(value)
         if count is None:
             return UNSEEN_EQ_SELECTIVITY
         return count / self.n_rows
 
     def range_selectivity(self, op: Op, value) -> float:
         """Fraction of rows with ``row.attr op value`` for ordered ops."""
-        values = self.sorted_values
-        n = len(values)
-        if n == 0:
+        below = self.below
+        if not below or below[-1] == 0:
             return 0.0
+        values = self.values
+        n = below[-1]
         try:
             if op is Op.LT:
-                k = bisect.bisect_left(values, value)
+                k = below[bisect.bisect_left(values, value)]
             elif op is Op.LE:
-                k = bisect.bisect_right(values, value)
+                k = below[bisect.bisect_right(values, value)]
             elif op is Op.GT:
-                k = n - bisect.bisect_right(values, value)
+                k = n - below[bisect.bisect_right(values, value)]
             else:  # GE
-                k = n - bisect.bisect_left(values, value)
+                k = n - below[bisect.bisect_left(values, value)]
         except TypeError:
             # Cross-type comparison (e.g. number vs string column).
             return 0.0
@@ -76,9 +112,15 @@ class _AttributeStats:
         if self.n_rows == 0:
             return 0.0
         needle = needle.lower()
+        if self.counts is not None:
+            pairs = self.counts.items()
+        else:
+            below = self.below
+            pairs = ((value, below[index + 1] - below[index])
+                     for index, value in enumerate(self.values))
         hits = sum(
             count
-            for value, count in self.counts.items()
+            for value, count in pairs
             if isinstance(value, str) and needle in value.lower()
         )
         return hits / self.n_rows
@@ -123,20 +165,10 @@ class TableStats:
         # zip(*) transposes row tuples into columns in one pass; an
         # empty relation has no row to take columns from.
         columns = zip(*tuples) if tuples else [()] * len(names)
-        per_attribute: dict[str, _AttributeStats] = {}
-        for attr, column in zip(names, columns):
-            counts = Counter(column)
-            counts.pop(None, None)
-            # The exact sorted multiset supports range-selectivity lookups.
-            try:
-                expanded = []
-                for value in sorted(counts):
-                    expanded.extend([value] * counts[value])
-            except TypeError:
-                # Mixed types in one column cannot be totally ordered;
-                # range estimates on such columns fall back to 0.
-                expanded = []
-            per_attribute[attr] = _AttributeStats(counts, expanded, n_sample)
+        per_attribute = {
+            attr: _AttributeStats.of(column, n_sample)
+            for attr, column in zip(names, columns)
+        }
         return cls(n, per_attribute)
 
     # ------------------------------------------------------------------

@@ -43,6 +43,9 @@ sampling decision) into a W3C-``traceparent``-style header dict via
 spans under the remote caller.
 """
 
+from importlib import import_module
+from typing import TYPE_CHECKING
+
 from repro.observability.exposition import (
     OPENMETRICS_CONTENT_TYPE,
     render_openmetrics,
@@ -57,13 +60,6 @@ from repro.observability.export import (
     span_to_dict,
     tree_shape,
     write_jsonl,
-)
-from repro.observability.federation import (
-    ClusterView,
-    FederatedScraper,
-    InstanceStatus,
-    merge_readings,
-    merge_snapshots,
 )
 from repro.observability.metrics import (
     DEFAULT_BUCKETS,
@@ -89,7 +85,6 @@ from repro.observability.profiling import (
     profile_mediator,
 )
 from repro.observability.sampling import SamplingTracer
-from repro.observability.server import TelemetryServer
 from repro.observability.slo import (
     SLOTracker,
     SlowQuery,
@@ -111,6 +106,37 @@ from repro.observability.trace import (
     trace_event,
     use_tracer,
 )
+
+if TYPE_CHECKING:
+    from repro.observability.federation import (
+        ClusterView,
+        FederatedScraper,
+        InstanceStatus,
+        merge_readings,
+        merge_snapshots,
+    )
+    from repro.observability.server import TelemetryServer
+
+#: Names whose modules load on first use: the telemetry server and the
+#: federated scraper pull in the standard library's HTTP server and
+#: client (about 2 MB resident), which a process that never serves or
+#: scrapes telemetry does not need.
+_ON_FIRST_USE = {
+    "ClusterView": "federation",
+    "FederatedScraper": "federation",
+    "InstanceStatus": "federation",
+    "merge_readings": "federation",
+    "merge_snapshots": "federation",
+    "TelemetryServer": "server",
+}
+
+
+def __getattr__(name: str):
+    module = _ON_FIRST_USE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
 
 __all__ = [
     "AskEvent",

@@ -65,11 +65,13 @@ class PlannerStats:
     pr3_fires: int = 0
     rewrite_truncated: bool = False
     #: Runs the description's signatures proved infeasible before any
-    #: rewriting, Check or plan generation (``PlanningResult.witness``),
-    #: and runs whose first plan met the cost floor, so the rewrite
-    #: module and the remaining CTs were skipped (GenCompact only).
+    #: rewriting, Check or plan generation, or once the original tree had
+    #: no plan (``PlanningResult.witness``); runs whose first plan met the
+    #: cost floor, so the rewrite module was skipped, or whose later CTs
+    #: stopped at it (GenCompact only).
     certified_infeasible: int = 0
     rewrite_skipped: int = 0
+    rewrite_stopped: int = 0
     elapsed_sec: float = 0.0
 
     def merge(self, other: "PlannerStats") -> None:
@@ -89,6 +91,7 @@ class PlannerStats:
         self.rewrite_truncated = self.rewrite_truncated or other.rewrite_truncated
         self.certified_infeasible += other.certified_infeasible
         self.rewrite_skipped += other.rewrite_skipped
+        self.rewrite_stopped += other.rewrite_stopped
         self.elapsed_sec += other.elapsed_sec
 
 
@@ -109,6 +112,9 @@ class PlanningResult:
     #: no query the source accepts can return rows for, with the
     #: projection asked.  None when a search came back empty-handed.
     witness: Condition | None = None
+    #: The atom of the witness no query can push or filter on, when a
+    #: per-atom witness proved the run infeasible.
+    witness_atom: Condition | None = None
 
     @property
     def feasible(self) -> bool:
@@ -119,11 +125,15 @@ class PlanningResult:
         result, or when the search simply found nothing)."""
         if self.witness is None:
             return ""
-        return (
+        why = (
             "no query the source's form accepts can return rows matching "
             f"`{self.witness}` with "
             f"{{{', '.join(sorted(self.query.attributes))}}}"
         )
+        if self.witness_atom is not None:
+            why += (f": `{self.witness_atom}` can be neither pushed to the "
+                    "source nor filtered at the mediator")
+        return why
 
     def describe(self) -> str:
         from repro.plans.printer import to_paper_notation
@@ -217,7 +227,8 @@ class Planner(ABC):
         rewrite budget spent)``.  It is not called at all when the
         description's signatures certify that no plan exists
         (:mod:`repro.planners.certificate`): the result is infeasible
-        and carries the witness.
+        and carries the witness -- as it does when the search itself
+        finds one (:meth:`Certificate.refute_by_atom`).
         """
         started = time.perf_counter()
         stats = PlannerStats()
@@ -228,15 +239,16 @@ class Planner(ABC):
         with tracer.span("planner.plan", **attributes) as plan_span:
             checker = CheckCounter(description)
             certificate = certify(query, description)
-            witness = None if certificate is None else certificate.witness
             plan, cost, rewrite_steps = None, INFINITE_COST, 0
+            if certificate is None or certificate.witness is None:
+                plan, cost, rewrite_steps = search(checker, stats, certificate)
+            witness, atom = (None, None) if certificate is None else (
+                certificate.witness, certificate.atom)
             if witness is not None:
                 stats.certified_infeasible = 1
                 get_metrics().counter("planner.certified_infeasible").inc()
-            else:
-                plan, cost, rewrite_steps = search(checker, stats, certificate)
-                if stats.rewrite_skipped:
-                    get_metrics().counter("planner.rewrite_skipped").inc()
+            elif stats.rewrite_skipped:
+                get_metrics().counter("planner.rewrite_skipped").inc()
             stats.check_calls = checker.calls
             stats.check_compiled = checker.compiled_answers
             stats.check_fallbacks = checker.fallbacks
@@ -252,6 +264,7 @@ class Planner(ABC):
                 rewrite_budget_spent=rewrite_steps,
                 certified_infeasible=stats.certified_infeasible,
                 rewrite_skipped=stats.rewrite_skipped,
+                rewrite_stopped=stats.rewrite_stopped,
             )
             if wants_trace_event(logger, logging.DEBUG):
                 trace_event(
@@ -271,7 +284,7 @@ class Planner(ABC):
         return PlanningResult(
             self.name, query, plan,
             cost if plan is not None else INFINITE_COST, stats,
-            witness=witness,
+            witness=witness, witness_atom=atom,
         )
 
 

@@ -18,13 +18,18 @@ Beyond the paper, the rewrite module is *lazy*: the original tree is
 planned first, and when its plan already costs what the description's
 compiled signatures prove no plan of any rewriting can undercut
 (:meth:`repro.plans.cost.CostModel.source_query_floor` of
-:meth:`repro.planners.certificate.Certificate.least_selectivity`), the
-rewrite closure is never built -- it could only have tied.
+:meth:`repro.planners.certificate.Certificate.least_selectivity`, or
+the sharper ``cover_floor``), the rewrite closure is never built -- it
+could only have tied -- and the later CTs stop once the incumbent meets
+it.  An original tree without a plan may get ``refute_by_atom``'s proof
+that no rewriting has one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from math import inf
 
 from repro.conditions.canonical import canonicalize
 from repro.conditions.rewrite import GENCOMPACT_RULES, RewriteEngine
@@ -92,11 +97,16 @@ class GenCompact(Planner):
                 pr3=self.pr3,
                 mcsc_solver=self.mcsc_solver,
             )
-            def generate(trees, best: tuple[Plan | None, float]):
+            def generate(trees, best: tuple[Plan | None, float],
+                         limit: float = -inf):
                 """The cheaper of ``best`` and the best plan of ``trees``
-                (ties stay with the earlier)."""
+                (ties stay with the earlier), stopping once ``best``
+                costs no more than ``limit``."""
                 with tracer.span("planner.generate") as generate_span:
                     for ct in trees:
+                        if best[1] <= limit:
+                            stats.rewrite_stopped = 1
+                            break
                         stats.cts_processed += 1
                         candidate = ipg.best_plan(
                             canonicalize(ct), query.attributes
@@ -119,15 +129,27 @@ class GenCompact(Planner):
 
             # The original tree first: it is the rewrite closure's first
             # member, and ties between CTs go to the first.
-            best = generate([query.condition], (None, float("inf")))
+            best = generate([query.condition], (None, inf))
             with tracer.span("planner.rewrite") as rewrite_span:
-                if best[0] is not None and _at_floor(
-                        best[1], certificate, cost_model, source.name):
+                floor = None
+                if certificate is not None:
+                    if best[0] is not None:
+                        floor = _floor(best[1], certificate, cost_model,
+                                       source.name)
+                    elif certificate.refute_by_atom():
+                        # No plan of any rewriting exists; the frame
+                        # reports the certificate's witness.
+                        rewrite_span.set_attributes(
+                            trees=1, budget_spent=0, truncated=False,
+                            cut="witness")
+                        return *best, 0
+                limit = -inf if floor is None else floor * (1.0 + FLOOR_SLACK)
+                if best[1] <= limit:
                     # No plan of any rewriting can cost less.
                     stats.rewrite_skipped = 1
                     rewrite_span.set_attributes(
                         trees=1, budget_spent=0, truncated=False,
-                        skipped=True)
+                        cut="skipped", floor=floor)
                     return *best, 0
                 engine = RewriteEngine(
                     rules=GENCOMPACT_RULES,
@@ -141,20 +163,28 @@ class GenCompact(Planner):
                     trees=len(rewriting.trees),
                     budget_spent=rewriting.steps,
                     truncated=rewriting.truncated,
+                    floor=floor,
                 )
             stats.rewrite_truncated = rewriting.truncated
-            return *generate(rewriting.trees[1:], best), rewriting.steps
+            best = generate(rewriting.trees[1:], best, limit)
+            if stats.rewrite_stopped:
+                rewrite_span.set_attribute("cut", "stopped")
+            return *best, rewriting.steps
 
         return self._searched(
             query, source, source.closed_description, search)
 
 
-def _at_floor(cost: float, certificate: Certificate | None,
-              cost_model: CostModel, source: str) -> bool:
-    """Is ``cost`` already what no plan of any rewriting can undercut
-    (as far as the description's signatures and the cost model vouch)?"""
-    if certificate is None:
-        return False
-    floor = cost_model.source_query_floor(
-        source, certificate.least_selectivity(cost_model.stats[source]))
-    return floor is not None and cost <= floor * (1.0 + FLOOR_SLACK)
+def _floor(cost: float, certificate: Certificate, cost_model: CostModel,
+           source: str) -> float | None:
+    """What no plan of any rewriting can undercut, as far as the
+    description's signatures and the cost model vouch: the least
+    selectivity's floor, sharpened by the term cover when ``cost``
+    misses it (None when the term cover is over its budget)."""
+    stats = cost_model.stats[source]
+    price = partial(cost_model.source_query_floor, source)
+    floor = price(certificate.least_selectivity(stats))
+    if floor is None or cost <= floor * (1.0 + FLOOR_SLACK):
+        return floor
+    sharper = certificate.cover_floor(stats, price)
+    return None if sharper is None else max(floor, sharper)

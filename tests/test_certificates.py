@@ -6,11 +6,17 @@ certifies and takes the full rewrite + generate search (DESIGN.md,
 "Certificates before search").  Against it:
 
 * **certified ⇒ the reference is infeasible**, and the witness is a
-  DNF term of the condition;
-* **floor cut ⇒ plan text and cost byte-identical** to the reference;
+  DNF term of the condition -- a minimal one holding the named atom
+  when a per-atom witness proved it;
+* **floor cut or floor stop ⇒ plan text and cost byte-identical** to
+  the reference;
 * every other run is untouched -- same plan, same cost, same counters;
+* the term-cover floor equals a ``Check``-based cover of the minimal
+  terms, and against a search with five times the rewrite budget no
+  floor is above a plan's cost and no witness has a plan;
 * descriptions that are uncompiled, incomplete (recursive lists) or
-  asked a condition over the DNF budget never certify;
+  asked a condition over the DNF budget never certify; over the
+  binding budget there is no term-cover floor;
 * verdicts do not depend on ``PYTHONHASHSEED``.
 
 Batteries: seeded and hypothesis-drawn ``make_description`` grammars
@@ -24,30 +30,41 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 import os
 import pathlib
 import random
 import subprocess
 import sys
+import time
+from itertools import combinations
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from repro.conditions.atoms import Atom, Op
+from repro.conditions.normal_forms import dnf_terms
 from repro.conditions.parser import parse_condition
-from repro.conditions.tree import TRUE, And, Condition, Leaf, Or
+from repro.conditions.tree import TRUE, And, Condition, Leaf, Or, conjunction
 from repro.data.relation import Relation
 from repro.data.schema import Schema
 from repro.errors import InfeasiblePlanError, ReproError
 from repro.mediator import Mediator
 from repro.observability.metrics import MetricsRegistry, use_metrics
 from repro.observability.trace import Tracer, use_tracer
+from repro.planners import certificate as certificate_module
 from repro.planners.base import PlannerStats, PlanningResult
-from repro.planners.certificate import MAX_TERMS, certify
+from repro.planners.certificate import (
+    FLOOR_SLACK,
+    MAX_COVER_TERMS,
+    MAX_TERMS,
+    certify,
+)
 from repro.planners.gencompact import GenCompact
 from repro.planners.genmodular import GenModular
 from repro.planners.ipg import MAX_FANOUT
+from repro.planners.mcsc import CoverCandidate, solve_dp
 from repro.plans.cost import BottleneckCostModel, CostModel
 from repro.plans.nodes import SourceQuery
 from repro.plans.printer import to_paper_notation
@@ -110,6 +127,7 @@ def assert_matches_reference(planner, twins: Twins, query: TargetQuery,
     assert got.plan == want.plan, query
     assert to_paper_notation(got.plan) == to_paper_notation(want.plan)
     assert repr(got.cost) == repr(want.cost), query
+    assert (want.stats.rewrite_stopped, want.witness_atom) == (0, None)
     stats = got.stats
     if stats.certified_infeasible:
         assert not want.feasible
@@ -119,14 +137,28 @@ def assert_matches_reference(planner, twins: Twins, query: TargetQuery,
             witness.is_and and all(c.is_leaf for c in witness.children))
         assert atoms <= set(query.condition.atoms())
         assert _holds_when_exactly(query.condition, atoms)
-        assert (stats.cts_processed, stats.check_calls,
-                stats.subplans_considered, stats.recursive_calls) \
-            == (0, 0, 0, 0)
-    else:
-        assert got.witness is None
-        if stats.rewrite_skipped:
-            assert stats.cts_processed == 1 and got.feasible
+        if got.witness_atom is None:
+            assert (stats.cts_processed, stats.check_calls,
+                    stats.subplans_considered, stats.recursive_calls) \
+                == (0, 0, 0, 0)
+        else:
+            # A per-atom witness: after the original tree, nothing ran;
+            # the witness is a minimal term holding the named atom.
             assert isinstance(planner, GenCompact)
+            assert stats.cts_processed == 1 and not stats.rewrite_skipped
+            assert got.witness_atom.atom in atoms
+            assert not any(_holds_when_exactly(query.condition, atoms - {a})
+                           for a in atoms)
+    else:
+        assert got.witness is None and got.witness_atom is None
+        if stats.rewrite_skipped or stats.rewrite_stopped:
+            # Cut or stopped at the floor: plan and cost are the
+            # reference's (asserted above), on fewer CTs.
+            assert isinstance(planner, GenCompact) and got.feasible
+            if stats.rewrite_skipped:
+                assert stats.cts_processed == 1 and not stats.rewrite_stopped
+            else:
+                assert 1 < stats.cts_processed < want.stats.cts_processed
         else:
             for counter in _COUNTERS:
                 assert getattr(stats, counter) == getattr(want.stats, counter)
@@ -229,34 +261,45 @@ class TestSignatureTable:
 # ----------------------------------------------------------------------
 
 def _seeded_battery(planner, grammars: range, per_grammar: int,
-                    max_atoms: int = 6) -> PlannerStats:
-    total = PlannerStats()
+                    max_atoms: int = 6) -> tuple[PlannerStats, int]:
+    """The runs' merged counters, and how many a per-atom witness cut."""
+    total, by_atom = PlannerStats(), 0
     for seed in grammars:
         config, twins = _world(seed)
         rng = random.Random(seed * 31 + 7)
         for _ in range(per_grammar):
             query = _world_query(config, rng, max_atoms)
-            total.merge(
-                assert_matches_reference(planner, twins, query).stats)
-    return total
+            got = assert_matches_reference(planner, twins, query)
+            total.merge(got.stats)
+            by_atom += got.witness_atom is not None
+    return total, by_atom
 
 
 def test_gencompact_matches_the_reference_on_seeded_grammars():
-    total = _seeded_battery(GenCompact(), range(100, 116), 30)
-    # The battery is not vacuous: both cuts fire, often.
-    assert total.certified_infeasible > 120
+    total, by_atom = _seeded_battery(GenCompact(), range(100, 116), 30)
+    # The battery is not vacuous: every cut fires, often.
+    assert total.certified_infeasible - by_atom > 120
+    assert by_atom > 10
     assert total.rewrite_skipped > 100
+
+
+def test_floor_stops_match_the_reference():
+    """A stop needs a first plan above the floor and a later CT that
+    meets it -- rare in these 120-row worlds: two of these 600 asks."""
+    total, _ = _seeded_battery(GenCompact(), range(120, 140), 30)
+    assert total.rewrite_stopped >= 2
 
 
 def test_genmodular_matches_the_reference_on_native_grammars():
     """GenModular plans against the *native*, order-sensitive grammar;
     the signatures forget order, so they certify there too -- and the
-    floor never applies."""
-    total = _seeded_battery(GenModular(max_rewrites=25), range(200, 208),
-                            15, max_atoms=4)
+    floor and the per-atom witness never apply."""
+    total, by_atom = _seeded_battery(
+        GenModular(max_rewrites=25), range(200, 208), 15, max_atoms=4)
     assert total.certified_infeasible > 25
-    assert total.rewrite_skipped == 0
-    closed = _seeded_battery(
+    assert (total.rewrite_skipped, total.rewrite_stopped, by_atom) \
+        == (0, 0, 0)
+    closed, _ = _seeded_battery(
         GenModular(max_rewrites=15, use_closed_description=True),
         range(208, 211), 10, max_atoms=4)
     assert closed.certified_infeasible > 5
@@ -275,7 +318,7 @@ def test_gencompact_matches_the_reference_hypothesis(world_seed, query_seed):
     GenCompact(mcsc_solver="greedy"), GenCompact(max_rewrites=5),
 ], ids=lambda p: f"{p.name}-{p.mcsc_solver}-{p.max_rewrites}")
 def test_ablated_gencompact_matches_its_own_reference(planner):
-    total = _seeded_battery(planner, range(400, 404), 15, max_atoms=5)
+    total, _ = _seeded_battery(planner, range(400, 404), 15, max_atoms=5)
     assert total.certified_infeasible and total.rewrite_skipped
 
 
@@ -294,9 +337,9 @@ def test_a_model_vouching_for_no_floor_never_cuts(model_class):
     (``CostModel.source_query_floor``), and a model that combines or
     prices source queries its own way -- the bottleneck model's max, an
     overridden ``source_query_cost`` -- gives none until it states one:
-    the search always runs to the end.  Certificates do not depend on
-    cost."""
-    skipped = certified = 0
+    the search always runs to the end, neither skipped nor stopped.
+    Certificates and witnesses do not depend on cost."""
+    cut = certified = 0
     for seed in range(500, 504):
         config, twins = _world(seed)
         model = model_class({"w": twins.compiled.stats})
@@ -305,9 +348,85 @@ def test_a_model_vouching_for_no_floor_never_cuts(model_class):
         for _ in range(12):
             got = assert_matches_reference(
                 GenCompact(), twins, _world_query(config, rng, 5), model)
-            skipped += got.stats.rewrite_skipped
+            cut += got.stats.rewrite_skipped + got.stats.rewrite_stopped
             certified += got.stats.certified_infeasible
-    assert skipped == 0 and certified > 0
+    assert cut == 0 and certified > 0
+
+
+def check_reference_floor(query: TargetQuery, source: CapabilitySource,
+                          cost_model: CostModel) -> tuple[float | None, int]:
+    """The term-cover floor the slow way, and the minimal terms it
+    covers: ``Check`` every atom subset of every minimal DNF term, price
+    each accepted one by Eq. 1, cover the terms exactly."""
+    terms = {frozenset(term) for term in dnf_terms(query.condition) or [[]]}
+    terms = [term for term in terms if not any(o < term for o in terms)]
+    stats = cost_model.stats[source.name]
+    cheapest: dict[frozenset[int], float] = {}
+    for term in terms:
+        for size in range(len(term) + 1):
+            for atoms in combinations(sorted(term, key=str), size):
+                condition = conjunction(list(atoms))
+                if not source.closed_description.check(condition).supports(
+                        query.attributes):
+                    continue
+                hit = frozenset(index for index, other in enumerate(terms)
+                                if other >= set(atoms))
+                cost = cost_model.source_query_floor(
+                    source.name, stats.selectivity(condition))
+                cheapest[hit] = min(cost, cheapest.get(hit, math.inf))
+    cover = solve_dp(len(terms), [CoverCandidate(hit, cost, None)
+                                  for hit, cost in cheapest.items()])
+    return (None if cover is None else cover.cost), len(terms)
+
+
+def _cover_floor(query: TargetQuery, twins: Twins, cost_model=None):
+    """The compiled twin's certificate and its term-cover floor."""
+    cost_model = cost_model or twins.cost_model
+    certificate = certify(query, twins.compiled.closed_description)
+    return certificate, certificate.cover_floor(
+        cost_model.stats["w"],
+        functools.partial(cost_model.source_query_floor, "w"))
+
+
+def test_the_term_cover_floor_is_the_check_based_cover():
+    """From the signatures, without one ``Check``: the same number as
+    asking ``Check`` of every subset of every minimal term (on the
+    uncompiled twin, i.e. the Earley recognizer)."""
+    compared = 0
+    for seed in range(100, 116):
+        config, twins = _world(seed)
+        rng = random.Random(seed * 17 + 3)
+        for _ in range(20):
+            query = _world_query(config, rng)
+            want, n_terms = check_reference_floor(
+                query, twins.reference, twins.cost_model)
+            if n_terms > MAX_COVER_TERMS:
+                continue
+            _, got = _cover_floor(query, twins)
+            assert (got is None) == (want is None), query
+            if got is not None:
+                assert math.isclose(got, want, rel_tol=1e-12), query
+                compared += 1
+    assert compared > 150
+
+
+@given(st.integers(300, 340), st.integers(0, 10**6))
+@settings(max_examples=80, deadline=None)
+def test_floor_and_witness_hold_against_a_wider_search(world_seed,
+                                                      query_seed):
+    """At <= 4 atoms, against GenCompact with five times the rewrite
+    budget on the uncompiled twin: no floor is above the cost of the
+    plan it finds, and no per-atom witness is of a query it can plan."""
+    config, twins = _world(world_seed)
+    query = _world_query(config, random.Random(query_seed), max_atoms=4)
+    wide = GenCompact(max_rewrites=200, max_rewrite_steps=20_000)
+    want = wide.plan(query, twins.reference, twins.cost_model)
+    certificate, floor = _cover_floor(query, twins)
+    if certificate.witness is not None or certificate.refute_by_atom():
+        assert not want.feasible
+    elif want.feasible:
+        assert floor is not None
+        assert floor <= want.cost * (1.0 + FLOOR_SLACK)
 
 
 def test_the_floor_is_eq1_at_the_least_selectivity():
@@ -454,6 +573,7 @@ def test_or_lists_certify_only_when_they_are_finite():
     recursive = ("s -> s1\ns1 -> size = $str | list\n"
                  "list -> size = $str or size = $str | size = $str or list\n"
                  "attributes s1 : id, size")
+    single = "s -> s1\ns1 -> size = $str\nattributes s1 : id, size"
     sizes = [Leaf(Atom("size", Op.EQ, s))
              for s in ("compact", "midsize", "fullsize", "van")]
     bmw = Leaf(Atom("make", Op.EQ, "BMW"))
@@ -464,19 +584,27 @@ def test_or_lists_certify_only_when_they_are_finite():
         TargetQuery(And([Or(sizes[:2]), bmw]), frozenset({"id"}), "sizes"),
         TargetQuery(Or(sizes[:2]), frozenset({"id", "make"}), "sizes"),
     ]
-    certified = {}
-    for label, text in (("finite", finite), ("recursive", recursive)):
+    certified, by_atom = {}, {}
+    for label, text in (("finite", finite), ("recursive", recursive),
+                        ("single", single)):
         twins = Twins(relation, lambda: parse_ssdl(text, name=label), "sizes")
         results = [assert_matches_reference(GenCompact(), twins, query)
                    for query in queries]
         certified[label] = [r.stats.certified_infeasible for r in results]
+        by_atom[label] = [str(r.witness_atom) for r in results
+                          if r.witness_atom is not None]
         assert [r.feasible for r in results] == [True, True, False, False,
                                                  False]
-    # The fourth is a miss: each of its terms holds a ``size`` atom the
-    # form takes; that ``make`` cannot be filtered afterwards (it is not
-    # exported) is beyond a one-sided certificate.
+    # The fourth: each of its terms holds a ``size`` atom the form
+    # takes, so the up-front certificate misses it; ``make`` can be
+    # neither asked nor exported for filtering, which the per-atom
+    # witness proves -- but only without the ``or`` rules, a query of
+    # which can hold without ``make``.
     assert certified == {"finite": [0, 0, 1, 0, 1],
-                         "recursive": [0, 0, 0, 0, 0]}
+                         "recursive": [0, 0, 0, 0, 0],
+                         "single": [0, 0, 1, 1, 1]}
+    assert by_atom == {"finite": [], "recursive": [],
+                       "single": ["make = 'BMW'"]}
 
 
 # ----------------------------------------------------------------------
@@ -505,10 +633,40 @@ def test_dnf_budget_overflow_takes_the_search():
     assert certify(within, description) is not None
     assert certify(beyond, description) is None
     planner = GenCompact(max_rewrites=3)
+    started = time.perf_counter()
     got = assert_matches_reference(planner, twins, beyond)
-    assert (got.stats.certified_infeasible, got.stats.rewrite_skipped) \
-        == (0, 0)
+    assert (got.stats.certified_infeasible, got.stats.rewrite_skipped,
+            got.stats.rewrite_stopped, got.witness_atom) == (0, 0, 0, None)
     assert_matches_reference(planner, twins, within)
+    # Past MAX_COVER_TERMS minimal terms the floor is the cheapest
+    # hitter of the costliest term (here of ``a3 <= $num``, which the
+    # form takes); planning against it still matches.
+    sixteen = TargetQuery(And([
+        Or([Leaf(Atom("a3", Op.LE, 100 * i + 10 * j)) for j in (1, 2)])
+        for i in range(4)]), frozenset({"key"}), "w")
+    certificate, floor = _cover_floor(sixteen, twins)
+    assert len(certificate._minimal_terms()) == 16 > MAX_COVER_TERMS
+    assert floor is not None
+    assert assert_matches_reference(GenCompact(), twins, sixteen).feasible
+    assert time.perf_counter() - started < 60
+
+
+def test_binding_budget_overflow_takes_todays_search(monkeypatch):
+    """Over ``MAX_BINDINGS`` there is no term-cover floor: the first plan
+    is held to the least-selectivity floor alone and, missing it, the
+    closure is planned to its end, as before."""
+    monkeypatch.setattr(certificate_module, "MAX_BINDINGS", 0)
+    started = time.perf_counter()
+    total, by_atom = _seeded_battery(GenCompact(), range(100, 104), 20)
+    assert total.rewrite_stopped == 0 and total.rewrite_skipped > 0
+    # The per-atom witness enumerates no binding and keeps working.
+    assert by_atom > 0
+    config, twins = _world(100)
+    rng = random.Random(5)
+    floors = [_cover_floor(_world_query(config, rng), twins)[1]
+              for _ in range(20)]
+    assert floors == [None] * 20
+    assert time.perf_counter() - started < 60
 
 
 def test_a_certified_query_no_longer_reaches_the_fanout_guard():
@@ -546,7 +704,8 @@ def test_true_is_feasible_exactly_when_the_source_allows_download():
 
 def verdict_digest() -> str:
     """SHA-256 over every verdict of a fixed battery: whether the run was
-    certified (and its witness), whether the floor cut it."""
+    certified (and its witness and atom), whether the floor cut or
+    stopped it, and after how many CTs."""
     digest = hashlib.sha256()
     for seed in range(700, 706):
         config, twins = _world(seed)
@@ -555,9 +714,12 @@ def verdict_digest() -> str:
             query = _world_query(config, rng)
             result = GenCompact().plan(query, twins.compiled,
                                        twins.cost_model)
+            stats = result.stats
             digest.update(repr((
-                str(query), result.stats.certified_infeasible,
-                result.stats.rewrite_skipped, str(result.witness),
+                str(query), stats.certified_infeasible,
+                stats.rewrite_skipped, stats.rewrite_stopped,
+                stats.cts_processed, str(result.witness),
+                str(result.witness_atom),
             )).encode())
     return digest.hexdigest()
 
@@ -641,9 +803,10 @@ class TestAnInfeasibleAskSaysWhy:
                 second.attributes["feasible"]) == (0, 1, True)
         (skipped,) = [s for s in tracer.finished_spans()
                       if s.name == "planner.rewrite"]
+        # The floor a cut plan met is its own cost (a floor is sound).
         assert skipped.attributes == {
             "trees": 1, "budget_spent": 0, "truncated": False,
-            "skipped": True}
+            "cut": "skipped", "floor": pytest.approx(cut.cost, rel=1e-9)}
         # Certificates issue no Check: the description-side identity of
         # compiled descriptions keeps holding.
         description = mediator.source("bookstore").closed_description
@@ -651,9 +814,58 @@ class TestAnInfeasibleAskSaysWhy:
             description.check_compiled + description.check_fallbacks
             + description.check_prefiltered)
 
+    def test_a_per_atom_witness_names_the_atom(self, mediator):
+        """Section 4's bank: a balance needs the PIN form.  Every term of
+        the query holds ``branch``, which a form takes, so the up-front
+        certificate passes it; once the original tree has no plan, the
+        per-atom witness names the balance bound, which no form takes
+        and the branch form does not export for filtering."""
+        sql = ("SELECT owner FROM bank "
+               "WHERE branch = 'downtown' and balance >= 5000")
+        why = ("no query the source's form accepts can return rows matching "
+               "`branch = 'downtown' and balance >= 5000` with {owner}: "
+               "`balance >= 5000` can be neither pushed to the source nor "
+               "filtered at the mediator")
+        with pytest.raises(InfeasiblePlanError) as raised:
+            mediator.ask(sql)
+        assert str(raised.value).endswith(": " + why)
+        assert raised.value.witness == parse_condition(
+            "branch = 'downtown' and balance >= 5000")
+        with use_tracer(Tracer()) as tracer:
+            planning = mediator.plan(sql)
+        assert planning.witness_atom == parse_condition("balance >= 5000")
+        assert (planning.stats.certified_infeasible,
+                planning.stats.cts_processed) == (1, 1)
+        (rewrite,) = [s for s in tracer.finished_spans()
+                      if s.name == "planner.rewrite"]
+        assert rewrite.attributes["cut"] == "witness"
+        assert mediator.explain(sql) == "[GenCompact] INFEASIBLE: ∅ -- " + why
+
+    def test_a_floor_stop_is_on_the_rewrite_span(self):
+        for seed in range(120, 140):
+            config, twins = _world(seed)
+            rng = random.Random(seed * 31 + 7)
+            for _ in range(30):
+                query = _world_query(config, rng)
+                with use_tracer(Tracer()) as tracer:
+                    got = GenCompact().plan(query, twins.compiled,
+                                            twins.cost_model)
+                if not got.stats.rewrite_stopped:
+                    continue
+                spans = tracer.finished_spans()
+                (rewrite,) = [s for s in spans if s.name == "planner.rewrite"]
+                (plan,) = [s for s in spans if s.name == "planner.plan"]
+                assert rewrite.attributes["cut"] == "stopped"
+                assert rewrite.attributes["floor"] == pytest.approx(
+                    got.cost, rel=1e-9)
+                assert plan.attributes["rewrite_stopped"] == 1
+                return
+        pytest.fail("no run stopped at the floor")
+
     def test_stats_merge_sums_the_new_counters(self):
         total = PlannerStats()
         total.merge(PlannerStats(certified_infeasible=1))
-        total.merge(PlannerStats(rewrite_skipped=1))
+        total.merge(PlannerStats(rewrite_skipped=1, rewrite_stopped=1))
         total.merge(PlannerStats(certified_infeasible=1, rewrite_skipped=1))
-        assert (total.certified_infeasible, total.rewrite_skipped) == (2, 2)
+        assert (total.certified_infeasible, total.rewrite_skipped,
+                total.rewrite_stopped) == (2, 2, 1)

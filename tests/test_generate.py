@@ -46,6 +46,14 @@ class TestShape:
         for row in generate_flights(300):
             assert row["origin"] != row["destination"]
 
+    def test_equal_values_of_a_column_are_one_object(self):
+        """Titles, years and prices recur; each is stored once."""
+        for relation in (generate_books(2000), generate_flights(2000)):
+            for column in zip(*relation.tuples):
+                assert len({id(value) for value in column}) \
+                    == len(set(column))
+                assert len({type(value) for value in column}) == 1
+
 
 class TestPaperPlausibility:
     """The distributions should make the paper's queries behave sensibly."""

@@ -529,9 +529,27 @@ _PINS = {
 
 
 #: What the same pins read once the source is compiled, where that
-#: differs: the description's signatures certify ``infeasible_and``
-#: before any Check (``infeasible_or`` is one the certificate misses).
-_COMPILED_PINS = {"infeasible_and": (0, 0, 0, 0)}
+#: differs, and which certificate cut the run:
+#:
+#: * ``infeasible_and`` -- the signatures certify it before any Check.
+#: * ``infeasible_or`` -- that certificate misses it (every term holds
+#:   an atom some form takes); once its original tree has no plan, the
+#:   per-atom witness proves it: ``a3 = 632`` matches no template, and
+#:   no query true under its term exports ``a3`` with ``{a1, key}``.
+#: * ``example_1_1`` and ``feasible_or`` -- the term-cover floor proves
+#:   the first plan optimal, so the closure is never built (one CT,
+#:   ``rewrite_skipped``).  In ``example_1_1`` one query hitting both
+#:   minimal terms (Freud and 'dreams', Jung and 'dreams') can hold
+#:   only ``title contains 'dreams'`` -- the plan's one query -- and two
+#:   queries cost a second k1.  ``feasible_or``'s two terms share no
+#:   atom, so every plan needs a query inside each, and the plan's two
+#:   are the cheapest the signatures allow.
+_COMPILED_PINS = {
+    "example_1_1": ((10, 0, 7, 2), "skipped"),
+    "feasible_or": ((21, 3, 26, 3), "skipped"),
+    "infeasible_and": ((0, 0, 0, 0), "certified"),
+    "infeasible_or": ((12, 5, 8, 2), "witness"),
+}
 
 
 @pytest.mark.parametrize("name", _PINS)
@@ -544,10 +562,10 @@ def test_search_space_is_pinned(name):
         else:
             scenario = what()
             source, query = scenario.source, scenario.query
-        want = tuple(pinned)
+        want, cut = tuple(pinned), None
         if compiled:
             source.compile_capabilities()
-            want = _COMPILED_PINS.get(name, want)
+            want, cut = _COMPILED_PINS.get(name, (want, None))
         result = GenCompact().plan(
             query, source, CostModel({source.name: source.stats}))
         stats = result.stats
@@ -555,8 +573,12 @@ def test_search_space_is_pinned(name):
                 stats.subplans_considered, stats.mcsc_problems) == want
         assert (to_paper_notation(result.plan) if result.feasible else None) \
             == plan_text
-        assert stats.certified_infeasible == (want == (0, 0, 0, 0))
+        assert stats.certified_infeasible == (cut in ("certified", "witness"))
         assert (result.witness is not None) == stats.certified_infeasible
+        assert (result.witness_atom is not None) == (cut == "witness")
+        assert stats.rewrite_skipped == (cut == "skipped")
+        if cut in ("skipped", "witness"):
+            assert stats.cts_processed == 1
         # Every cache-missing Check is accounted for (a certificate
         # issues none).
         assert stats.check_prefiltered <= stats.check_calls

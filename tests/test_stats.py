@@ -1,12 +1,22 @@
 """Unit tests for statistics and result-size estimation."""
 
-import pytest
+import operator
 
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+from repro.conditions.atoms import Atom, Op
 from repro.conditions.parser import parse_condition
 from repro.conditions.tree import TRUE
 from repro.data.relation import Relation
 from repro.data.schema import AttrType, Schema
-from repro.data.stats import MIN_SELECTIVITY, TableStats
+from repro.data.stats import (
+    MIN_SELECTIVITY,
+    UNSEEN_EQ_SELECTIVITY,
+    TableStats,
+)
+from repro.errors import ConditionError
 
 
 @pytest.fixture
@@ -62,6 +72,51 @@ class TestAtomSelectivity:
     def test_cross_type_range_is_floor(self, stats):
         sel = stats.selectivity(parse_condition("color < 5"))
         assert sel == MIN_SELECTIVITY
+
+
+def _scanned(column: list, atom: Atom) -> float:
+    """An atom's selectivity by scanning the column row by row."""
+    present = [value for value in column if value is not None]
+    if not column:
+        return MIN_SELECTIVITY
+    if atom.op is Op.EQ:
+        hits = sum(value == atom.value for value in present)
+        sel = hits / len(column) if hits else UNSEEN_EQ_SELECTIVITY
+    elif atom.op is Op.CONTAINS:
+        sel = sum(isinstance(value, str) and atom.value in value.lower()
+                  for value in present) / len(column)
+    else:
+        compare = {Op.LT: operator.lt, Op.LE: operator.le,
+                   Op.GT: operator.gt, Op.GE: operator.ge}[atom.op]
+        try:
+            sorted(present)
+            sel = sum(compare(value, atom.value)
+                      for value in present) / len(column)
+        except TypeError:  # an unorderable column, or a cross-type bound
+            sel = 0.0
+    return max(MIN_SELECTIVITY, min(1.0, sel))
+
+
+_VALUES = st.one_of(st.integers(-3, 3), st.sampled_from([1.0, 2.5, True]),
+                    st.sampled_from(["ab", "b", "ba"]), st.none())
+
+
+@given(st.one_of(st.lists(st.integers(-3, 3)), st.lists(st.text("ab")),
+                 st.lists(_VALUES)),
+       st.sampled_from([Op.EQ, Op.LT, Op.LE, Op.GT, Op.GE, Op.CONTAINS]),
+       _VALUES.filter(lambda value: value is not None))
+@settings(max_examples=300, deadline=None)
+def test_compact_columns_estimate_what_a_scan_counts(column, op, value):
+    """Sorted distinct values and running counts answer every estimate
+    a row scan does: mixed types, ``None`` rows, ``True == 1``."""
+    try:
+        atom = Atom("v", op, value)
+    except ConditionError:  # ``contains`` a number, ``< True``
+        return
+    schema = Schema.of("t", [("v", AttrType.STRING)])
+    relation = Relation(schema, [{"v": v} for v in column], validate=False)
+    assert TableStats.from_relation(relation).atom_selectivity(atom) \
+        == _scanned(column, atom)
 
 
 class TestCombinators:
