@@ -6,12 +6,19 @@ mediator's postprocessing (selection, projection, union, intersection
 with duplicate elimination -- exactly the operator set of Section 3).
 
 Rows are stored as positional tuples in ``schema.attribute_names``
-order, so every operator is one C-level pass: σ filters with a
-predicate compiled from the condition
-(:mod:`repro.conditions.predicate`), π and duplicate elimination are
+order, so every operator is one C-level pass: σ and ``SP`` run one
+kernel compiled from the condition shape
+(:mod:`repro.conditions.predicate`) that filters and projects in the
+same list comprehension, π and duplicate elimination are
 ``dict.fromkeys`` over ``itemgetter`` (first occurrence wins, so row
 order is the order a row-at-a-time loop would produce), ∪ chains and ∩
 probes a set.  ``dict`` rows exist only at the public boundary.
+
+A relation also knows whether its key column is *proven unique*
+(:attr:`Relation.key_unique`): rows carrying pairwise distinct keys
+cannot repeat, so π, ``SP``, ∩ and ``distinct`` skip the
+``dict.fromkeys`` they would otherwise need, with the same rows in the
+same order.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Iterator
 
-from repro.conditions.predicate import compile_predicate
+from repro.conditions.predicate import KEEP_ALL, compile_kernel
 from repro.conditions.tree import Condition
 from repro.data.schema import Schema
 from repro.errors import SchemaError
@@ -38,6 +45,29 @@ def _getter(keys: tuple):
     return itemgetter(*keys)
 
 
+def _picker(positions: tuple[int, ...]):
+    """``row tuple -> the values at positions``, at C speed (one
+    position is a one-element slice, which is already a 1-tuple)."""
+    if len(positions) == 1:
+        return itemgetter(slice(positions[0], positions[0] + 1))
+    return itemgetter(*positions)
+
+
+def _proves_key(schema: Schema, tuples: tuple[tuple, ...]) -> bool:
+    """Is ``schema.key`` non-None, hashable and distinct across the rows?
+
+    Distinct as ``set`` sees it, which is as ``dict.fromkeys`` sees the
+    rows that carry the keys (both hash, then compare), so no two of
+    those rows can be equal."""
+    if schema.key is None:
+        return False
+    try:
+        keys = set(map(itemgetter(schema.position(schema.key)), tuples))
+    except TypeError:  # an unhashable key: no proof, as before
+        return False
+    return len(keys) == len(tuples) and None not in keys
+
+
 class Relation:
     """An immutable collection of rows conforming to a schema.
 
@@ -46,9 +76,14 @@ class Relation:
     a tuple of tuples.  Relations can therefore be shared -- cached,
     coalesced, returned as ``self`` -- without copying.  All operations
     return new relations.
+
+    :attr:`key_unique` is ``True`` when the rows' ``schema.key`` values
+    are proven pairwise distinct and not ``None``: checked once when the
+    relation is built from rows, kept by σ, ∩, ``distinct`` and a π that
+    keeps the key, lost by ∪ and by a π that drops it.
     """
 
-    __slots__ = ("schema", "_tuples")
+    __slots__ = ("schema", "_tuples", "key_unique")
 
     def __init__(self, schema: Schema, rows: Iterable[Row], validate: bool = True):
         """``validate=False`` skips the per-row schema check; a row that
@@ -64,13 +99,24 @@ class Relation:
             self._tuples = tuple(map(_getter(names), rows))
         except KeyError:
             self._tuples = tuple(tuple(map(row.get, names)) for row in rows)
+        self.key_unique = _proves_key(schema, self._tuples)
 
     @classmethod
-    def _of(cls, schema: Schema, tuples: Iterable[tuple]) -> "Relation":
+    def _of(cls, schema: Schema, tuples: Iterable[tuple],
+            key_unique: bool = False) -> "Relation":
         relation = cls.__new__(cls)
         relation.schema = schema
         relation._tuples = tuple(tuples)
+        relation.key_unique = key_unique
         return relation
+
+    @classmethod
+    def _set_of(cls, schema: Schema, tuples: Iterable[tuple],
+                key_unique: bool) -> "Relation":
+        """``tuples`` with duplicates eliminated, first occurrence kept --
+        skipped when ``key_unique`` already rules duplicates out."""
+        return cls._of(schema, tuples if key_unique else dict.fromkeys(tuples),
+                       key_unique)
 
     # -- basic accessors -------------------------------------------------
     def __len__(self) -> int:
@@ -102,25 +148,36 @@ class Relation:
         """σ_condition: rows satisfying the condition."""
         if condition.is_true:
             return self
-        predicate = compile_predicate(condition, self.schema.attribute_names)
-        return Relation._of(self.schema, filter(predicate, self._tuples))
+        kernel = compile_kernel(condition, self.schema.attribute_names)
+        return Relation._of(self.schema, kernel(self._tuples, KEEP_ALL),
+                            self.key_unique)
 
-    def project(self, attributes: Iterable[str]) -> "Relation":
-        """π_attributes with duplicate elimination (set semantics)."""
+    def _projection(self, attributes: Iterable[str]):
+        """``(sub-schema, row picker, key proof kept)`` of π_attributes;
+        the picker is :data:`KEEP_ALL` when every attribute is kept."""
         schema = self.schema
         sub_schema = schema.project(attributes)
         if len(sub_schema.attrs) == len(schema.attrs):
+            return schema, KEEP_ALL, self.key_unique
+        picker = _picker(tuple(map(schema.position,
+                                   sub_schema.attribute_names)))
+        return sub_schema, picker, self.key_unique and sub_schema.key is not None
+
+    def project(self, attributes: Iterable[str]) -> "Relation":
+        """π_attributes with duplicate elimination (set semantics)."""
+        sub_schema, picker, keyed = self._projection(attributes)
+        if picker is KEEP_ALL:
             return self.distinct()
-        getter = _getter(tuple(
-            schema.position(name) for name in sub_schema.attribute_names
-        ))
-        return Relation._of(
-            sub_schema, dict.fromkeys(map(getter, self._tuples))
-        )
+        return Relation._set_of(sub_schema, map(picker, self._tuples), keyed)
 
     def sp(self, condition: Condition, attributes: Iterable[str]) -> "Relation":
-        """``SP(C, A, R)`` = π_A(σ_C(R)) -- the paper's select-project query."""
-        return self.select(condition).project(attributes)
+        """``SP(C, A, R)`` = π_A(σ_C(R)) -- the paper's select-project
+        query, as one pass."""
+        if condition.is_true:
+            return self.project(attributes)
+        sub_schema, picker, keyed = self._projection(attributes)
+        kernel = compile_kernel(condition, self.schema.attribute_names)
+        return Relation._set_of(sub_schema, kernel(self._tuples, picker), keyed)
 
     # -- set operations (require identical attribute sets) ----------------
     def _aligned(self, other: "Relation") -> Iterable[tuple]:
@@ -133,26 +190,25 @@ class Relation:
             raise SchemaError(
                 f"set operation over different attribute sets: {mine} vs {theirs}"
             )
-        return map(_getter(tuple(map(other.schema.position, mine))),
+        return map(_picker(tuple(map(other.schema.position, mine))),
                    other._tuples)
 
     def union(self, other: "Relation") -> "Relation":
         """Set union with duplicate elimination."""
-        return Relation._of(
-            self.schema,
-            dict.fromkeys(chain(self._tuples, self._aligned(other))),
-        )
+        return Relation._set_of(
+            self.schema, chain(self._tuples, self._aligned(other)), False)
 
     def intersect(self, other: "Relation") -> "Relation":
         """Set intersection."""
         theirs = set(self._aligned(other))
-        return Relation._of(
-            self.schema,
-            dict.fromkeys(filter(theirs.__contains__, self._tuples)),
-        )
+        return Relation._set_of(self.schema,
+                                filter(theirs.__contains__, self._tuples),
+                                self.key_unique)
 
     def distinct(self) -> "Relation":
         """Duplicate elimination over all attributes."""
+        if self.key_unique:
+            return self
         unique = dict.fromkeys(self._tuples)
         if len(unique) == len(self._tuples):
             return self

@@ -341,7 +341,7 @@ class AsyncExecutor(Executor):
             return None
         # Post-filter the shared merged answer back down to this
         # caller's own constant.
-        answer = merged.select(plan.condition).project(plan.attrs)
+        answer = merged.sp(plan.condition, plan.attrs)
         if not led:
             ctx.add_batched()
         span.set_attributes(batched=True, rows=len(answer))

@@ -391,9 +391,7 @@ class Executor:
             return await self._execute_source_query(plan, ctx)
         if isinstance(plan, Postprocess):
             inner = await self._execute(plan.input, ctx)
-            if plan.condition.is_true:
-                return inner.project(plan.attrs)
-            return inner.select(plan.condition).project(plan.attrs)
+            return inner.sp(plan.condition, plan.attrs)
         if isinstance(plan, (UnionPlan, IntersectPlan)):
             if not plan.children:
                 raise PlanExecutionError(

@@ -191,18 +191,15 @@ class TestRecordingTracerSeesTheSameSpans:
 # ----------------------------------------------------------------------
 
 def _python_calls(run) -> int:
-    """Python-level function calls made by ``run()``: frames entered (C
-    calls differ between interpreter versions, frames are ours), not
-    counting the compiled row predicate -- one frame per source row is
-    the data plane's, whatever the catalog holds."""
+    """Python-level function calls made by ``run()``: every frame
+    entered, the data plane's included (C calls differ between
+    interpreter versions, frames are ours)."""
     count = 0
 
     def profiler(frame, event, arg):
         nonlocal count
         if event == "call":
-            code = frame.f_code
-            if code.co_name != "<lambda>" or code.co_filename != "<string>":
-                count += 1
+            count += 1
 
     sys.setprofile(profiler)
     try:
@@ -212,11 +209,12 @@ def _python_calls(run) -> int:
     return count
 
 
-#: Measured on CPython 3.11 (489 and 294; 865 and 461 before the
-#: serving-floor work) plus ten per cent.  Raise them only with a
+#: Measured on CPython 3.11 plus ten per cent: 498 and 293 frames with
+#: the fused σπ kernel, against 12 529 and 12 317 when σ called a
+#: compiled predicate once per source row.  Raise them only with a
 #: reason: every frame here is paid per ask.
-TEMPLATE_HIT_CALL_BUDGET = 538
-EXACT_HIT_CALL_BUDGET = 323
+TEMPLATE_HIT_CALL_BUDGET = 548
+EXACT_HIT_CALL_BUDGET = 322
 
 
 class TestWarmAskCallBudget:
