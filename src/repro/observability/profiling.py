@@ -298,8 +298,9 @@ class ContentionProfiler:
 
     * ``plan_cache`` -- the canonical plan cache's LRU lock;
     * ``plan_templates`` -- the template cache's LRU lock;
-    * ``check_cache`` -- every catalog description's Check-LRU lock
-      (native and commutation-closed forms share the site);
+    * ``check_cache`` -- every catalog description's Check-LRU and
+      Check-counter locks (native and commutation-closed forms share
+      the site);
     * ``admission`` -- the admission controller's counter lock (the
       semaphore *queue* wait already has its own
       ``serving.admission.queue_wait_seconds`` histogram);
@@ -373,6 +374,7 @@ class ContentionProfiler:
             closed = source.closed_description
             descriptions.setdefault(id(closed), closed)
             for description in descriptions.values():
+                self.wrap(description._cache, "_lock", "check_cache")
                 self.wrap(description, "_cache_lock", "check_cache")
         admission = getattr(mediator, "admission", None)
         if admission is not None:

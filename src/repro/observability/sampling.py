@@ -102,7 +102,7 @@ class SamplingTracer(Tracer):
             return self._decision_locked(trace_id)
 
     def _decision_locked(self, trace_id: int) -> bool:
-        remote = self._remote_traces.get(trace_id)
+        remote = self._remote_traces.peek(trace_id)
         if remote is not None:
             return remote.sampled
         return self.head_decision(trace_id)
@@ -136,7 +136,7 @@ class SamplingTracer(Tracer):
         pend the trace forever)."""
         if span.parent_id is None:
             return True
-        remote = self._remote_traces.get(span.trace_id)
+        remote = self._remote_traces.peek(span.trace_id)
         return remote is not None and span.parent_id == remote.span_id
 
     def _record(self, span: Span) -> None:

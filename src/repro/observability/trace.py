@@ -46,11 +46,13 @@ import contextvars
 import re
 import threading
 import time
-from collections import OrderedDict, namedtuple
+from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any, Callable, Iterator, Mapping
+
+from repro.cache import BoundedCache
 
 #: Span status values (OpenTelemetry's three-valued status, flattened).
 STATUS_OK = "OK"
@@ -312,7 +314,7 @@ class Tracer:
         #: honors the propagated sampling decision.  Bounded (oldest
         #: forgotten) so a long-serving process cannot leak one entry
         #: per incoming request.
-        self._remote_traces: OrderedDict[int, TraceContext] = OrderedDict()
+        self._remote_traces = BoundedCache(MAX_REMOTE_TRACES)
 
     # -- id allocation -------------------------------------------------
     def _allocate_id(self) -> int:
@@ -370,8 +372,7 @@ class Tracer:
 
     def remote_context(self, trace_id: int) -> TraceContext | None:
         """The remote context ``trace_id`` was attached under, if any."""
-        with self._lock:
-            return self._remote_traces.get(trace_id)
+        return self._remote_traces.peek(trace_id)
 
     @contextmanager
     def attach_remote(self, context: TraceContext) -> Iterator[Span]:
@@ -394,11 +395,7 @@ class Tracer:
             start=time.perf_counter(),
             attributes={"remote": True},
         )
-        with self._lock:
-            self._remote_traces[context.trace_id] = context
-            self._remote_traces.move_to_end(context.trace_id)
-            while len(self._remote_traces) > MAX_REMOTE_TRACES:
-                self._remote_traces.popitem(last=False)
+        self._remote_traces.put(context.trace_id, context)
         with self.attach(placeholder):
             yield placeholder
 

@@ -29,7 +29,8 @@ from repro.plans.nodes import (
     make_choice,
     sp,
 )
-from repro.plans.cache import CacheStats, ResultCache
+from repro.cache import CacheStats
+from repro.plans.cache import ResultCache
 from repro.plans.printer import explain, explain_dict, to_paper_notation
 from repro.plans.serialize import (
     condition_from_dict,

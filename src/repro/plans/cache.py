@@ -14,18 +14,15 @@ drops everything for a source if its relation is replaced.  A
 fresh row dicts, so entries are stored and returned by reference: no
 caller can corrupt a later hit through what it was handed.
 
-The cache is **thread-safe**: the parallel executor consults one shared
-cache from many worker threads, and LRU bookkeeping (move-to-end, the
-eviction loop, the tuple budget) is read-modify-write, so every public
-operation runs under an internal lock.
+The LRU, its tuple budget, its lock and its stats are a
+:class:`~repro.cache.BoundedCache` weighing each result by its length;
+this module only builds the key.  The parallel executor consults one
+shared cache from many worker threads, which the cache's lock covers.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-from dataclasses import dataclass
-
+from repro.cache import BoundedCache
 from repro.conditions.tree import Condition
 from repro.data.relation import Relation
 
@@ -33,78 +30,37 @@ from repro.data.relation import Relation
 CacheKey = tuple[str, Condition, frozenset]
 
 
-@dataclass
-class CacheStats:
-    """Hit/miss counters."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-
 class ResultCache:
     """LRU cache of source-query results, bounded by total cached tuples."""
 
     def __init__(self, max_tuples: int = 100_000):
-        if max_tuples <= 0:
-            raise ValueError("max_tuples must be positive")
-        self.max_tuples = max_tuples
-        self._entries: OrderedDict[CacheKey, Relation] = OrderedDict()
-        self._tuples = 0
-        self._lock = threading.Lock()
-        self.stats = CacheStats()
+        self._cache = BoundedCache(max_tuples, weigh=len)
+        #: key -> result, shared with the cache (accounting checks read it).
+        self._entries = self._cache._entries
+        self.stats = self._cache.stats
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._cache)
+
+    @property
+    def max_tuples(self) -> int:
+        return self._cache.capacity
 
     @property
     def cached_tuples(self) -> int:
-        with self._lock:
-            return self._tuples
+        return self._cache.weight
 
-    # ------------------------------------------------------------------
     def get(self, source: str, condition: Condition, attributes: frozenset
             ) -> Relation | None:
-        key = (source, condition, frozenset(attributes))
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.stats.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.stats.hits += 1
-            return entry
+        return self._cache.get((source, condition, frozenset(attributes)))
 
     def put(self, source: str, condition: Condition, attributes: frozenset,
             result: Relation) -> None:
-        key = (source, condition, frozenset(attributes))
-        size = len(result)
-        if size > self.max_tuples:
-            return  # larger than the whole cache: never admit
-        with self._lock:
-            old = self._entries.pop(key, None)
-            if old is not None:
-                self._tuples -= len(old)
-            self._entries[key] = result
-            self._tuples += size
-            while self._tuples > self.max_tuples and self._entries:
-                __, evicted = self._entries.popitem(last=False)
-                self._tuples -= len(evicted)
-                self.stats.evictions += 1
+        self._cache.put((source, condition, frozenset(attributes)), result)
 
-    def invalidate(self, source: str | None = None) -> None:
-        """Drop everything (or everything for one source)."""
-        with self._lock:
-            if source is None:
-                self._entries.clear()
-                self._tuples = 0
-                return
-            keys = [k for k in self._entries if k[0] == source]
-            for key in keys:
-                self._tuples -= len(self._entries.pop(key))
+    def invalidate(self, source: str | None = None) -> int:
+        """Drop everything (or everything for one source); returns how
+        many entries were dropped."""
+        if source is None:
+            return self._cache.invalidate()
+        return self._cache.invalidate(lambda key: key[0] == source)

@@ -25,7 +25,6 @@ from repro.serving.admission import AdmissionController
 from repro.serving.loadgen import LoadHarness, LoadReport, percentile
 from repro.serving.plan_cache import (
     PlanCache,
-    PlanCacheStats,
     PlanTemplates,
     canonical_key,
     plan_cache_key,
@@ -37,7 +36,6 @@ __all__ = [
     "LoadHarness",
     "LoadReport",
     "PlanCache",
-    "PlanCacheStats",
     "PlanTemplates",
     "canonical_key",
     "percentile",

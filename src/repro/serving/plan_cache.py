@@ -18,19 +18,17 @@ ideas make the cache *canonical* rather than textual:
   planned under; a lookup with a newer version drops the entry and
   counts an ``invalidation`` -- stale plans can never be served.
 
-The cache is a thread-safe LRU bounded by entry count.  Hits, misses,
-invalidations and evictions feed both local stats and the process-wide
-:class:`~repro.observability.metrics.MetricsRegistry` under
-``<prefix>.hits`` / ``.misses`` / ``.invalidations`` / ``.evictions``.
+The container is :class:`~repro.cache.BoundedCache` -- the one LRU
+every reuse point shares -- publishing ``<prefix>.hits`` / ``.misses``
+/ ``.invalidations`` / ``.evictions`` under ``serving.plan_cache``.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Hashable
+from typing import TYPE_CHECKING, Hashable
 
+from repro.cache import BoundedCache, CacheStats
 from repro.conditions.fingerprint import Fingerprint, canonical_key  # noqa: F401 (old home)
 from repro.conditions.skeleton import rebinding, substitute_plan
 from repro.conditions.tree import Condition
@@ -50,107 +48,14 @@ def plan_cache_key(query: TargetQuery) -> Hashable:
     return (query.source, query.fingerprint.exact, query.attributes)
 
 
-@dataclass
-class PlanCacheStats:
-    """Local hit/miss/invalidation/eviction counters (one cache's view;
-    the registry aggregates across caches sharing a prefix)."""
-
-    hits: int = 0
-    misses: int = 0
-    invalidations: int = 0
-    evictions: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-
-class PlanCache:
-    """A thread-safe LRU of planning results keyed by canonical keys.
-
-    Values are opaque (the mediator stores
-    :class:`~repro.planners.base.PlanningResult`, the wrapper also
-    stores template tuples); the cache owns keys, versions, eviction and
-    accounting.  A ``get`` with a catalog version newer than the
-    entry's drops the entry and reports a miss -- the *invalidation*
-    path that ``Mediator.add_source`` relies on.
-    """
+class PlanCache(BoundedCache):
+    """The mediator's plan cache: a :class:`~repro.cache.BoundedCache`
+    of planning results (the wrapper also stores template tuples)
+    publishing under ``serving.plan_cache`` unless told otherwise."""
 
     def __init__(self, max_entries: int = 256,
                  metrics_prefix: str = "serving.plan_cache"):
-        if max_entries <= 0:
-            raise ValueError("max_entries must be positive")
-        self.max_entries = max_entries
-        self.metrics_prefix = metrics_prefix
-        self._entries: OrderedDict[Hashable, tuple[int, Any]] = OrderedDict()
-        self._lock = threading.Lock()
-        self.stats = PlanCacheStats()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def _count(self, event: str) -> None:
-        get_metrics().counter(f"{self.metrics_prefix}.{event}").inc()
-
-    # ------------------------------------------------------------------
-    def get(self, key: Hashable, version: int = 0) -> Any | None:
-        """The cached value for ``key`` at ``version``, or ``None``.
-
-        An entry stored under an older catalog version is removed and
-        counted as an invalidation (plus the miss the caller sees).
-        """
-        with self._lock:
-            entry = self._entries.get(key)
-            stale = entry is not None and entry[0] != version
-            if stale:
-                del self._entries[key]
-                self.stats.invalidations += 1
-                entry = None
-            if entry is None:
-                self.stats.misses += 1
-            else:
-                self._entries.move_to_end(key)
-                self.stats.hits += 1
-        if stale:
-            self._count("invalidations")
-        self._count("misses" if entry is None else "hits")
-        return None if entry is None else entry[1]
-
-    def holds(self, key: Hashable, version: int = 0) -> bool:
-        """Is a current entry stored under ``key``?  A probe: no stats,
-        no LRU touch, a stale entry is left for ``get``/``put``."""
-        with self._lock:
-            entry = self._entries.get(key)
-            return entry is not None and entry[0] == version
-
-    def put(self, key: Hashable, value: Any, version: int = 0) -> None:
-        """Store ``value`` under ``key`` at ``version`` (LRU-evicting)."""
-        evictions = 0
-        with self._lock:
-            self._entries.pop(key, None)
-            self._entries[key] = (version, value)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                self.stats.evictions += 1
-                evictions += 1
-        for _ in range(evictions):
-            self._count("evictions")
-
-    def invalidate(self) -> int:
-        """Drop every entry; returns how many were dropped.
-
-        Bulk invalidation (catalog reloaded, cache poisoned in a test)
-        counts each dropped entry, same as the lazy per-get path.
-        """
-        with self._lock:
-            dropped = len(self._entries)
-            self._entries.clear()
-            self.stats.invalidations += dropped
-        for _ in range(dropped):
-            self._count("invalidations")
-        return dropped
+        super().__init__(max_entries, metrics_prefix)
 
 
 # ----------------------------------------------------------------------
@@ -171,14 +76,15 @@ def template_cache_key(condition: Condition, attributes: frozenset[str],
 class PlanTemplates:
     """Plans with constant slots: rebind constants on every hit.
 
-    A thin layer over :class:`PlanCache` (same LRU, versioning, metrics
-    and thread-safety) storing ``(Fingerprint, PlanningResult)`` keyed by
-    :func:`template_cache_key`: the skeleton and atom vector rebinding
-    needs, resolved once at :meth:`store`.  :meth:`instantiate` zips the
-    new query's atoms over the stored vector and **re-validates every
-    source query** against the source description -- literal templates
-    (``style = 'sedan'``) make support value-dependent, so an
-    unvalidated substitution could hand the source a query it rejects.
+    A thin layer over a :class:`~repro.cache.BoundedCache` (same LRU,
+    versioning, metrics and thread-safety) storing ``(Fingerprint,
+    PlanningResult)`` keyed by :func:`template_cache_key`: the skeleton
+    and atom vector rebinding needs, resolved once at :meth:`store`.
+    :meth:`instantiate` zips the new query's atoms over the stored
+    vector and **re-validates every source query** against the source
+    description -- literal templates (``style = 'sedan'``) make support
+    value-dependent, so an unvalidated substitution could hand the
+    source a query it rejects.
 
     ``hits`` counts served instantiations, ``rejected`` counts lookups
     whose substitution failed validation (the caller replans); both are
@@ -187,7 +93,7 @@ class PlanTemplates:
 
     def __init__(self, max_entries: int = 256,
                  metrics_prefix: str = "serving.template_cache"):
-        self._cache = PlanCache(max_entries, metrics_prefix=metrics_prefix)
+        self._cache = BoundedCache(max_entries, metrics_prefix)
         self.metrics_prefix = metrics_prefix
         self._lock = threading.Lock()
         #: Plans served by rebinding a template's constants.
@@ -199,7 +105,7 @@ class PlanTemplates:
         return len(self._cache)
 
     @property
-    def stats(self) -> PlanCacheStats:
+    def stats(self) -> CacheStats:
         """The underlying LRU's hit/miss/invalidation/eviction view."""
         return self._cache.stats
 
@@ -213,7 +119,7 @@ class PlanTemplates:
               result: "PlanningResult", version: int = 0) -> None:
         """Remember a freshly planned result as the template for its
         skeleton (first feasible plan wins; later instances rebind it)."""
-        if result.plan is not None and not self._cache.holds(key, version):
+        if result.plan is not None and self._cache.peek(key, version) is None:
             self._cache.put(key, (Fingerprint(condition), result), version)
 
     def instantiate(self, key: Hashable, query: TargetQuery,

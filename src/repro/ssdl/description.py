@@ -19,10 +19,10 @@ matching nonterminal this is exactly the paper's definition.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+from repro.cache import BoundedCache
 from repro.conditions.atoms import Atom, Op
 from repro.conditions.tree import TRUE, Condition
 from repro.errors import GrammarError
@@ -90,6 +90,13 @@ class CheckResult:
 #: The empty Check result (condition not supported).
 EMPTY_CHECK = CheckResult(frozenset())
 
+#: Bound of every description's Check cache (LRU): a description
+#: fielding an unbounded stream of distinct conditions holds a bounded
+#: number of results.  The hits are reuse within one planning run, so
+#: the bound is sized for that: X18 reads the same hit ratio at 2 048 as
+#: at 8 192 on all five workloads.
+CHECK_CACHE_ENTRIES = 2048
+
 
 class SourceDescription:
     """An SSDL description ⟨S, G, A⟩ with a prebuilt recognizer and cache.
@@ -115,17 +122,9 @@ class SourceDescription:
         attributes: Mapping[str, Iterable[str]],
         name: str = "",
         cache_checks: bool = True,
-        check_cache_entries: int = 2048,
     ):
         """``cache_checks=False`` reparses on every Check call -- only
-        useful for the cache-ablation benchmark.  ``check_cache_entries``
-        bounds the Check cache (LRU): a description fielding an unbounded
-        stream of distinct conditions holds a bounded number of results.
-        The hits are reuse within one planning run, so the default is
-        sized for that: X18 reads the same hit ratio at 2 048 as at
-        8 192 on all five workloads."""
-        if check_cache_entries <= 0:
-            raise GrammarError("check_cache_entries must be positive")
+        useful for the cache-ablation benchmark."""
         self.name = name
         self.condition_nonterminals = tuple(condition_nonterminals)
         self.productions: dict[str, tuple[tuple[Symbol, ...], ...]] = {
@@ -141,12 +140,11 @@ class SourceDescription:
         #: grammar's template terminals: what :meth:`atom_matchable` probes.
         self._template_index = self._index_templates()
         self.cache_checks = cache_checks
-        self.check_cache_entries = check_cache_entries
-        self._cache: OrderedDict[Condition, CheckResult] = OrderedDict()
-        #: Guards the cache and the counters: Check is called from the
-        #: parallel executor's worker threads and the serving layer at
-        #: once, and an unguarded dict store / ``+= 1`` under free
-        #: threading would lose updates (or corrupt the LRU order).
+        #: condition -> CheckResult, bounded at :data:`CHECK_CACHE_ENTRIES`.
+        self._cache = BoundedCache(CHECK_CACHE_ENTRIES)
+        #: Guards the counters: Check is called from the parallel
+        #: executor's worker threads and the serving layer at once, and
+        #: an unguarded ``+= 1`` under free threading would lose updates.
         self._cache_lock = threading.Lock()
         #: The compiled token-trie checker (None until :meth:`compile`,
         #: or when compilation exceeded its budget).
@@ -155,8 +153,6 @@ class SourceDescription:
         self.compilation: CompilationReport | None = None
         #: Number of Check invocations that missed the cache (stats hook).
         self.check_calls = 0
-        #: Number of Check invocations answered from the cache.
-        self.check_cache_hits = 0
         #: Cache-missing Checks answered by the compiled recognizer.
         self.check_compiled = 0
         #: Cache-missing Checks that fell back to Earley although a
@@ -281,12 +277,9 @@ class SourceDescription:
         without tokenizing it (see :meth:`atom_matchable`).
         """
         if self.cache_checks:
-            with self._cache_lock:
-                cached = self._cache.get(condition)
-                if cached is not None:
-                    self._cache.move_to_end(condition)
-                    self.check_cache_hits += 1
-                    return cached
+            cached = self._cache.get(condition)
+            if cached is not None:
+                return cached
         prefiltered = not all(map(self.atom_matchable, condition.atoms()))
         if prefiltered:
             get_metrics().counter("ssdl.check.prefiltered").inc()
@@ -296,11 +289,8 @@ class SourceDescription:
         with self._cache_lock:
             self.check_calls += 1
             self.check_prefiltered += prefiltered
-            if self.cache_checks:
-                self._cache[condition] = result
-                self._cache.move_to_end(condition)
-                while len(self._cache) > self.check_cache_entries:
-                    self._cache.popitem(last=False)
+        if self.cache_checks:
+            self._cache.put(condition, result)
         return result
 
     def _recognize(self, condition: Condition) -> CheckResult:
@@ -376,11 +366,15 @@ class SourceDescription:
         """``Check(true, R)``: what a full download could export (if allowed)."""
         return self.check(TRUE)
 
+    @property
+    def check_cache_hits(self) -> int:
+        """Number of Check invocations answered from the cache."""
+        return self._cache.stats.hits
+
     def check_cache_size(self) -> int:
         """How many Check results are currently cached (0 when caching
         is off -- the ablation path must hold memory flat)."""
-        with self._cache_lock:
-            return len(self._cache)
+        return len(self._cache)
 
     # ------------------------------------------------------------------
     def all_attributes(self) -> frozenset[str]:

@@ -24,6 +24,7 @@ from repro.planners.genmodular import GenModular
 from repro.plans.cost import CostModel
 from repro.query import TargetQuery
 from repro.source.library import standard_catalog
+from repro.ssdl import description as description_module
 from repro.ssdl.description import SourceDescription
 from repro.ssdl.text import parse_ssdl
 from repro.workloads.synthetic import WorldConfig, make_source, random_condition
@@ -157,12 +158,12 @@ class TestCacheDisabled:
         assert off.check_calls == 100
         assert off.check_cache_hits == 0
 
-    def test_lru_bound_holds(self, example41_description):
+    def test_lru_bound_holds(self, example41_description, monkeypatch):
+        monkeypatch.setattr(description_module, "CHECK_CACHE_ENTRIES", 4)
         bounded = SourceDescription(
             example41_description.condition_nonterminals,
             example41_description.productions,
             example41_description.attributes,
-            check_cache_entries=4,
         )
         for i in range(40):
             bounded.check(parse_condition(f"make = 'M{i}' and price < 10"))
@@ -172,17 +173,6 @@ class TestCacheDisabled:
         assert bounded.check_cache_hits == 1
         bounded.check(parse_condition("make = 'M0' and price < 10"))
         assert bounded.check_cache_hits == 1
-
-    def test_rejects_nonpositive_cache_bound(self, example41_description):
-        from repro.errors import GrammarError
-
-        with pytest.raises(GrammarError):
-            SourceDescription(
-                example41_description.condition_nonterminals,
-                example41_description.productions,
-                example41_description.attributes,
-                check_cache_entries=0,
-            )
 
 
 # ----------------------------------------------------------------------

@@ -4,11 +4,11 @@ pruning, and the pruned == unpruned property battery."""
 from __future__ import annotations
 
 from repro.conditions.atoms import Atom, Op
+from repro.conditions.simplify import implies
 from repro.conditions.tree import TRUE, And, Leaf, Or
 from repro.mediator import Mediator
 from repro.observability.metrics import MetricsRegistry, use_metrics
 from repro.plans.minimal import (
-    atom_implies,
     branch_profile,
     branch_subsumes,
     condition_implies,
@@ -28,42 +28,42 @@ def atom(attr, op, value):
 
 class TestAtomImplies:
     def test_equality_cases(self):
-        assert atom_implies(atom("a", Op.EQ, 5), atom("a", Op.LE, 5))
-        assert atom_implies(atom("a", Op.EQ, 5), atom("a", Op.LT, 6))
-        assert atom_implies(atom("a", Op.EQ, 5), atom("a", Op.NE, 6))
-        assert atom_implies(atom("a", Op.EQ, 5), atom("a", Op.IN, (4, 5)))
-        assert not atom_implies(atom("a", Op.EQ, 5), atom("a", Op.IN, (4,)))
-        assert not atom_implies(atom("a", Op.EQ, 5), atom("a", Op.NE, 5))
-        assert atom_implies(atom("a", Op.EQ, "Dreams of X"),
-                            atom("a", Op.CONTAINS, "dreams"))
+        assert implies(atom("a", Op.EQ, 5), atom("a", Op.LE, 5))
+        assert implies(atom("a", Op.EQ, 5), atom("a", Op.LT, 6))
+        assert implies(atom("a", Op.EQ, 5), atom("a", Op.NE, 6))
+        assert implies(atom("a", Op.EQ, 5), atom("a", Op.IN, (4, 5)))
+        assert not implies(atom("a", Op.EQ, 5), atom("a", Op.IN, (4,)))
+        assert not implies(atom("a", Op.EQ, 5), atom("a", Op.NE, 5))
+        assert implies(atom("a", Op.EQ, "Dreams of X"),
+                       atom("a", Op.CONTAINS, "dreams"))
 
     def test_range_cases(self):
-        assert atom_implies(atom("p", Op.LT, 10), atom("p", Op.LT, 20))
-        assert atom_implies(atom("p", Op.LT, 10), atom("p", Op.LE, 10))
-        assert atom_implies(atom("p", Op.LE, 10), atom("p", Op.LT, 11))
-        assert not atom_implies(atom("p", Op.LE, 10), atom("p", Op.LT, 10))
-        assert atom_implies(atom("p", Op.GT, 10), atom("p", Op.GE, 10))
-        assert atom_implies(atom("p", Op.GE, 11), atom("p", Op.GT, 10))
-        assert not atom_implies(atom("p", Op.GE, 10), atom("p", Op.GT, 10))
-        assert atom_implies(atom("p", Op.LT, 10), atom("p", Op.NE, 10))
-        assert atom_implies(atom("p", Op.GT, 10), atom("p", Op.NE, 10))
-        assert not atom_implies(atom("p", Op.LT, 10), atom("p", Op.NE, 9))
+        assert implies(atom("p", Op.LT, 10), atom("p", Op.LT, 20))
+        assert implies(atom("p", Op.LT, 10), atom("p", Op.LE, 10))
+        assert implies(atom("p", Op.LE, 10), atom("p", Op.LT, 11))
+        assert not implies(atom("p", Op.LE, 10), atom("p", Op.LT, 10))
+        assert implies(atom("p", Op.GT, 10), atom("p", Op.GE, 10))
+        assert implies(atom("p", Op.GE, 11), atom("p", Op.GT, 10))
+        assert not implies(atom("p", Op.GE, 10), atom("p", Op.GT, 10))
+        assert implies(atom("p", Op.LT, 10), atom("p", Op.NE, 10))
+        assert implies(atom("p", Op.GT, 10), atom("p", Op.NE, 10))
+        assert not implies(atom("p", Op.LT, 10), atom("p", Op.NE, 9))
 
     def test_in_decomposes(self):
-        assert atom_implies(atom("a", Op.IN, (1, 2)), atom("a", Op.LE, 5))
-        assert not atom_implies(atom("a", Op.IN, (1, 9)), atom("a", Op.LE, 5))
+        assert implies(atom("a", Op.IN, (1, 2)), atom("a", Op.LE, 5))
+        assert not implies(atom("a", Op.IN, (1, 9)), atom("a", Op.LE, 5))
 
     def test_contains_substring(self):
-        assert atom_implies(atom("t", Op.CONTAINS, "dreams of"),
-                            atom("t", Op.CONTAINS, "dreams"))
-        assert not atom_implies(atom("t", Op.CONTAINS, "dreams"),
-                                atom("t", Op.CONTAINS, "dreams of"))
+        assert implies(atom("t", Op.CONTAINS, "dreams of"),
+                       atom("t", Op.CONTAINS, "dreams"))
+        assert not implies(atom("t", Op.CONTAINS, "dreams"),
+                           atom("t", Op.CONTAINS, "dreams of"))
 
     def test_soundness_guards(self):
-        assert not atom_implies(atom("a", Op.EQ, 5), atom("b", Op.EQ, 5))
+        assert not implies(atom("a", Op.EQ, 5), atom("b", Op.EQ, 5))
         # Cross-type comparisons must not prove anything (nor raise).
-        assert not atom_implies(atom("a", Op.LT, "zz"), atom("a", Op.LT, 5))
-        assert not atom_implies(atom("a", Op.NE, 5), atom("a", Op.LT, 9))
+        assert not implies(atom("a", Op.LT, "zz"), atom("a", Op.LT, 5))
+        assert not implies(atom("a", Op.NE, 5), atom("a", Op.LT, 9))
 
 
 class TestConditionImplies:
