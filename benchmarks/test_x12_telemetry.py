@@ -205,7 +205,7 @@ def _slo_burn() -> dict:
             except urllib.error.HTTPError as reply:
                 http_status, body = reply.code, reply.read()
     health = json.loads(body.decode("utf-8"))
-    entries = mediator.slow_queries.entries()
+    entries = mediator.slow_queries.events()
     expected_fingerprints = {
         plan_fingerprint(plan_cache_key(query)) for query in queries
     }

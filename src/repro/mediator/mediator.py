@@ -10,18 +10,19 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 from repro.conditions.simplify import is_definitely_unsatisfiable
 from repro.data.relation import Relation
 from repro.errors import InfeasiblePlanError, OverloadError, PlanExecutionError
-from repro.observability.events import AskEvent
+from repro.observability.events import AskEvent, EventLog
 from repro.observability.metrics import (
     DEFAULT_BUCKETS,
     Histogram,
     get_metrics,
 )
-from repro.observability.slo import SlowQuery, query_fingerprint
+from repro.observability.slo import query_fingerprint
 from repro.observability.trace import Tracer, get_tracer, use_tracer
 from repro.planners.base import Planner, PlannerStats, PlanningResult
 from repro.planners.gencompact import GenCompact
@@ -31,6 +32,14 @@ from repro.plans.retry import RetryPolicy
 from repro.query import TargetQuery, parse_query
 from repro.serving.plan_cache import PlanCache, PlanTemplates, plan_cache_key
 from repro.source.source import CapabilitySource
+
+#: The attainment the latency objective is tracked against (0.99 = at
+#: most 1 % of asks may breach it).
+SLO_TARGET = 0.99
+#: Breaching asks the slow-query log retains (older ones are evicted).
+SLOW_QUERY_LOG_ENTRIES = 128
+#: The admission slot of a mediator without admission control.
+_NO_ADMISSION = nullcontext()
 
 
 @dataclass
@@ -58,7 +67,6 @@ class Mediator:
         planner: Planner | None = None,
         k1: float = 100.0,
         k2: float = 1.0,
-        short_circuit_unsatisfiable: bool = True,
         result_cache_tuples: int | None = None,
         retry_policy: RetryPolicy | None = None,
         parallel_workers: int | None = None,
@@ -70,15 +78,13 @@ class Mediator:
         max_in_flight: int | None = None,
         admission_timeout: float = 1.0,
         latency_objective: float | None = None,
-        slo_target: float = 0.99,
-        slow_query_log_entries: int = 128,
         exemplar_slots: int = 4,
         event_log_entries: int | None = None,
         event_log_path=None,
     ):
-        """``short_circuit_unsatisfiable`` answers provably empty queries
-        (e.g. ``price < 10 and price > 20``) locally, without planning or
-        contacting the source.  ``result_cache_tuples`` enables an LRU
+        """A provably empty query (e.g. ``price < 10 and price > 20``) is
+        answered locally, without planning or contacting the source.
+        ``result_cache_tuples`` enables an LRU
         source-query result cache bounded by that many cached tuples.
         ``retry_policy`` makes the mediator's executor retry transient
         source failures (capability rejections are never retried).
@@ -133,12 +139,12 @@ class Mediator:
         machinery -- every :meth:`ask` is timed into a bucketed
         latency histogram with the objective as an exact boundary, an
         :class:`~repro.observability.slo.SLOTracker` computes
-        error-budget burn against ``slo_target`` (the intended
-        attainment fraction), and any ask past the objective lands in
-        the bounded :class:`~repro.observability.slo.SlowQueryLog`
-        (``slow_query_log_entries`` deep) with its canonical plan
-        fingerprint, per-source meter deltas and -- when a recording
-        tracer is installed -- the rendered span timeline.  The ask
+        error-budget burn against :data:`SLO_TARGET`, and the
+        :class:`~repro.observability.events.AskEvent` of any ask past
+        the objective lands in ``slow_queries``, an
+        :class:`~repro.observability.events.EventLog` of
+        :data:`SLOW_QUERY_LOG_ENTRIES`, with the rendered span timeline
+        when a recording tracer is installed.  The ask
         latency histogram keeps ``exemplar_slots`` exemplars: the
         (trace id, latency) of recent extreme asks, exported in
         OpenMetrics exemplar syntax so a scraper can jump from a
@@ -152,11 +158,11 @@ class Mediator:
         -- trace id, plan fingerprint, planning outcome, per-source
         tallies, coalesced/batched hits, latency and outcome -- in a
         bounded ring that deep, optionally mirrored to the JSONL file
-        ``event_log_path`` (a path alone also arms it)."""
+        ``event_log_path`` (a path alone also arms it).  An ask that
+        breaches the objective builds one event for both logs."""
         self.planner = planner if planner is not None else GenCompact()
         self.k1 = k1
         self.k2 = k2
-        self.short_circuit_unsatisfiable = short_circuit_unsatisfiable
         self.catalog: dict[str, CapabilitySource] = {}
         self._catalog_lock = threading.Lock()
         #: Bumped by every catalog mutation; versions plan-cache entries.
@@ -179,11 +185,11 @@ class Mediator:
                 max_in_flight, queue_timeout=admission_timeout
             )
         self.slo = None
-        self.slow_queries = None
+        self.slow_queries: EventLog | None = None
         self.ask_latency: Histogram | None = None
         self.latency_objective = latency_objective
         if latency_objective is not None:
-            from repro.observability.slo import SLOTracker, SlowQueryLog
+            from repro.observability.slo import SLOTracker
 
             # A mediator-local histogram so the objective is always one
             # of the boundaries (exact SLO accounting), whatever the
@@ -194,20 +200,13 @@ class Mediator:
                 exemplar_slots=exemplar_slots,
             )
             self.slo = SLOTracker(self.ask_latency, latency_objective,
-                                  target=slo_target)
-            self.slow_queries = SlowQueryLog(slow_query_log_entries)
+                                  target=SLO_TARGET)
+            self.slow_queries = EventLog(SLOW_QUERY_LOG_ENTRIES)
         self.events = None
         if event_log_entries is not None or event_log_path is not None:
-            from repro.observability.events import EventLog
-
             self.events = EventLog(
                 capacity=event_log_entries or 256, path=event_log_path
             )
-        #: Per-thread planning-outcome scratch: :meth:`plan` happens on
-        #: the asking thread (with every engine, async included), so a
-        #: thread-local is enough to hand the plan-cache outcome to the
-        #: ask's wide event without threading it through return values.
-        self._ask_scratch = threading.local()
         self.result_cache = None
         if result_cache_tuples is not None:
             from repro.plans.cache import ResultCache
@@ -415,6 +414,12 @@ class Mediator:
         """
         if isinstance(query, str):
             query = parse_query(query)
+        return self._plan(query, planner)[0]
+
+    def _plan(self, query: TargetQuery, planner: Planner | None
+              ) -> tuple[PlanningResult, str]:
+        """:meth:`plan`, and how the plan cache resolved it: ``"hit"``,
+        ``"template_hit"``, ``"miss"`` or ``""`` (no plan cache)."""
         tracer = get_tracer()
         # The query text is rendered only for a tracer that records it:
         # an untraced ask renders no text.
@@ -448,8 +453,7 @@ class Mediator:
                         planner=cached.planner, feasible=cached.feasible,
                         cost=cached.cost, plan_cache="hit",
                     )
-                    self._ask_scratch.plan_cache = "hit"
-                    return cached
+                    return cached, "hit"
                 span.add_event("plan.cache_miss", catalog_version=version)
                 if self.plan_templates is not None:
                     template_key = self.plan_templates.key(query, scheme.name)
@@ -471,10 +475,10 @@ class Mediator:
                             planner=rebound.planner, feasible=rebound.feasible,
                             cost=rebound.cost, plan_cache="template_hit",
                         )
-                        self._ask_scratch.plan_cache = "template_hit"
-                        return rebound
+                        return rebound, "template_hit"
             result = scheme.plan(query, source, self.cost_model())
             result.catalog_version = version
+            plan_cache = ""
             if cache_key is not None:
                 # Store under the version read *before* planning: a
                 # concurrent catalog change mid-plan leaves a stale
@@ -485,12 +489,12 @@ class Mediator:
                         template_key, query.condition, result, version
                     )
                 span.set_attribute("plan_cache", "miss")
-                self._ask_scratch.plan_cache = "miss"
+                plan_cache = "miss"
             span.set_attributes(
                 planner=result.planner, feasible=result.feasible,
                 cost=result.cost,
             )
-            return result
+            return result, plan_cache
 
     def explain(self, query: TargetQuery | str, planner: Planner | None = None,
                 trace: bool = False) -> str:
@@ -540,129 +544,97 @@ class Mediator:
             if tracer.enabled else {}
         )
         with tracer.span("mediator.ask", **attributes) as span:
-            if self.slo is None and self.events is None:
-                return self._admitted_ask(query, planner, span, executor)
-            self._ask_scratch.plan_cache = ""
-            started = time.perf_counter()
+            armed = self.slo is not None or self.events is not None
+            started = time.perf_counter() if armed else 0.0
+            plan_cache = ""
             try:
-                answer = self._admitted_ask(query, planner, span, executor)
+                with (_NO_ADMISSION if self.admission is None
+                      else self.admission.admit()):
+                    if is_definitely_unsatisfiable(query.condition):
+                        span.set_attribute("short_circuited", True)
+                        answer = self._empty_answer(query)
+                    else:
+                        planning, plan_cache = self._plan(query, planner)
+                        answer = self._execute(query, planning, span,
+                                               executor)
             except BaseException as exc:
-                duration = time.perf_counter() - started
-                if self.slo is not None:
-                    self._observe_ask(query, duration, None, exc, span)
-                if self.events is not None:
-                    self._emit_event(query, duration, None, exc, span)
+                if armed:
+                    self._record_ask(query, time.perf_counter() - started,
+                                     None, exc, span, plan_cache)
                 raise
-            duration = time.perf_counter() - started
-            if self.slo is not None:
-                self._observe_ask(query, duration, answer, None, span)
-            if self.events is not None:
-                self._emit_event(query, duration, answer, None, span)
+            if armed:
+                self._record_ask(query, time.perf_counter() - started,
+                                 answer, None, span, plan_cache)
             return answer
 
-    def _admitted_ask(self, query: TargetQuery, planner: Planner | None,
-                      span, executor: str | None = None) -> MediatorAnswer:
-        if self.admission is None:
-            return self._ask(query, planner, span, executor)
-        with self.admission.admit():
-            return self._ask(query, planner, span, executor)
-
-    def _observe_ask(self, query: TargetQuery, duration: float,
-                     answer: MediatorAnswer | None,
-                     error: BaseException | None, span) -> None:
-        """SLO accounting for one finished ask (success *or* failure):
-        feed the latency histograms, and append any objective breach to
-        the slow-query log with its plan fingerprint, per-source meter
-        deltas and (when a tracer records) the rendered timeline."""
-        trace_id = span.trace_id or None
-        if self.ask_latency.observe(duration, trace_id=trace_id):
-            # The latency landed in an exemplar slot: the exported
-            # exemplar will point at this trace, so pin it through any
-            # sampling decision (a dangling exemplar helps nobody).
-            pin = getattr(get_tracer(), "pin_trace", None)
-            if pin is not None:
-                pin(trace_id)
-        get_metrics().histogram("mediator.ask_seconds").observe(duration)
-        if duration <= self.latency_objective:
-            return
-        get_metrics().counter("mediator.slo_breaches").inc()
-        span.set_attribute("slo_breach", True)
-        per_source: dict[str, tuple[int, int]] = {}
-        planner_name = None
-        if answer is not None:
-            planner_name = answer.planning.planner
-            per_source = {
-                name: (delta.queries, delta.tuples)
-                for name, delta in answer.report.per_source.items()
-            }
-        timeline = None
-        spans = get_tracer().trace_spans(span.trace_id) \
-            if span.trace_id else []
-        if spans:
-            from repro.observability.timeline import render_timeline
-
-            timeline = render_timeline(spans)
-        self.slow_queries.append(SlowQuery(
-            query=query.text,
-            source=query.source,
-            duration_seconds=duration,
-            objective_seconds=self.latency_objective,
-            fingerprint=query_fingerprint(query),
-            planner=planner_name,
-            error=f"{type(error).__name__}: {error}" if error else None,
-            per_source=per_source,
-            timeline=timeline,
-            trace_id=span.trace_id or None,
-        ))
-
-    def _emit_event(self, query: TargetQuery, duration: float,
+    def _record_ask(self, query: TargetQuery, duration: float,
                     answer: MediatorAnswer | None,
-                    error: BaseException | None, span) -> None:
-        """Append the wide event of one finished ask to the event log."""
+                    error: BaseException | None, span,
+                    plan_cache: str) -> None:
+        """Telemetry for one finished ask, success *or* failure.
+
+        With an objective, the latency feeds the SLO histograms and a
+        breach is counted.  The ask's one :class:`AskEvent` is built
+        only when something keeps it -- the event ring, or the
+        slow-query log on a breach, where it also carries the rendered
+        span timeline -- and every keeper holds that same value."""
+        trace_id = span.trace_id
+        breached = False
+        if self.slo is not None:
+            if self.ask_latency.observe(duration, trace_id=trace_id or None):
+                # The latency landed in an exemplar slot: the exported
+                # exemplar will point at this trace, so pin it through
+                # any sampling decision (a dangling exemplar helps
+                # nobody).
+                pin = getattr(get_tracer(), "pin_trace", None)
+                if pin is not None:
+                    pin(trace_id)
+            get_metrics().histogram("mediator.ask_seconds").observe(duration)
+            breached = duration > self.latency_objective
+            if breached:
+                get_metrics().counter("mediator.slo_breaches").inc()
+                span.set_attribute("slo_breach", True)
+        if not breached and self.events is None:
+            return
         if error is None:
             outcome = "ok"
         elif isinstance(error, OverloadError):
             outcome = "shed"
         else:
             outcome = type(error).__name__
-        per_source: dict[str, list[int]] = {}
-        planner_name = None
-        answers = coalesced = batched = 0
-        if answer is not None:
-            planner_name = answer.planning.planner
-            report = answer.report
-            per_source = {
-                name: [delta.queries, delta.tuples]
-                for name, delta in report.per_source.items()
-            }
-            answers = len(report.result)
-            coalesced = report.coalesced_hits
-            batched = report.batched_hits
-        self.events.append(AskEvent(
+        event = AskEvent(
             query=query.text,
             source=query.source,
             outcome=outcome,
             duration_seconds=duration,
-            trace_id=f"{span.trace_id:032x}" if span.trace_id else "",
+            trace_id=f"{trace_id:032x}" if trace_id else "",
             fingerprint=query_fingerprint(query),
-            planner=planner_name,
-            plan_cache=getattr(self._ask_scratch, "plan_cache", ""),
-            per_source=per_source,
-            answers=answers,
-            coalesced_hits=coalesced,
-            batched_hits=batched,
+            plan_cache=plan_cache,
             error=f"{type(error).__name__}: {error}" if error else None,
-        ))
+        )
+        if answer is not None:
+            report = answer.report
+            event.planner = answer.planning.planner
+            event.per_source = {
+                name: [delta.queries, delta.tuples]
+                for name, delta in report.per_source.items()
+            }
+            event.answers = len(report.result)
+            event.coalesced_hits = report.coalesced_hits
+            event.batched_hits = report.batched_hits
+        if breached:
+            spans = get_tracer().trace_spans(trace_id) if trace_id else []
+            if spans:
+                from repro.observability.timeline import render_timeline
 
-    def _ask(self, query: TargetQuery, planner: Planner | None, span,
-             executor: str | None = None) -> MediatorAnswer:
-        """The admitted body of :meth:`ask` (under its span)."""
-        if self.short_circuit_unsatisfiable and is_definitely_unsatisfiable(
-            query.condition
-        ):
-            span.set_attribute("short_circuited", True)
-            return self._empty_answer(query)
-        planning = self.plan(query, planner)
+                event.timeline = render_timeline(spans)
+            self.slow_queries.append(event)
+        if self.events is not None:
+            self.events.append(event)
+
+    def _execute(self, query: TargetQuery, planning: PlanningResult, span,
+                 executor: str | None = None) -> MediatorAnswer:
+        """Run a planned ask (under its span and admission slot)."""
         if planning.plan is None:
             why = planning.why_infeasible()
             raise InfeasiblePlanError(

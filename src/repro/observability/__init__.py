@@ -28,13 +28,16 @@ dependency:
   :class:`TelemetryServer` (``/metrics`` / ``/health`` /
   ``/snapshot``);
 * :mod:`repro.observability.slo` -- :class:`SLOTracker` error-budget
-  accounting and the bounded :class:`SlowQueryLog`;
+  accounting and the canonical plan fingerprints;
 * :mod:`repro.observability.federation` -- mergeable snapshot
   semantics and the :class:`FederatedScraper` that pulls N telemetry
   servers into one :class:`ClusterView` over real HTTP;
 * :mod:`repro.observability.events` -- the wide-event request log:
-  one structured :class:`AskEvent` per ``Mediator.ask`` in a bounded
-  :class:`EventLog` ring with an optional JSONL file sink.
+  one structured :class:`AskEvent` per ``Mediator.ask``, the
+  mediator's single per-ask record, in a bounded :class:`EventLog`
+  ring with an optional JSONL file sink.  The slow-query log is a
+  second ``EventLog`` holding the same events of the asks that
+  breached the latency objective, each with its span timeline.
 
 Cross-process tracing lives in :mod:`repro.observability.trace` too:
 :class:`TraceContext` serializes a span's (trace id, span id,
@@ -87,8 +90,6 @@ from repro.observability.profiling import (
 from repro.observability.sampling import SamplingTracer
 from repro.observability.slo import (
     SLOTracker,
-    SlowQuery,
-    SlowQueryLog,
     plan_fingerprint,
     query_fingerprint,
 )
@@ -163,8 +164,6 @@ __all__ = [
     "ProfilingSession",
     "SLOTracker",
     "SamplingTracer",
-    "SlowQuery",
-    "SlowQueryLog",
     "Span",
     "SpanEvent",
     "TRACEPARENT_HEADER",

@@ -10,16 +10,20 @@ miss), what execution did (per-source query/tuple tallies, coalesced
 and batched hits), the measured latency, and how it ended (``ok``,
 shed by admission control, or the error class).
 
-:class:`AskEvent` is the event; :class:`EventLog` is the sink -- a
-bounded thread-safe ring (like the slow-query log, but for *every*
-ask, not just breaches) with an optional append-only JSONL file so
-events survive the process.  One event is one JSON object on one line:
-``grep`` for a trace id, ``jq`` over outcomes, or reload with
-:func:`read_events` -- no collector, no schema registry.
+:class:`AskEvent` is the event and the mediator's only per-ask record;
+:class:`EventLog` is the sink -- a bounded thread-safe ring with an
+optional append-only JSONL file so events survive the process.  One
+event is one JSON object on one line: ``grep`` for a trace id, ``jq``
+over outcomes, or reload with :func:`read_events` -- no collector, no
+schema registry.
 
-The mediator emits these itself when constructed with
-``event_log_entries``/``event_log_path``; ``python -m repro.trace
---events`` prints the ring of a demo run.
+The mediator keeps two rings of the same events: ``mediator.events``
+(``event_log_entries``/``event_log_path``) holds every ask, and
+``mediator.slow_queries`` (armed by ``latency_objective``) holds the
+asks past the objective, each carrying its rendered span timeline when
+a recording tracer was installed.  A breaching ask is built once and
+the same value lands in both.  ``python -m repro.trace --events``
+prints the first of a demo run, ``--slowlog`` the second.
 """
 
 from __future__ import annotations
@@ -54,6 +58,9 @@ class AskEvent:
     coalesced_hits: int = 0
     batched_hits: int = 0
     error: str | None = None
+    #: The rendered span timeline, kept for an ask past its latency
+    #: objective when a recording tracer was installed.
+    timeline: str | None = None
     wall_time: float = field(default_factory=time.time)
 
     def to_dict(self) -> dict[str, Any]:
@@ -85,6 +92,28 @@ class AskEvent:
         parts.append(self.query)
         return " ".join(parts)
 
+    def format_breach(self, objective_seconds: float) -> str:
+        """The event as an indented block against the objective it
+        breached (the ``--slowlog`` CLI view)."""
+        status = "ERROR" if self.error else "ok"
+        lines = [
+            f"[{self.fingerprint}] {self.duration_seconds * 1000:.2f} ms "
+            f"(objective {objective_seconds * 1000:.2f} ms, {status}) "
+            f"{self.query}"
+        ]
+        if self.planner:
+            lines.append(f"    planner={self.planner} source={self.source}")
+        if self.error:
+            lines.append(f"    error={self.error}")
+        if self.trace_id:
+            lines.append(f"    trace_id={self.trace_id}")
+        for name in sorted(self.per_source):
+            queries, tuples = self.per_source[name]
+            lines.append(f"    {name}: {queries} queries, {tuples} tuples")
+        if self.timeline:
+            lines.extend("    " + line for line in self.timeline.splitlines())
+        return "\n".join(lines)
+
 
 class EventLog:
     """A bounded ring of :class:`AskEvent` with an optional file sink.
@@ -93,7 +122,8 @@ class EventLog:
     ring insert happens under one short lock and the optional JSONL
     write reuses a single line-buffered handle.  Past ``capacity`` the
     oldest in-memory event is evicted (counted) -- the file, when
-    configured, keeps everything.
+    configured, keeps everything: :meth:`close` releases the handle,
+    and the next ``append`` reopens the file for appending.
     """
 
     def __init__(self, capacity: int = 256,
@@ -114,14 +144,16 @@ class EventLog:
     def append(self, event: AskEvent) -> None:
         line = (
             json.dumps(event.to_dict(), sort_keys=True)
-            if self._sink is not None else None
+            if self.path is not None else None
         )
         with self._lock:
             if len(self._ring) == self.capacity:
                 self.evicted += 1
             self._ring.append(event)
             self.recorded += 1
-            if self._sink is not None:
+            if line is not None:
+                if self._sink is None:
+                    self._sink = self.path.open("a", encoding="utf-8")
                 self._sink.write(line + "\n")
                 self._sink.flush()
 
@@ -144,17 +176,24 @@ class EventLog:
                 "path": str(self.path) if self.path else None,
             }
 
-    def format(self) -> str:
-        """The ring as text, oldest first, with a one-line header."""
+    def format(self, title: str = "ask events",
+               objective_seconds: float | None = None) -> str:
+        """The ring as text, oldest first, under a one-line header: a
+        line per event, or -- given the latency objective the events
+        breached, as the slow-query log is printed -- a block each."""
         events = self.events()
         stats = self.stats()
         header = (
-            f"ask events: {stats['retained']} retained of "
+            f"{title}: {stats['retained']} retained of "
             f"{stats['recorded']} recorded ({stats['evicted']} evicted)"
         )
         if stats["path"]:
             header += f" -> {stats['path']}"
-        return "\n".join([header] + [event.format() for event in events])
+        return "\n".join([header] + [
+            event.format() if objective_seconds is None
+            else event.format_breach(objective_seconds)
+            for event in events
+        ])
 
     def clear(self) -> None:
         with self._lock:

@@ -1,4 +1,4 @@
-"""Latency objectives: error-budget tracking and the slow-query log.
+"""Latency objectives: error-budget tracking and plan fingerprints.
 
 A production mediator needs two answers the metrics alone do not give:
 *are we meeting the objective* (and how much failure budget is left),
@@ -14,22 +14,18 @@ requests *allowed* to breach -- and ``status()`` reports attainment,
 budget burn, and ``ok`` / ``degraded``; the telemetry server's
 ``/health`` endpoint turns ``degraded`` into a 503.
 
-:class:`SlowQueryLog` answers the second: every ask past the objective
-is appended (thread-safe, bounded ring -- oldest evicted, counted) as a
-:class:`SlowQuery` carrying the query text, measured duration, the
-canonical plan fingerprint (equivalent spellings of a query share one
-fingerprint, so the log groups by *plan*, not by text), the per-source
-meter deltas of exactly that execution, and the rendered span timeline
-when a recording tracer was installed.
+The mediator's slow-query log answers the second: every ask past the
+objective keeps its :class:`~repro.observability.events.AskEvent` --
+query text, measured duration, the canonical plan fingerprint
+(equivalent spellings of a query share one fingerprint, so the log
+groups by *plan*, not by text), the per-source tallies of exactly that
+execution, and the rendered span timeline when a recording tracer was
+installed -- in a bounded :class:`~repro.observability.events.EventLog`.
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
-import time
-from collections import deque
-from dataclasses import dataclass, field
 from typing import Any
 
 from repro.observability.metrics import Histogram, quantile_from_snapshot
@@ -54,96 +50,6 @@ def query_fingerprint(query) -> str:
     fingerprint = query.fingerprint
     key = f"({query.source!r}, {fingerprint.exact_text}, {query.attributes!r})"
     return hashlib.sha1(key.encode("utf-8")).hexdigest()[:12]
-
-
-@dataclass
-class SlowQuery:
-    """One ask that finished past its latency objective."""
-
-    query: str
-    source: str
-    duration_seconds: float
-    objective_seconds: float
-    fingerprint: str
-    planner: str | None = None
-    error: str | None = None
-    #: Source name -> (queries, tuples) meter delta of this execution.
-    per_source: dict[str, tuple[int, int]] = field(default_factory=dict)
-    timeline: str | None = None
-    #: The ask's trace id when a tracer was recording -- the join key
-    #: against exported spans and OpenMetrics exemplars.
-    trace_id: int | None = None
-    wall_time: float = field(default_factory=time.time)
-
-    def format(self) -> str:
-        """The log entry as an indented, greppable block."""
-        status = "ERROR" if self.error else "ok"
-        lines = [
-            f"[{self.fingerprint}] {self.duration_seconds * 1000:.2f} ms "
-            f"(objective {self.objective_seconds * 1000:.2f} ms, {status}) "
-            f"{self.query}"
-        ]
-        if self.planner:
-            lines.append(f"    planner={self.planner} source={self.source}")
-        if self.error:
-            lines.append(f"    error={self.error}")
-        if self.trace_id is not None:
-            lines.append(f"    trace_id={self.trace_id:032x}")
-        for name in sorted(self.per_source):
-            queries, tuples = self.per_source[name]
-            lines.append(f"    {name}: {queries} queries, {tuples} tuples")
-        if self.timeline:
-            lines.extend("    " + line for line in self.timeline.splitlines())
-        return "\n".join(lines)
-
-
-class SlowQueryLog:
-    """A bounded, thread-safe log of objective-breaching asks."""
-
-    def __init__(self, capacity: int = 128):
-        if capacity < 1:
-            raise ValueError("capacity must be at least 1")
-        self.capacity = capacity
-        self._lock = threading.Lock()
-        self._entries: deque[SlowQuery] = deque(maxlen=capacity)
-        #: Exact accounting: every append lands in the log; past
-        #: capacity the oldest entry is evicted and counted here.
-        self.recorded = 0
-        self.evicted = 0
-
-    def append(self, entry: SlowQuery) -> None:
-        with self._lock:
-            if len(self._entries) == self.capacity:
-                self.evicted += 1
-            self._entries.append(entry)
-            self.recorded += 1
-
-    def entries(self) -> list[SlowQuery]:
-        """Oldest-first snapshot of the retained entries."""
-        with self._lock:
-            return list(self._entries)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.recorded = 0
-            self.evicted = 0
-
-    def format(self) -> str:
-        """The whole log, newest last (the CLI's ``--slowlog`` view)."""
-        entries = self.entries()
-        with self._lock:
-            header = (
-                f"slow-query log: {len(entries)} retained of "
-                f"{self.recorded} recorded ({self.evicted} evicted)"
-            )
-        if not entries:
-            return header
-        return "\n".join([header] + [entry.format() for entry in entries])
 
 
 class SLOTracker:

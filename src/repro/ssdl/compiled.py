@@ -33,8 +33,9 @@ The compiled form is a **token trie / DFA over grammar terminals**:
 
 Compilation is **budgeted**: a grammar whose enumeration exceeds
 ``max_sequences`` (deeply ambiguous closures, adversarial recursion)
-is not compiled, and a condition longer than the horizon cannot be
-answered -- both cases fall back to the Earley recognizer, and
+is not compiled, and a condition longer than the horizon of an
+incomplete (recursive) enumeration cannot be answered -- both cases
+fall back to the Earley recognizer, and
 :class:`~repro.ssdl.description.SourceDescription` records the
 ``ssdl.check.fallback`` metric so the tradeoff is observable.
 
@@ -191,7 +192,9 @@ class CompiledChecker:
 
     :meth:`match` returns the set of condition nonterminals accepting
     the token stream, or ``None`` when the stream is longer than the
-    compiled horizon (the caller must fall back to Earley).
+    horizon of an incomplete enumeration (the caller must fall back to
+    Earley).  A complete enumeration dropped no partial sentence, so no
+    sentence is longer than its horizon: a longer stream is rejected.
     """
 
     __slots__ = ("_root", "report", "signatures")
@@ -210,7 +213,7 @@ class CompiledChecker:
     def match(self, tokens: Sequence[Token]) -> frozenset[str] | None:
         """Condition nonterminals accepting ``tokens`` (None = too long)."""
         if len(tokens) > self.report.horizon:
-            return None
+            return frozenset() if self.report.complete else None
         states: list[_Node] = [self._root]
         for token in tokens:
             next_states: list[_Node] = []

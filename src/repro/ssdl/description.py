@@ -156,7 +156,8 @@ class SourceDescription:
         #: Cache-missing Checks answered by the compiled recognizer.
         self.check_compiled = 0
         #: Cache-missing Checks that fell back to Earley although a
-        #: compiled form exists (condition longer than the horizon).
+        #: compiled form exists (condition longer than the horizon of an
+        #: incomplete enumeration).
         self.check_fallbacks = 0
         #: Cache-missing Checks answered ∅ before either recognizer ran:
         #: the condition holds an atom no template can match.
@@ -192,8 +193,9 @@ class SourceDescription:
         step, pushed further per the knowledge-compilation tradeoff:
         after a successful compile, :meth:`check` walks the token
         stream instead of running an Earley parse.  Grammars exceeding
-        the budget (and conditions longer than the horizon) keep using
-        the Earley recognizer; the report says which happened.
+        the budget (and conditions longer than an incomplete horizon)
+        keep using the Earley recognizer; the report says which
+        happened.
         """
         checker, report = compile_productions(
             self.productions,
@@ -314,7 +316,7 @@ class SourceDescription:
         if result is None:
             if compiled is not None:
                 # A compiled form exists but could not answer (condition
-                # longer than the horizon): observable fallback.
+                # longer than an incomplete horizon): observable fallback.
                 get_metrics().counter("ssdl.check.fallback").inc()
                 with self._cache_lock:
                     self.check_fallbacks += 1

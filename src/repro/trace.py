@@ -261,7 +261,8 @@ def main(argv: list[str] | None = None) -> int:
         print(mediator.slo.format())
     if args.slowlog:
         print()
-        print(mediator.slow_queries.format())
+        print(mediator.slow_queries.format(
+            "slow-query log", mediator.latency_objective))
     if args.events:
         print()
         print(mediator.events.format())

@@ -16,7 +16,9 @@ import threading
 
 import pytest
 
+from repro.conditions.atoms import Atom
 from repro.conditions.parser import parse_condition
+from repro.conditions.tree import And, Leaf, Or
 from repro.observability.metrics import get_metrics
 from repro.observability.trace import Tracer, use_tracer
 from repro.planners.gencompact import GenCompact
@@ -25,8 +27,11 @@ from repro.plans.cost import CostModel
 from repro.query import TargetQuery
 from repro.source.library import standard_catalog
 from repro.ssdl import description as description_module
+from repro.ssdl.commute import commutation_closure
 from repro.ssdl.description import SourceDescription
+from repro.ssdl.symbols import ConstClass
 from repro.ssdl.text import parse_ssdl
+from repro.workloads.adversarial import AdversarialGrammar
 from repro.workloads.synthetic import WorldConfig, make_source, random_condition
 
 from tests.conftest import EXAMPLE_41_SSDL
@@ -111,10 +116,12 @@ class TestCompilation:
 
 class TestFallback:
     def test_long_condition_falls_back_to_earley(self, example41_description):
-        # A horizon of 3 tokens cannot hold "make = $m and price < $p"
-        # (5 tokens), so every conjunctive Check must fall back.
-        report = example41_description.compile(max_tokens=3)
+        # A horizon of 2 tokens cannot hold "make = $m and price < $p"
+        # (3 tokens: two atoms and the keyword), so the enumeration is
+        # incomplete and every conjunctive Check must fall back.
+        report = example41_description.compile(max_tokens=2)
         assert report.compiled  # compiled, just with a tiny horizon
+        assert not report.complete
         before = get_metrics().counter("ssdl.check.fallback").value
         result = example41_description.check(
             parse_condition("make = 'BMW' and price < 20000")
@@ -124,7 +131,7 @@ class TestFallback:
         assert get_metrics().counter("ssdl.check.fallback").value == before + 1
 
     def test_fallback_result_equals_reference(self, example41_description):
-        example41_description.compile(max_tokens=3)
+        example41_description.compile(max_tokens=2)
         twin = earley_twin(example41_description)
         for text in (
             "make = 'BMW' and price < 20000",
@@ -133,6 +140,79 @@ class TestFallback:
         ):
             condition = parse_condition(text)
             assert example41_description.check(condition) == twin.check(condition)
+
+
+# ----------------------------------------------------------------------
+# Past the horizon of a complete enumeration: a rejection, not a fallback
+# ----------------------------------------------------------------------
+
+_SAMPLE_VALUE = {ConstClass.STR: "x", ConstClass.NUM: 7,
+                 ConstClass.BOOL: True, ConstClass.LIST: ("x",),
+                 ConstClass.ANY: 7}
+
+
+def _past_the_horizon(description: SourceDescription, seed: int,
+                      count: int = 12) -> list:
+    """Conditions longer than any horizon whose every atom some template
+    matches, so neither the prefilter nor a short walk answers them."""
+    rng = random.Random(seed)
+    atoms = sorted(
+        (Atom(t.attribute, t.op, _SAMPLE_VALUE.get(t.constant, t.constant))
+         for t in description.templates()),
+        key=repr,
+    )
+    out = []
+    for index in range(count):
+        leaves = [Leaf(rng.choice(atoms)) for _ in range(rng.randrange(17, 22))]
+        if index % 3 == 0:
+            out.append(And(leaves))
+        elif index % 3 == 1:
+            out.append(Or(leaves))
+        else:
+            out.append(And([Or(leaves[:9]), *leaves[9:]]))
+    return out
+
+
+def _without_recursion(grammar: AdversarialGrammar) -> SourceDescription:
+    """An adversarial grammar minus its one recursive rule (``disj`` over
+    ``orlist``): ambiguity, helper chain and wide rules, all finite."""
+    full = grammar.build()
+    return SourceDescription(
+        [nt for nt in full.condition_nonterminals if nt != "disj"],
+        {head: alts for head, alts in full.productions.items()
+         if head not in ("disj", "orlist")},
+        {nt: attrs for nt, attrs in full.attributes.items() if nt != "disj"},
+        name=f"{full.name}-finite",
+    )
+
+
+def _grammar(origin: str, closed: bool) -> SourceDescription:
+    if origin.startswith("adversarial"):
+        native = _without_recursion(AdversarialGrammar(int(origin[11:])))
+        return commutation_closure(native) if closed else native
+    source = standard_catalog(seed=7)[origin]
+    return source.closed_description if closed else source.description
+
+
+class TestCompleteHorizon:
+    """``car_guide`` is left out: its ``size_list`` recursion makes the
+    enumeration incomplete, and ``TestFallback`` covers that side."""
+
+    @pytest.mark.parametrize("closed", [False, True])
+    @pytest.mark.parametrize("origin", [
+        "bookstore", "bank", "flights", "classifieds",
+        "adversarial3", "adversarial11",
+    ])
+    def test_longer_than_the_horizon_is_earleys_verdict(self, origin, closed):
+        reference = _grammar(origin, closed)
+        compiled = earley_twin(reference)
+        assert compiled.compile().complete
+        twin = earley_twin(reference)
+        conditions = _past_the_horizon(reference, seed=len(origin))
+        for condition in conditions:
+            assert compiled.check(condition) == twin.check(condition)
+        assert compiled.check_fallbacks == 0
+        assert compiled.check_compiled == compiled.check_calls > 0
 
 
 # ----------------------------------------------------------------------

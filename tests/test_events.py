@@ -14,7 +14,12 @@ import threading
 
 import pytest
 
-from repro.errors import OverloadError, PlanExecutionError
+from repro.errors import (
+    InfeasiblePlanError,
+    OverloadError,
+    PlanExecutionError,
+    SourceUnavailableError,
+)
 from repro.mediator import Mediator
 from repro.observability import (
     AskEvent,
@@ -153,6 +158,35 @@ class TestMediatorEmission:
         outcomes = [e.plan_cache for e in mediator.events.events()]
         assert outcomes == ["miss", "hit"]
 
+    def test_plan_cache_outcome_survives_a_failed_execution(
+            self, monkeypatch):
+        mediator = make_mediator(event_log_entries=8,
+                                 plan_cache_entries=16)
+        mediator.ask(BMW)
+
+        def unavailable(condition, attributes):
+            raise SourceUnavailableError("cars is down")
+
+        monkeypatch.setattr(mediator.source("cars"), "execute", unavailable)
+        with pytest.raises(SourceUnavailableError):
+            mediator.ask(BMW)
+        first, failed = mediator.events.events()
+        assert (first.outcome, first.plan_cache) == ("ok", "miss")
+        assert (failed.outcome, failed.plan_cache) == (
+            "SourceUnavailableError", "hit")
+        assert failed.per_source == {}
+
+    def test_plan_cache_outcome_of_an_infeasible_ask(self):
+        mediator = make_mediator(event_log_entries=8,
+                                 plan_cache_entries=16)
+        infeasible = "SELECT model FROM cars WHERE price < 40000"
+        for _ in range(2):
+            with pytest.raises(InfeasiblePlanError):
+                mediator.ask(infeasible)
+        assert [(e.outcome, e.plan_cache)
+                for e in mediator.events.events()] == [
+            ("InfeasiblePlanError", "miss"), ("InfeasiblePlanError", "hit")]
+
     def test_without_plan_cache_the_outcome_is_blank(self):
         mediator = make_mediator(event_log_entries=8)
         mediator.ask(BMW)
@@ -224,15 +258,25 @@ class TestMediatorEmission:
         mediator.ask(BMW)
         assert len(mediator.events.events()) == 1
         assert mediator.slow_queries.recorded == 1
+        assert mediator.slow_queries.events()[0] is mediator.events.events()[0]
 
     def test_close_closes_the_sink(self, tmp_path):
         path = tmp_path / "asks.jsonl"
         mediator = make_mediator(event_log_path=path)
         mediator.ask(BMW)
         mediator.close()
-        mediator.ask(BMW)  # mediator still usable; ring still records
-        assert len(mediator.events.events()) == 2
+        assert mediator.events._sink is None
         assert len(list(read_events(path))) == 1
+
+    def test_asks_after_close_still_reach_the_file(self, tmp_path):
+        path = tmp_path / "asks.jsonl"
+        mediator = make_mediator(event_log_path=path)
+        mediator.ask(BMW)
+        mediator.close()
+        mediator.ask(BMW)  # mediator still usable: the sink reopens
+        mediator.close()
+        assert len(mediator.events.events()) == 2
+        assert [e.outcome for e in read_events(path)] == ["ok", "ok"]
 
 
 class TestTraceCliEvents:

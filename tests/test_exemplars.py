@@ -187,19 +187,19 @@ class TestMediatorPinning:
         mediator.add_source(make_example41_source())
         with use_tracer(SamplingTracer(ratio=1.0)) as tracer:
             mediator.ask(BMW)
-        entry = mediator.slow_queries.entries()[0]
-        assert entry.trace_id is not None
-        assert entry.trace_id in {s.trace_id
-                                  for s in tracer.finished_spans()}
-        assert f"trace_id={entry.trace_id:032x}" in entry.format()
+        entry = mediator.slow_queries.events()[0]
+        assert entry.trace_id
+        assert int(entry.trace_id, 16) in {s.trace_id
+                                           for s in tracer.finished_spans()}
+        assert f"trace_id={entry.trace_id}" in entry.format_breach(1e-9)
 
     def test_slow_query_without_tracer_has_no_trace_id(self):
         mediator = Mediator(latency_objective=1e-9)
         mediator.add_source(make_example41_source())
         mediator.ask(BMW)
-        entry = mediator.slow_queries.entries()[0]
-        assert entry.trace_id is None
-        assert "trace_id=" not in entry.format()
+        entry = mediator.slow_queries.events()[0]
+        assert entry.trace_id == ""
+        assert "trace_id=" not in entry.format_breach(1e-9)
 
     def test_exemplars_flow_to_the_registry_exposition(self):
         """End to end: a served ask's exemplar appears in /metrics-style

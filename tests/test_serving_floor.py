@@ -215,20 +215,29 @@ def _python_calls(run) -> int:
 #: reason: every frame here is paid per ask.
 TEMPLATE_HIT_CALL_BUDGET = 548
 EXACT_HIT_CALL_BUDGET = 322
+#: The exact-hit ask with telemetry armed, measured the same way: 331
+#: frames with a latency objective and the event ring, 337 when the ask
+#: breaches the objective and its one event lands in both logs.
+ARMED_HIT_CALL_BUDGET = 364
+BREACHING_HIT_CALL_BUDGET = 371
 
 
 class TestWarmAskCallBudget:
     SHAPE = ("SELECT model FROM car_guide WHERE make = '{make}' and "
              "price <= {price} and color = 'red'")
 
-    @pytest.fixture(scope="class")
-    def mediator(self):
-        mediator = Mediator(plan_cache_entries=64)
+    @classmethod
+    def _warm(cls, **telemetry) -> Mediator:
+        mediator = Mediator(plan_cache_entries=64, **telemetry)
         for source in standard_catalog().values():
             mediator.add_source(source)
-        mediator.ask(self.SHAPE.format(make="BMW", price=40000))
-        mediator.ask(self.SHAPE.format(make="Audi", price=30000))
+        mediator.ask(cls.SHAPE.format(make="BMW", price=40000))
+        mediator.ask(cls.SHAPE.format(make="Audi", price=30000))
         return mediator
+
+    @pytest.fixture(scope="class")
+    def mediator(self):
+        return self._warm()
 
     def test_template_hit_ask(self, mediator):
         text = self.SHAPE.format(make="Toyota", price=25000)
@@ -244,6 +253,26 @@ class TestWarmAskCallBudget:
         calls = _python_calls(lambda: answers.append(mediator.ask(text)))
         assert answers[0].planning is first.planning
         assert calls <= EXACT_HIT_CALL_BUDGET, calls
+
+    @pytest.mark.parametrize("objective, budget", [
+        (1.0, ARMED_HIT_CALL_BUDGET), (1e-9, BREACHING_HIT_CALL_BUDGET),
+    ])
+    def test_armed_exact_hit_ask(self, objective, budget):
+        mediator = self._warm(latency_objective=objective,
+                              event_log_entries=8)
+        text = self.SHAPE.format(make="Honda", price=20000)
+        first = mediator.ask(text)
+        answers = []
+        calls = _python_calls(lambda: answers.append(mediator.ask(text)))
+        assert answers[0].planning is first.planning
+        assert calls <= budget, calls
+        event = mediator.events.events()[-1]
+        assert event.plan_cache == "hit"
+        breaches = mediator.slow_queries.events()
+        if objective < 1.0:
+            assert breaches[-1] is event
+        else:
+            assert breaches == []
 
 
 # ----------------------------------------------------------------------
@@ -348,9 +377,10 @@ class TestArmedAskReusesTheFingerprint:
              query.attributes))
         assert query_fingerprint(query) == expected
         event = mediator.events.events()[-1]
-        slow = mediator.slow_queries.entries()[-1]
-        assert event.fingerprint == slow.fingerprint == expected
-        assert event.query == slow.query == WARM_TEXT
+        slow = mediator.slow_queries.events()[-1]
+        assert slow is event
+        assert event.fingerprint == expected
+        assert event.query == WARM_TEXT
 
 
 # ----------------------------------------------------------------------

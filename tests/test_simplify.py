@@ -170,20 +170,25 @@ class TestMediatorShortCircuit:
         assert answer.planning.planner == "unsatisfiable-shortcut"
 
     def test_can_be_disabled(self):
-        from repro.errors import InfeasiblePlanError
-        from repro.mediator import Mediator
+        """What the shortcut saves: planned without it, this
+        contradictory query has no feasible plan (no grammar rule
+        matches two make-equalities)."""
+        from repro.planners.gencompact import GenCompact
+        from repro.plans.cost import CostModel
+        from repro.query import parse_query
         from tests.conftest import make_example41_source
 
-        mediator = Mediator(short_circuit_unsatisfiable=False)
-        mediator.add_source(make_example41_source())
-        # Without the shortcut this contradictory query has no feasible
-        # plan (no grammar rule matches two make-equalities).
-        import pytest as _pytest
-
-        with _pytest.raises(InfeasiblePlanError):
-            mediator.ask(
+        source = make_example41_source()
+        source.compile_capabilities()
+        result = GenCompact().plan(
+            parse_query(
                 "SELECT model FROM cars WHERE make = 'BMW' and make = 'Toyota'"
-            )
+            ),
+            source,
+            CostModel({source.name: source.stats}),
+        )
+        assert not result.feasible
+        assert result.plan is None
 
 
 # ----------------------------------------------------------------------

@@ -14,10 +14,10 @@ import threading
 import pytest
 
 from repro.observability import (
+    AskEvent,
+    EventLog,
     Histogram,
     SLOTracker,
-    SlowQuery,
-    SlowQueryLog,
     plan_fingerprint,
 )
 from repro.query import parse_query
@@ -52,48 +52,51 @@ class TestPlanFingerprint:
 
 
 def _slow(duration=0.2, query="SELECT model FROM cars"):
-    return SlowQuery(
-        query=query, source="cars", duration_seconds=duration,
-        objective_seconds=0.05, fingerprint="abc123def456",
-        planner="gencompact", per_source={"cars": (2, 9)},
+    return AskEvent(
+        query=query, source="cars", outcome="ok",
+        duration_seconds=duration, fingerprint="abc123def456",
+        planner="gencompact", per_source={"cars": [2, 9]},
     )
 
 
 class TestSlowQueryLog:
+    """The slow-query log: an :class:`EventLog` of the breaching asks'
+    events, printed against the objective they breached."""
+
     def test_append_and_oldest_first_entries(self):
-        log = SlowQueryLog(capacity=4)
+        log = EventLog(capacity=4)
         for duration in (0.1, 0.2, 0.3):
             log.append(_slow(duration))
-        assert [e.duration_seconds for e in log.entries()] == [0.1, 0.2, 0.3]
+        assert [e.duration_seconds for e in log.events()] == [0.1, 0.2, 0.3]
         assert len(log) == 3
         assert log.recorded == 3
         assert log.evicted == 0
 
     def test_capacity_evicts_oldest_and_counts(self):
-        log = SlowQueryLog(capacity=2)
+        log = EventLog(capacity=2)
         for duration in (0.1, 0.2, 0.3, 0.4):
             log.append(_slow(duration))
-        assert [e.duration_seconds for e in log.entries()] == [0.3, 0.4]
+        assert [e.duration_seconds for e in log.events()] == [0.3, 0.4]
         assert log.recorded == 4
         assert log.evicted == 2
 
     def test_rejects_non_positive_capacity(self):
         with pytest.raises(ValueError):
-            SlowQueryLog(capacity=0)
+            EventLog(capacity=0)
 
     def test_clear_resets_accounting(self):
-        log = SlowQueryLog(capacity=2)
+        log = EventLog(capacity=2)
         log.append(_slow())
         log.clear()
         assert len(log) == 0 and log.recorded == 0 and log.evicted == 0
 
     def test_format_contains_fingerprint_and_breakdown(self):
-        log = SlowQueryLog()
+        log = EventLog()
         entry = _slow()
         entry.timeline = "mediator.ask [####]"
         log.append(entry)
-        text = log.format()
-        assert "1 retained of 1 recorded (0 evicted)" in text
+        text = log.format("slow-query log", objective_seconds=0.05)
+        assert "slow-query log: 1 retained of 1 recorded (0 evicted)" in text
         assert "[abc123def456] 200.00 ms (objective 50.00 ms, ok)" in text
         assert "planner=gencompact source=cars" in text
         assert "cars: 2 queries, 9 tuples" in text
@@ -102,11 +105,11 @@ class TestSlowQueryLog:
     def test_error_entries_are_flagged(self):
         entry = _slow()
         entry.error = "OverloadError: shed"
-        text = entry.format()
+        text = entry.format_breach(0.05)
         assert "ERROR" in text and "error=OverloadError: shed" in text
 
     def test_concurrent_appends_keep_exact_accounting(self):
-        log = SlowQueryLog(capacity=16)
+        log = EventLog(capacity=16)
         threads, per_thread = 8, 50
         barrier = threading.Barrier(threads)
 

@@ -303,7 +303,7 @@ class TestSampledMediatorIntegration:
         with use_metrics(registry), use_tracer(tracer):
             mediator = build_mediator(latency_objective=1e-9)
             mediator.ask(QUERY)
-        entries = mediator.slow_queries.entries()
+        entries = mediator.slow_queries.events()
         assert len(entries) == 1
         entry = entries[0]
         assert entry.query == QUERY
