@@ -25,10 +25,36 @@ import pathlib
 
 import pytest
 
+from repro.cache import BoundedCache
 from repro.perf.schema import BenchResult, env_fingerprint
+from repro.ssdl.description import SourceDescription
 
 #: Full-size instances when REPRO_BENCH_FULL=1, quick otherwise.
 QUICK = os.environ.get("REPRO_BENCH_FULL", "") != "1"
+
+
+class _NoStore(BoundedCache):
+    """A cache that never holds anything: every lookup misses."""
+
+    def get(self, key, version=0):
+        return None
+
+    def put(self, key, value, version=0):
+        pass
+
+
+def uncached_copy(description: SourceDescription,
+                  name: str | None = None) -> SourceDescription:
+    """A fresh copy of ``description`` whose Check cache never stores,
+    so every Check reaches a recognizer (the cache ablation)."""
+    twin = SourceDescription(
+        description.condition_nonterminals,
+        description.productions,
+        description.attributes,
+        name=description.name if name is None else name,
+    )
+    twin._cache = _NoStore(1)
+    return twin
 
 
 def results_dir() -> pathlib.Path:

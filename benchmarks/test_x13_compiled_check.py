@@ -27,7 +27,7 @@ import random
 import statistics
 import time
 
-from benchmarks.conftest import QUICK
+from benchmarks.conftest import QUICK, uncached_copy
 from repro.conditions.skeleton import Skeleton
 from repro.experiments.report import Table
 from repro.mediator import Mediator
@@ -53,16 +53,6 @@ _N_REQUESTS = 480 if QUICK else 2000
 _ZIPF_S = 1.1
 
 
-def _twin(description: SourceDescription, **kwargs) -> SourceDescription:
-    return SourceDescription(
-        description.condition_nonterminals,
-        description.productions,
-        description.attributes,
-        name=description.name,
-        **kwargs,
-    )
-
-
 # ----------------------------------------------------------------------
 # Part 1: compiled vs Earley Check on the E3 mix
 # ----------------------------------------------------------------------
@@ -72,10 +62,10 @@ def _check_table() -> tuple[Table, dict]:
     base = source.closed_description
     # Caching off on both sides: X13a measures the recognizer, not the
     # Check cache (X4 measures the cache).
-    compiled = _twin(base, cache_checks=False)
+    compiled = uncached_copy(base)
     report = compiled.compile()
     assert report.compiled, report.reason
-    earley = _twin(base, cache_checks=False)
+    earley = uncached_copy(base)
 
     table = Table(
         "X13a: Check(C,R) -- compiled token trie vs Earley parse (E3 mix)",
@@ -322,7 +312,7 @@ def test_x13_compiled_check(record_table, record_bench):
 
 def test_x13_bench_compiled_check(benchmark):
     source = make_source(_CONFIG)
-    description = _twin(source.closed_description, cache_checks=False)
+    description = uncached_copy(source.closed_description)
     assert description.compile().compiled
     conditions = [
         query.condition

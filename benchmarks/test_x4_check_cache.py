@@ -10,7 +10,7 @@ descriptions and compares Earley parse counts and time.
 import copy
 import time
 
-from benchmarks.conftest import QUICK
+from benchmarks.conftest import QUICK, uncached_copy
 from repro.experiments.common import cost_model_for
 from repro.experiments.report import Table
 from repro.planners.gencompact import GenCompact
@@ -23,21 +23,10 @@ _MODEL = cost_model_for(_SOURCE)
 _QUERIES = make_queries(_CONFIG, _SOURCE, 3 if QUICK else 8, 6, seed=77)
 
 
-def _uncached_clone(description: SourceDescription) -> SourceDescription:
-    return SourceDescription(
-        description.condition_nonterminals,
-        description.productions,
-        description.attributes,
-        name=description.name + "-nocache",
-        cache_checks=False,
-    )
-
-
 def _run(cache: bool) -> tuple[float, int]:
     """(total ms, actual Earley parses) planning the query batch."""
     source = copy.copy(_SOURCE)
     closed = _SOURCE.closed_description
-    description = closed if cache else _uncached_clone(closed)
     if cache:
         # A fresh cached clone so prior runs don't pre-warm it.
         description = SourceDescription(
@@ -46,6 +35,8 @@ def _run(cache: bool) -> tuple[float, int]:
             closed.attributes,
             name=closed.name + "-fresh",
         )
+    else:
+        description = uncached_copy(closed, closed.name + "-nocache")
     source._closed = description
     planner = GenCompact()
     started = time.perf_counter()

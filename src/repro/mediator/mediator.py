@@ -60,7 +60,11 @@ class MediatorAnswer:
 
 
 class Mediator:
-    """Holds a catalog of capability-limited sources and answers queries."""
+    """Holds a catalog of capability-limited sources and answers queries.
+
+    The one plan path: parse, canonical plan-cache / template lookup,
+    plan, execute.  A :class:`~repro.wrapper.Wrapper` is a one-source
+    mediator."""
 
     def __init__(
         self,
@@ -72,8 +76,6 @@ class Mediator:
         parallel_workers: int | None = None,
         executor: str | None = None,
         plan_cache_entries: int | None = None,
-        plan_templates: bool = True,
-        compile_capabilities: bool = True,
         minimal_answers: bool = False,
         max_in_flight: int | None = None,
         admission_timeout: float = 1.0,
@@ -103,22 +105,23 @@ class Mediator:
         use the mediator as a context manager -- to stop its loop
         thread.
 
+        Every registered source's SSDL grammars are compiled into
+        token-trie recognizers at :meth:`add_source` time -- the
+        offline knowledge-compilation step that turns each planner
+        ``Check`` into a token walk -- and so are the fresh description
+        objects a :meth:`mutate_source` hands over; a description
+        already compiled is never compiled again, whatever else in the
+        catalog changes.  A source compiled beforehand with a budget it
+        exceeds keeps its Earley recognizer.
+
         Serving knobs: ``plan_cache_entries`` enables the canonical
         :class:`~repro.serving.PlanCache` -- equivalent rewritings of a
         query share one planned entry, invalidated whenever the catalog
-        changes -- and (with ``plan_templates``, the default) the
-        :class:`~repro.serving.PlanTemplates` store behind it: an exact
-        miss first tries to *rebind* the plan of a previously planned
-        query with the same constant-stripped skeleton, so
-        constant-varying respellings of one query shape cost a
-        validated substitution instead of a planning run.
-        ``compile_capabilities`` (default on) compiles every registered
-        source's SSDL grammars into token-trie recognizers at
-        :meth:`add_source` time -- the offline knowledge-compilation
-        step that turns each planner ``Check`` into a token walk --
-        and compiles the fresh description objects a
-        :meth:`mutate_source` hands over; a description already compiled
-        is never compiled again, whatever else in the catalog changes.
+        changes -- and the :class:`~repro.serving.PlanTemplates` store
+        behind it: an exact miss first tries to *rebind* the plan of a
+        previously planned query with the same constant-stripped
+        skeleton, so constant-varying respellings of one query shape
+        cost a validated substitution instead of a planning run.
         ``minimal_answers``
         (default off) prunes provably subsumed Union branches from
         every plan right before execution
@@ -173,9 +176,7 @@ class Mediator:
         self.plan_templates = None
         if plan_cache_entries is not None:
             self.plan_cache = PlanCache(plan_cache_entries)
-            if plan_templates:
-                self.plan_templates = PlanTemplates(plan_cache_entries)
-        self.compile_capabilities = compile_capabilities
+            self.plan_templates = PlanTemplates(plan_cache_entries)
         self.minimal_answers = minimal_answers
         self.admission = None
         if max_in_flight is not None:
@@ -289,10 +290,10 @@ class Mediator:
 
         Bumps the catalog version: plans were generated against the old
         catalog's statistics and capabilities, so every cached plan is
-        (lazily) invalidated.  With ``compile_capabilities`` the
-        source's grammars are compiled here, at registration time --
-        the paper's build-the-parser-at-integration-time step taken to
-        its knowledge-compilation conclusion."""
+        (lazily) invalidated.  The source's grammars are compiled here,
+        at registration time -- the paper's
+        build-the-parser-at-integration-time step taken to its
+        knowledge-compilation conclusion."""
         with self._catalog_lock:
             if source.name in self.catalog:
                 raise PlanExecutionError(
@@ -300,8 +301,7 @@ class Mediator:
                 )
             self.catalog[source.name] = source
         self.bump_catalog()
-        if self.compile_capabilities:
-            self._ensure_compiled(source)
+        self._ensure_compiled(source)
 
     def remove_source(self, name: str) -> CapabilitySource:
         """Deregister a source (it left the federation).  Eager.
@@ -327,7 +327,6 @@ class Mediator:
         source.invalidate_compiled()
         if self.plan_cache is not None:
             self.plan_cache.invalidate()
-        if self.plan_templates is not None:
             self.plan_templates.invalidate()
         get_metrics().counter("mediator.sources_removed").inc()
         return source
@@ -344,16 +343,14 @@ class Mediator:
         (:meth:`~repro.source.source.CapabilitySource
         .replace_description`), bumps the catalog version -- so every
         cached plan and template built against the old grammar is
-        invalidated -- and, with ``compile_capabilities``, recompiles
-        the new grammars eagerly so the next ask pays a token walk,
-        not a compilation.
+        invalidated -- and recompiles the new grammars eagerly so the
+        next ask pays a token walk, not a compilation.
         """
         source = self.source(name)
         source.replace_description(description,
                                    order_insensitive=order_insensitive)
         self.bump_catalog()
-        if self.compile_capabilities:
-            self._ensure_compiled(source)
+        self._ensure_compiled(source)
         get_metrics().counter("mediator.sources_mutated").inc()
         return source
 
@@ -432,10 +429,8 @@ class Mediator:
             source.schema.validate_attributes(query.attributes)
             source.schema.validate_attributes(query.condition_attributes)
             scheme = planner if planner is not None else self.planner
-            if self.compile_capabilities:
-                self._ensure_compiled(source)
+            self._ensure_compiled(source)
             cache_key = None
-            template_key = None
             # The version every outcome of this call is stamped with:
             # read *before* planning, so a concurrent catalog change
             # mid-plan leaves the result conservatively older, never
@@ -455,27 +450,25 @@ class Mediator:
                     )
                     return cached, "hit"
                 span.add_event("plan.cache_miss", catalog_version=version)
-                if self.plan_templates is not None:
-                    template_key = self.plan_templates.key(query, scheme.name)
-                    rebound = self.plan_templates.instantiate(
-                        template_key, query, source, self.cost_model(),
-                        version,
+                template_key = self.plan_templates.key(query, scheme.name)
+                rebound = self.plan_templates.instantiate(
+                    template_key, query, source, self.cost_model(), version,
+                )
+                if rebound is not None:
+                    # A validated constant rebinding of an earlier plan:
+                    # promote it to an exact entry so repeats of *these*
+                    # constants hit the canonical cache.
+                    rebound.catalog_version = version
+                    self.plan_cache.put(cache_key, rebound, version)
+                    span.add_event(
+                        "plan.template_hit", planner=rebound.planner,
+                        catalog_version=version,
                     )
-                    if rebound is not None:
-                        # A validated constant rebinding of an earlier
-                        # plan: promote it to an exact entry so repeats
-                        # of *these* constants hit the canonical cache.
-                        rebound.catalog_version = version
-                        self.plan_cache.put(cache_key, rebound, version)
-                        span.add_event(
-                            "plan.template_hit", planner=rebound.planner,
-                            catalog_version=version,
-                        )
-                        span.set_attributes(
-                            planner=rebound.planner, feasible=rebound.feasible,
-                            cost=rebound.cost, plan_cache="template_hit",
-                        )
-                        return rebound, "template_hit"
+                    span.set_attributes(
+                        planner=rebound.planner, feasible=rebound.feasible,
+                        cost=rebound.cost, plan_cache="template_hit",
+                    )
+                    return rebound, "template_hit"
             result = scheme.plan(query, source, self.cost_model())
             result.catalog_version = version
             plan_cache = ""
@@ -484,10 +477,9 @@ class Mediator:
                 # concurrent catalog change mid-plan leaves a stale
                 # entry that the versioned get() will refuse to serve.
                 self.plan_cache.put(cache_key, result, version)
-                if template_key is not None:
-                    self.plan_templates.store(
-                        template_key, query.condition, result, version
-                    )
+                self.plan_templates.store(
+                    template_key, query.condition, result, version
+                )
                 span.set_attribute("plan_cache", "miss")
                 plan_cache = "miss"
             span.set_attributes(

@@ -105,17 +105,11 @@ class MirrorFailover:
 
     def replan(self, query: SourceQuery,
                failed: frozenset[str]) -> Plan | None:
-        best: PlanningResult | None = None
-        for name, source in self.group.sources.items():
-            if name in failed:
-                continue
-            retargeted = TargetQuery(query.condition, query.attrs, name)
-            result = self.group.planner.plan(
-                retargeted, source, self.group._cost_model
-            )
-            if result.feasible and (best is None or result.cost < best.cost):
-                best = result
-        return best.plan if best is not None else None
+        choice = self.group.plan(
+            TargetQuery(query.condition, query.attrs, query.source),
+            skip=failed,
+        )
+        return choice.chosen.plan if choice.feasible else None
 
 
 class MirrorGroup:
@@ -155,8 +149,10 @@ class MirrorGroup:
             parallel_workers=parallel_workers,
         )
 
-    def plan(self, query: TargetQuery) -> MirrorChoice:
-        """Plan against every mirror; keep the cheapest feasible plan.
+    def plan(self, query: TargetQuery,
+             skip: frozenset[str] = frozenset()) -> MirrorChoice:
+        """Plan against every mirror not in ``skip``; keep the cheapest
+        feasible plan.
 
         ``query.source`` is ignored (the group *is* the logical source);
         each per-mirror attempt retargets the query.
@@ -164,6 +160,8 @@ class MirrorGroup:
         per_source: dict[str, PlanningResult] = {}
         best: PlanningResult | None = None
         for name, source in self.sources.items():
+            if name in skip:
+                continue
             retargeted = TargetQuery(query.condition, query.attributes, name)
             result = self.planner.plan(retargeted, source, self._cost_model)
             per_source[name] = result
@@ -340,6 +338,9 @@ class PartitionedSource:
             backoff_seconds=sum(r.backoff_seconds for r in reports),
             duration_seconds=sum(r.duration_seconds for r in reports),
             per_source=per_source,
+            call_seconds=tuple(s for r in reports for s in r.call_seconds),
+            coalesced_hits=sum(r.coalesced_hits for r in reports),
+            batched_hits=sum(r.batched_hits for r in reports),
         )
         return PartialAnswer(merged, not missing, missing, combined)
 

@@ -50,12 +50,10 @@ def plan_cache_key(query: TargetQuery) -> Hashable:
 
 class PlanCache(BoundedCache):
     """The mediator's plan cache: a :class:`~repro.cache.BoundedCache`
-    of planning results (the wrapper also stores template tuples)
-    publishing under ``serving.plan_cache`` unless told otherwise."""
+    of planning results publishing under ``serving.plan_cache``."""
 
-    def __init__(self, max_entries: int = 256,
-                 metrics_prefix: str = "serving.plan_cache"):
-        super().__init__(max_entries, metrics_prefix)
+    def __init__(self, max_entries: int = 256):
+        super().__init__(max_entries, "serving.plan_cache")
 
 
 # ----------------------------------------------------------------------

@@ -121,10 +121,7 @@ class SourceDescription:
         productions: Mapping[str, Sequence[Sequence[Symbol]]],
         attributes: Mapping[str, Iterable[str]],
         name: str = "",
-        cache_checks: bool = True,
     ):
-        """``cache_checks=False`` reparses on every Check call -- only
-        useful for the cache-ablation benchmark."""
         self.name = name
         self.condition_nonterminals = tuple(condition_nonterminals)
         self.productions: dict[str, tuple[tuple[Symbol, ...], ...]] = {
@@ -139,7 +136,6 @@ class SourceDescription:
         #: (attribute, op) -> (constant classes, literal constants) of the
         #: grammar's template terminals: what :meth:`atom_matchable` probes.
         self._template_index = self._index_templates()
-        self.cache_checks = cache_checks
         #: condition -> CheckResult, bounded at :data:`CHECK_CACHE_ENTRIES`.
         self._cache = BoundedCache(CHECK_CACHE_ENTRIES)
         #: Guards the counters: Check is called from the parallel
@@ -278,10 +274,9 @@ class SourceDescription:
         A condition with an atom no template can match is answered ∅
         without tokenizing it (see :meth:`atom_matchable`).
         """
-        if self.cache_checks:
-            cached = self._cache.get(condition)
-            if cached is not None:
-                return cached
+        cached = self._cache.get(condition)
+        if cached is not None:
+            return cached
         prefiltered = not all(map(self.atom_matchable, condition.atoms()))
         if prefiltered:
             get_metrics().counter("ssdl.check.prefiltered").inc()
@@ -291,8 +286,7 @@ class SourceDescription:
         with self._cache_lock:
             self.check_calls += 1
             self.check_prefiltered += prefiltered
-        if self.cache_checks:
-            self._cache.put(condition, result)
+        self._cache.put(condition, result)
         return result
 
     def _recognize(self, condition: Condition) -> CheckResult:
@@ -374,8 +368,7 @@ class SourceDescription:
         return self._cache.stats.hits
 
     def check_cache_size(self) -> int:
-        """How many Check results are currently cached (0 when caching
-        is off -- the ablation path must hold memory flat)."""
+        """How many Check results are currently cached."""
         return len(self._cache)
 
     # ------------------------------------------------------------------

@@ -19,18 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.conditions.fingerprint import canonical_key
 from repro.conditions.parser import parse_condition
 from repro.conditions.tree import Condition
 from repro.data.relation import Relation
-from repro.errors import InfeasiblePlanError
+from repro.mediator.mediator import Mediator
 from repro.planners.base import Planner, PlanningResult
-from repro.planners.gencompact import GenCompact
-from repro.plans.cost import CostModel
-from repro.plans.execute import Executor
 from repro.plans.retry import RetryPolicy
 from repro.query import TargetQuery
-from repro.serving.plan_cache import PlanCache, PlanTemplates
 from repro.source.source import CapabilitySource
 
 
@@ -51,27 +46,17 @@ class WrapperAnswer:
 class Wrapper:
     """A relational facade over one capability-limited source.
 
-    Plans are cached per (canonical condition, attributes) in a bounded
-    LRU :class:`~repro.serving.PlanCache`: a wrapper typically serves
-    many instances of the same query template, and the planning work --
-    not execution -- dominates for small results.  Canonical keying
-    means commuted/reassociated spellings of one condition share a
-    single entry.
-
-    With ``reuse_templates`` (the default), a cache miss first tries to
-    *instantiate* the plan of a previously planned query with the same
-    condition skeleton -- same tree shape and constant classes,
-    different constants -- by substituting the new constants into the
-    old plan and re-validating every source query against the source
-    description.  SSDL templates usually match constant classes, so the
-    validated substitution is almost always accepted and a bind-join's
-    thousandth probe costs a validation, not a planning run.
-
-    The classic prepared-statement trade-off applies: the instantiated
-    plan is guaranteed *feasible* but inherits the template's shape, so
-    it may be suboptimal for constants with very different
-    selectivities.  Pass ``reuse_templates=False`` to replan every
-    instance.
+    The wrapper is a one-source :class:`~repro.mediator.Mediator`: the
+    source is registered (and its grammars compiled) when the wrapper
+    is built, and every query takes the mediator's one plan path.
+    Plans are cached per canonical (condition, attributes) in a bounded
+    plan cache of ``plan_cache_entries``, so commuted or reassociated
+    spellings of one condition share an entry; an exact miss first
+    tries to *rebind* the plan of an earlier query with the same
+    constant-stripped skeleton, re-validating every source query
+    against the source description.  A bind-join's thousandth probe
+    therefore costs a validation, not a planning run.  A provably empty
+    condition is answered ``[]`` without contacting the source.
     """
 
     def __init__(
@@ -80,68 +65,30 @@ class Wrapper:
         planner: Planner | None = None,
         k1: float = 100.0,
         k2: float = 1.0,
-        reuse_templates: bool = True,
         retry_policy: RetryPolicy | None = None,
         plan_cache_entries: int = 256,
-        compile_capabilities: bool = True,
     ):
-        """``plan_cache_entries`` bounds the wrapper's plan cache (and
-        its template store): both are LRU :class:`PlanCache` instances,
-        so a wrapper serving an unbounded stream of distinct query
-        instances holds a bounded number of plans -- the serving
-        layer's one eviction policy, not a private unbounded dict.
-        ``compile_capabilities`` (default on) compiles the source's
-        grammars into token-trie recognizers when the wrapper is built
-        -- wrapper construction *is* integration time -- so both
-        planning Checks and template re-validation are token walks."""
         self.source = source
-        self.planner = planner if planner is not None else GenCompact()
-        self.reuse_templates = reuse_templates
-        self._cost_model = CostModel({source.name: source.stats}, k1, k2)
-        self._executor = Executor(
-            {source.name: source}, retry_policy=retry_policy
-        )
-        if compile_capabilities:
-            source.compile_capabilities()
-        # Canonically keyed: commuted/reassociated variants of a planned
-        # condition hit the same entry (the plan answers them all).
-        self._plan_cache = PlanCache(
-            plan_cache_entries, metrics_prefix="wrapper.plan_cache"
-        )
-        # constant-stripped skeleton -> a rebindable (condition, result).
-        self._templates = PlanTemplates(
-            plan_cache_entries, metrics_prefix="wrapper.template_cache"
-        )
+        self.mediator = Mediator(planner, k1, k2, retry_policy=retry_policy,
+                                 plan_cache_entries=plan_cache_entries)
+        self.mediator.add_source(source)
+
+    def _query(self, condition: Condition | str, attributes: Iterable[str]
+               ) -> TargetQuery:
+        if isinstance(condition, str):
+            condition = parse_condition(condition)
+        return TargetQuery(condition, attributes, self.source.name)
 
     # ------------------------------------------------------------------
     def plan(self, condition: Condition | str, attributes: Iterable[str]
              ) -> PlanningResult:
         """The best feasible plan for σ_condition π_attributes (cached)."""
-        if isinstance(condition, str):
-            condition = parse_condition(condition)
-        attrs = self.source.schema.validate_attributes(attributes)
-        self.source.schema.validate_attributes(condition.attributes())
-        key = (canonical_key(condition), attrs)
-        cached = self._plan_cache.get(key)
-        if cached is not None:
-            return cached
-        query = TargetQuery(condition, attrs, self.source.name)
-        result = None
-        template_key = self._templates.key(query, self.planner.name)
-        if self.reuse_templates:
-            result = self._templates.instantiate(
-                template_key, query, self.source, self._cost_model
-            )
-        if result is None:
-            result = self.planner.plan(query, self.source, self._cost_model)
-            self._templates.store(template_key, condition, result)
-        self._plan_cache.put(key, result)
-        return result
+        return self.mediator.plan(self._query(condition, attributes))
 
     @property
     def template_hits(self) -> int:
         """How many plans were produced by template instantiation."""
-        return self._templates.hits
+        return self.mediator.plan_templates.hits
 
     def supports(self, condition: Condition | str, attributes: Iterable[str]
                  ) -> bool:
@@ -151,21 +98,14 @@ class Wrapper:
     def query(self, condition: Condition | str, attributes: Iterable[str]
               ) -> WrapperAnswer:
         """Answer an arbitrary SP query; raise if truly unanswerable."""
-        planning = self.plan(condition, attributes)
-        if planning.plan is None:
-            raise InfeasiblePlanError(
-                f"the capabilities of source {self.source.name!r} admit no "
-                f"plan for σ({planning.query.condition}) "
-                f"π({sorted(planning.query.attributes)})",
-                witness=planning.witness,
-            )
-        report = self._executor.execute_with_report(planning.plan)
-        return WrapperAnswer(
-            report.result, planning, report.queries, report.tuples_transferred
-        )
+        answer = self.mediator.ask(self._query(condition, attributes))
+        report = answer.report
+        return WrapperAnswer(report.result, answer.planning, report.queries,
+                             report.tuples_transferred)
 
     def cache_size(self) -> int:
-        return len(self._plan_cache)
+        return len(self.mediator.plan_cache)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Wrapper({self.source.name!r}, planner={self.planner.name})"
+        return (f"Wrapper({self.source.name!r}, "
+                f"planner={self.mediator.planner.name})")

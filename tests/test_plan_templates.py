@@ -6,13 +6,10 @@ constant-stripped skeleton so constant-varying respellings of one query
 shape cost a validated substitution instead of a planning run.  These
 tests pin the key semantics, the store/instantiate/reject life cycle,
 versioned invalidation, and the mediator integration (template hit
-promoted to an exact entry; ``plan_templates=False`` restores the
-exact-only behavior).
+promoted to an exact entry).
 """
 
 from __future__ import annotations
-
-import pytest
 
 from repro.conditions.parser import parse_condition
 from repro.mediator.mediator import Mediator
@@ -182,17 +179,6 @@ class TestMediatorTemplates:
                 == fresh.ask(text).result.as_row_set())
         assert mediator.plan_templates.hits == 1
 
-    def test_plan_templates_can_be_disabled(self):
-        mediator = self._mediator(plan_templates=False)
-        assert mediator.plan_templates is None
-        mediator.plan(
-            "select make, model from cars where make = 'BMW' and price < 40000"
-        )
-        second = mediator.plan(
-            "select make, model from cars where make = 'Toyota' and price < 20000"
-        )
-        assert not second.planner.endswith("+template")
-
     def test_add_source_invalidates_templates(self):
         mediator = self._mediator()
         mediator.plan(
@@ -218,18 +204,12 @@ class TestMediatorTemplates:
         )
         assert source.compiled
 
-    def test_compilation_can_be_disabled(self):
-        mediator = Mediator(compile_capabilities=False)
-        mediator.add_source(make_example41_source())
-        assert not mediator.source("cars").compiled
 
-
-@pytest.mark.parametrize("reuse", [True, False])
-def test_wrapper_compile_flag(reuse):
+def test_wrapper_compiles_its_source():
     from repro.wrapper import Wrapper
 
     source = make_example41_source()
-    wrapper = Wrapper(source, reuse_templates=reuse)
+    wrapper = Wrapper(source)
     assert source.compiled
     result = wrapper.plan("make = 'BMW' and price < 40000", ["model"])
     assert result.stats.check_compiled > 0

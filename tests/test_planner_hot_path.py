@@ -258,7 +258,6 @@ def test_unmatchable_atoms_are_rejected_literal_and_class_templates(
     description = parse_ssdl(_MIXED_SSDL, name="mixed")
     if closed:
         description = commutation_closure(description)
-    description.cache_checks = False
     _assert_dead_atoms_are_rejected(description, condition)
 
 
@@ -275,7 +274,6 @@ def test_unmatchable_atoms_are_rejected_random_grammars(
     description = make_description(config)
     if closed:
         description = commutation_closure(description)
-    description.cache_checks = False
     # Conditions drawn over two more attributes than the grammar knows.
     wider = WorldConfig(n_attributes=config.n_attributes + 2, seed=config.seed)
     condition = random_condition(wider, n_atoms, random.Random(seed))

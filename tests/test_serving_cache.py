@@ -254,7 +254,7 @@ class TestWrapperDelegation:
             wrapper.plan(f"make = 'BMW' and price < {30000 + price}",
                          ["model"])
         assert wrapper.cache_size() <= 4
-        assert wrapper._plan_cache.stats.evictions >= 6
+        assert wrapper.mediator.plan_cache.stats.evictions >= 6
 
     def test_commuted_condition_reuses_the_cached_plan(self):
         wrapper = Wrapper(make_example41_source())
@@ -268,4 +268,4 @@ class TestWrapperDelegation:
         for price in (1, 2, 3):
             wrapper.plan(f"make = 'BMW' and price < {price}", ["model"])
             wrapper.plan(f"make = 'BMW' and color = 'c{price}'", ["model"])
-        assert len(wrapper._templates) <= 2
+        assert len(wrapper.mediator.plan_templates) <= 2

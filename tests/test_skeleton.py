@@ -128,12 +128,6 @@ class TestWrapperTemplateReuse:
         assert wrapper.template_hits == 1
         assert second.result.as_row_set() == {("Camry",), ("Celica",)}
 
-    def test_reuse_can_be_disabled(self):
-        wrapper = Wrapper(make_example41_source(), reuse_templates=False)
-        wrapper.plan("make = 'BMW' and price < 40000", ["model"])
-        wrapper.plan("make = 'Toyota' and price < 20000", ["model"])
-        assert wrapper.template_hits == 0
-
     def test_validation_falls_back_to_replanning(self):
         """A literal template makes support value-dependent: the template
         plan for the supported literal must not be blindly reused."""

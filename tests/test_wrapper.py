@@ -4,6 +4,7 @@ import pytest
 
 from repro.conditions.parser import parse_condition
 from repro.errors import InfeasiblePlanError, UnknownAttributeError
+from repro.observability.metrics import MetricsRegistry, use_metrics
 from repro.wrapper import Wrapper
 from tests.conftest import make_example41_source
 
@@ -45,6 +46,16 @@ class TestQueries:
         delta = wrapper.source.meter.snapshot() - before
         assert delta.queries == 0 and delta.rejected == 0
 
+    def test_provably_empty_query_is_answered_without_the_source(
+            self, wrapper):
+        before = wrapper.source.meter.snapshot()
+        answer = wrapper.query("make = 'BMW' and price < 10 and price > 20",
+                               ["model"])
+        assert answer.rows == []
+        assert answer.queries_sent == 0
+        assert answer.planning.planner == "unsatisfiable-shortcut"
+        assert (wrapper.source.meter.snapshot() - before).queries == 0
+
     def test_supports_probe(self, wrapper):
         assert wrapper.supports("make = 'BMW' and price < 40000", ["model"])
         assert not wrapper.supports("year = 1999", ["model"])
@@ -76,3 +87,10 @@ class TestPlanCache:
         second = wrapper.query(condition, ["model"])
         assert first.result.as_row_set() == second.result.as_row_set()
         assert second.queries_sent == 1
+
+    def test_cache_traffic_is_the_serving_plan_cache(self, wrapper):
+        with use_metrics(MetricsRegistry()) as registry:
+            wrapper.plan("make = 'BMW' and price < 40000", ["model"])
+            wrapper.plan("price < 40000 and make = 'BMW'", ["model"])
+        assert registry.counter("serving.plan_cache.misses").value == 1
+        assert registry.counter("serving.plan_cache.hits").value == 1
