@@ -36,7 +36,11 @@ import urllib.request
 from typing import Any
 
 from repro.observability.metrics import quantile_from_snapshot
-from repro.observability.profiling import profile_families
+from repro.observability.profiling import (
+    LOCK_METRICS_PREFIX,
+    PHASE_METRICS_PREFIX,
+    profile_families,
+)
 
 _SPARK = "▁▂▃▄▅▆▇█"
 
@@ -88,7 +92,7 @@ def profiling_panel(snapshot: dict[str, dict[str, Any]],
     the dashboard simply omits the panel.
     """
     phases: dict[str, dict[str, float]] = {}
-    for name, reading in profile_families(snapshot, "profile.phase"):
+    for name, reading in profile_families(snapshot, PHASE_METRICS_PREFIX):
         category, _, kind = name.rpartition(".")
         stat = phases.setdefault(
             category, {"spans": 0, "wall": 0.0, "cpu": 0.0})
@@ -98,7 +102,7 @@ def profiling_panel(snapshot: dict[str, dict[str, Any]],
         elif kind == "cpu_seconds":
             stat["cpu"] = reading.get("value", 0.0)
     locks: dict[str, dict[str, float]] = {}
-    for name, reading in profile_families(snapshot, "profile.lock"):
+    for name, reading in profile_families(snapshot, LOCK_METRICS_PREFIX):
         site, _, kind = name.rpartition(".")
         stat = locks.setdefault(
             site, {"acquires": 0, "wait": 0.0, "max": 0.0, "timeouts": 0.0})
@@ -137,31 +141,25 @@ def profiling_panel(snapshot: dict[str, dict[str, Any]],
     return lines
 
 
-#: The request-sharing counters the serving panel owns (and the generic
+#: The request-sharing counter the serving panel owns (and the generic
 #: counter section therefore omits).
-SERVING_COUNTERS = ("executor.coalesced_hits", "executor.batched_hits")
+SERVING_COUNTER = "executor.coalesced_hits"
 
 
 def serving_panel(snapshot: dict[str, dict[str, Any]]) -> list[str]:
     """The request-sharing panel: the async engine's single-flight
-    coalesced hits and window-batched hits (see
-    :mod:`repro.plans.coalesce`), each a source call the cluster did
-    *not* make.  Empty when neither counter has been touched."""
-    values = {
-        name: snapshot[name].get("value", 0)
-        for name in SERVING_COUNTERS
-        if name in snapshot and snapshot[name].get("type") == "counter"
-    }
-    if not values:
+    coalesced hits (see :mod:`repro.plans.coalesce`), each a source
+    call the cluster did *not* make.  Empty when the counter has not
+    been touched."""
+    reading = snapshot.get(SERVING_COUNTER)
+    if reading is None or reading.get("type") != "counter":
         return []
-    coalesced = values.get("executor.coalesced_hits", 0)
-    batched = values.get("executor.batched_hits", 0)
+    coalesced = reading.get("value", 0)
     return [
         "",
         "  serving: request sharing",
         f"  {'coalesced hits':<24} {coalesced:>12g}",
-        f"  {'batched hits':<24} {batched:>12g}",
-        f"  {'source calls avoided':<24} {coalesced + batched:>12g}",
+        f"  {'source calls avoided':<24} {coalesced:>12g}",
     ]
 
 
@@ -200,11 +198,10 @@ def render(health: dict[str, Any], snapshot: dict[str, dict[str, Any]],
         )
     lines.extend(profiling_panel(snapshot))
     lines.extend(serving_panel(snapshot))
-    # profile.* families and the serving-panel counters render in
+    # profile.* families and the serving-panel counter render in
     # their own panels above, not in the generic instrument sections.
     generic = {n: r for n, r in snapshot.items()
-               if not n.startswith("profile.")
-               and n not in SERVING_COUNTERS}
+               if not n.startswith("profile.") and n != SERVING_COUNTER}
     histograms = {n: r for n, r in generic.items()
                   if r["type"] == "histogram"}
     counters = {n: r for n, r in generic.items()

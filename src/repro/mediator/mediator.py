@@ -159,7 +159,7 @@ class Mediator:
         (see :mod:`repro.observability.events`): one structured
         :class:`~repro.observability.events.AskEvent` per :meth:`ask`
         -- trace id, plan fingerprint, planning outcome, per-source
-        tallies, coalesced/batched hits, latency and outcome -- in a
+        tallies, coalesced hits, latency and outcome -- in a
         bounded ring that deep, optionally mirrored to the JSONL file
         ``event_log_path`` (a path alone also arms it).  An ask that
         breaches the objective builds one event for both logs."""
@@ -528,6 +528,9 @@ class Mediator:
         -- and past the limit :meth:`ask` raises
         :class:`~repro.errors.OverloadError` within the admission
         timeout instead of queueing without bound."""
+        # An unknown engine name fails here, before admission, planning
+        # or telemetry -- even for an ask the shortcut would answer.
+        engine = self._executor_for(executor)
         if isinstance(query, str):
             query = parse_query(query)
         tracer = get_tracer()
@@ -548,7 +551,7 @@ class Mediator:
                     else:
                         planning, plan_cache = self._plan(query, planner)
                         answer = self._execute(query, planning, span,
-                                               executor)
+                                               engine)
             except BaseException as exc:
                 if armed:
                     self._record_ask(query, time.perf_counter() - started,
@@ -613,7 +616,6 @@ class Mediator:
             }
             event.answers = len(report.result)
             event.coalesced_hits = report.coalesced_hits
-            event.batched_hits = report.batched_hits
         if breached:
             spans = get_tracer().trace_spans(trace_id) if trace_id else []
             if spans:
@@ -625,7 +627,7 @@ class Mediator:
             self.events.append(event)
 
     def _execute(self, query: TargetQuery, planning: PlanningResult, span,
-                 executor: str | None = None) -> MediatorAnswer:
+                 engine: Executor) -> MediatorAnswer:
         """Run a planned ask (under its span and admission slot)."""
         if planning.plan is None:
             why = planning.why_infeasible()
@@ -643,7 +645,6 @@ class Mediator:
                 get_metrics().counter(
                     "mediator.union_branches_pruned").inc(pruned)
                 span.set_attribute("union_branches_pruned", pruned)
-        engine = self._executor_for(executor)
         with get_tracer().span("mediator.execute") as exec_span:
             report = engine.execute_with_report(plan)
             exec_span.set_attributes(

@@ -340,7 +340,6 @@ class PartitionedSource:
             per_source=per_source,
             call_seconds=tuple(s for r in reports for s in r.call_seconds),
             coalesced_hits=sum(r.coalesced_hits for r in reports),
-            batched_hits=sum(r.batched_hits for r in reports),
         )
         return PartialAnswer(merged, not missing, missing, combined)
 

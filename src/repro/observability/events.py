@@ -7,7 +7,7 @@ the mediator knew about it on a single line: the trace id (the join
 key against exported spans and exemplars), the canonical plan
 fingerprint, how planning resolved (plan-cache hit / template hit /
 miss), what execution did (per-source query/tuple tallies, coalesced
-and batched hits), the measured latency, and how it ended (``ok``,
+hits), the measured latency, and how it ended (``ok``,
 shed by admission control, or the error class).
 
 :class:`AskEvent` is the event and the mediator's only per-ask record;
@@ -56,7 +56,6 @@ class AskEvent:
     per_source: dict[str, list[int]] = field(default_factory=dict)
     answers: int = 0
     coalesced_hits: int = 0
-    batched_hits: int = 0
     error: str | None = None
     #: The rendered span timeline, kept for an ask past its latency
     #: objective when a recording tracer was installed.
@@ -84,8 +83,6 @@ class AskEvent:
             parts.append(f"plan_cache={self.plan_cache}")
         if self.coalesced_hits:
             parts.append(f"coalesced={self.coalesced_hits}")
-        if self.batched_hits:
-            parts.append(f"batched={self.batched_hits}")
         parts.append(f"answers={self.answers}")
         if self.error:
             parts.append(f"error={self.error}")

@@ -64,6 +64,11 @@ PROFILE_BUCKETS: tuple[float, ...] = (
     1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1, 0.25, 0.5, 1.0,
 )
 
+#: The registry families the two profilers publish under (and the
+#: dashboard's profiling panel reads).
+PHASE_METRICS_PREFIX = "profile.phase"
+LOCK_METRICS_PREFIX = "profile.lock"
+
 #: Span-name -> phase category.  Exact names first; anything unknown
 #: falls back to its first dotted segment so new spans are never lost.
 _PHASE_BY_NAME = {
@@ -120,10 +125,8 @@ class PhaseProfiler:
     it was -- the off-by-default contract X15 measures.
     """
 
-    def __init__(self, registry: MetricsRegistry | None = None,
-                 metrics_prefix: str = "profile.phase"):
+    def __init__(self, registry: MetricsRegistry | None = None):
         self._registry = registry
-        self.metrics_prefix = metrics_prefix
         self._lock = threading.Lock()
         self._phases: dict[str, PhaseStat] = {}
         #: Pre-resolved (histogram, counter) per category -- publishing
@@ -181,11 +184,11 @@ class PhaseProfiler:
             registry = self.registry
             instruments = (
                 registry.histogram(
-                    f"{self.metrics_prefix}.{category}.wall_seconds",
+                    f"{PHASE_METRICS_PREFIX}.{category}.wall_seconds",
                     buckets=PROFILE_BUCKETS,
                 ),
                 registry.counter(
-                    f"{self.metrics_prefix}.{category}.cpu_seconds"
+                    f"{PHASE_METRICS_PREFIX}.{category}.cpu_seconds"
                 ),
             )
             with self._lock:
@@ -311,10 +314,8 @@ class ContentionProfiler:
     profiler's footprint strictly zero when off.
     """
 
-    def __init__(self, registry: MetricsRegistry | None = None,
-                 metrics_prefix: str = "profile.lock"):
+    def __init__(self, registry: MetricsRegistry | None = None):
         self._registry = registry
-        self.metrics_prefix = metrics_prefix
         #: (holder, attribute, original lock) for uninstall, in order.
         self._wrapped: list[tuple[Any, str, Any]] = []
         self._instruments: dict[str, tuple[Histogram, Counter]] = {}
@@ -337,10 +338,10 @@ class ContentionProfiler:
                 registry = self.registry
                 instruments = (
                     registry.histogram(
-                        f"{self.metrics_prefix}.{site}.wait_seconds",
+                        f"{LOCK_METRICS_PREFIX}.{site}.wait_seconds",
                         buckets=PROFILE_BUCKETS,
                     ),
-                    registry.counter(f"{self.metrics_prefix}.{site}.timeouts"),
+                    registry.counter(f"{LOCK_METRICS_PREFIX}.{site}.timeouts"),
                 )
                 self._instruments[site] = instruments
             return instruments

@@ -17,16 +17,13 @@ serial engine's code.  What this engine supplies is its primitives --
 ``_call`` awaits :meth:`~repro.source.source.CapabilitySource
 .execute_async`, ``_backoff`` is ``asyncio.sleep`` (never a blocked
 thread) -- plus the execution-time sharing the loop-free engines cannot
-express (see :mod:`repro.plans.coalesce`), as a wrapper around the
-attempts loop and as its fan-out policy:
+express, as a wrapper around the attempts loop and as its fan-out
+policy:
 
 * **single-flight coalescing** -- identical in-flight ``SP(C, A)``
   calls (canonicalized, so commuted spellings match) share one
-  physical call and its (immutable) answer.
-* **disjunct batching** -- pending asks differing only in one equality
-  constant merge into one ``SP(c1 or c2 or ..., A + {attr})`` when the
-  source's grammar admits it, each caller post-filtering its own
-  constant back out.
+  physical call and its (immutable) answer (see
+  :mod:`repro.plans.coalesce`).
 * **streamed union merge** -- combination children complete in any
   order and the ready *prefix* is folded immediately, so the answer
   accumulates before the slowest source returns while the final
@@ -40,9 +37,8 @@ result is doomed anyway) and reaps them before raising.
 Accounting is exact under sharing: like the serial engines, this one
 tallies traffic *per execution context at the call site* -- a shared
 physical call lands once, on the logical caller that initiated it, and
-joiners report ``coalesced_hits``/``batched_hits`` (mirrored to the
-metrics registry as ``executor.coalesced_hits`` and
-``executor.batched_hits``).
+joiners report ``coalesced_hits`` (mirrored to the metrics registry as
+``executor.coalesced_hits``).
 
 Determinism caveat (same as the parallel executor's): which call
 consumes which draw of a *shared* seeded fault injector varies with
@@ -58,7 +54,7 @@ from typing import Mapping
 
 from repro.data.relation import Relation
 from repro.observability.trace import get_tracer
-from repro.plans.coalesce import RequestCoalescer, flight_key
+from repro.plans.coalesce import CoalesceStats, RequestCoalescer, flight_key
 from repro.plans.execute import Executor, _ExecutionContext
 from repro.plans.nodes import IntersectPlan, Plan, SourceQuery, UnionPlan
 from repro.plans.retry import RetryPolicy
@@ -68,11 +64,11 @@ from repro.source.source import CapabilitySource
 class AsyncExecutor(Executor):
     """A drop-in :class:`Executor` that runs plans on an event loop.
 
-    Construct it with the serial executor's arguments plus the sharing
-    knobs; close it (or use it as a context manager) to stop the loop
-    thread.  Concurrent ``execute`` calls from any number of threads
-    share the one loop -- which is exactly what lets their identical
-    in-flight source calls coalesce across requests.
+    Construct it with the serial executor's arguments; close it (or
+    use it as a context manager) to stop the loop thread.  Concurrent
+    ``execute`` calls from any number of threads share the one loop --
+    which is exactly what lets their identical in-flight source calls
+    coalesce across requests.
     """
 
     def __init__(
@@ -83,16 +79,7 @@ class AsyncExecutor(Executor):
         retry_policy=None,
         failover=None,
         cost_model=None,
-        coalesce: bool = True,
-        batch_window: float | None = None,
-        batch_max: int = 16,
     ):
-        """``coalesce=False`` disables single-flight sharing (each
-        logical call pays its own round-trip, as the serial engines
-        do).  ``batch_window`` (seconds) enables disjunct batching:
-        the first batchable ask waits that long for companions before
-        its (possibly merged) call is issued; ``None`` disables it.
-        """
         super().__init__(
             catalog,
             fix_queries=fix_queries,
@@ -101,23 +88,14 @@ class AsyncExecutor(Executor):
             failover=failover,
             cost_model=cost_model,
         )
-        self.coalesce = coalesce
-        self.batch_window = batch_window
-        self._coalescer = (
-            RequestCoalescer(batch_window=batch_window, batch_max=batch_max)
-            if coalesce or batch_window is not None else None
-        )
+        self._coalescer = RequestCoalescer()
         self._loop: asyncio.AbstractEventLoop | None = None
         self._loop_thread: threading.Thread | None = None
         self._loop_lock = threading.Lock()
 
     @property
-    def coalesce_stats(self):
-        """The coalescer's savings counters (zeros when disabled)."""
-        from repro.plans.coalesce import CoalesceStats
-
-        if self._coalescer is None:
-            return CoalesceStats()
+    def coalesce_stats(self) -> CoalesceStats:
+        """The coalescer's savings counters."""
         return self._coalescer.stats
 
     # -- event-loop lifecycle ------------------------------------------
@@ -153,8 +131,7 @@ class AsyncExecutor(Executor):
         loop.close()
 
     async def _shutdown(self) -> None:
-        if self._coalescer is not None:
-            self._coalescer.drain()
+        self._coalescer.drain()
         tasks = [
             task for task in asyncio.all_tasks()
             if task is not asyncio.current_task()
@@ -289,62 +266,12 @@ class AsyncExecutor(Executor):
         self, plan: SourceQuery, ctx: _ExecutionContext, span,
         source: CapabilitySource,
     ) -> Relation:
-        """The attempts loop, behind disjunct batching and single flight."""
-        coalescer = self._coalescer
-        if coalescer is not None and coalescer.batch_window is not None:
-            answer = await self._batched(plan, ctx, span, source)
-            if answer is not None:
-                return answer
-        if coalescer is not None and self.coalesce:
-            result, shared = await coalescer.single_flight(
-                flight_key(plan.source, plan.condition, plan.attrs),
-                lambda: self._attempts(plan, ctx, span, source),
-            )
-            if shared:
-                ctx.add_coalesced()
-                span.set_attributes(coalesced=True, rows=len(result))
-            return result
-        return await self._attempts(plan, ctx, span, source)
-
-    async def _batched(
-        self, plan: SourceQuery, ctx: _ExecutionContext, span,
-        source: CapabilitySource,
-    ) -> Relation | None:
-        """Offer this call to the disjunct batcher; ``None`` = not
-        batched (caller falls through to single flight)."""
-        attr = RequestCoalescer.batchable(plan.condition)
-        if attr is None:
-            return None
-        fetch_attrs = plan.attrs | {attr}
-
-        def supports(conditions) -> bool:
-            from repro.conditions.tree import disjunction
-
-            return source.supports(disjunction(list(conditions)), fetch_attrs)
-
-        led = False
-
-        async def run_merged(merged_condition) -> Relation:
-            nonlocal led
-            led = True
-            merged_plan = SourceQuery(merged_condition, fetch_attrs,
-                                      plan.source)
-            return await self._attempts(
-                merged_plan, ctx, span, source, fill_cache=False
-            )
-
-        merged, role = await self._coalescer.batch_call(
-            (plan.source, plan.attrs, attr), plan.condition,
-            supports, run_merged,
+        """The attempts loop, behind single flight."""
+        result, shared = await self._coalescer.single_flight(
+            flight_key(plan.source, plan.condition, plan.attrs),
+            lambda: self._attempts(plan, ctx, span, source),
         )
-        if role != "merged":
-            return None
-        # Post-filter the shared merged answer back down to this
-        # caller's own constant.
-        answer = merged.sp(plan.condition, plan.attrs)
-        if not led:
-            ctx.add_batched()
-        span.set_attributes(batched=True, rows=len(answer))
-        if self.cache is not None:
-            self.cache.put(plan.source, plan.condition, plan.attrs, answer)
-        return answer
+        if shared:
+            ctx.add_coalesced()
+            span.set_attributes(coalesced=True, rows=len(result))
+        return result

@@ -28,9 +28,9 @@ All of that is written once, as the ``async def`` plan interpreter on
 primitives: ``_run`` (the driver of one execution),
 ``_execute_combination`` (the fan-out policy), ``_call`` (one source
 call) and ``_backoff`` (one retry's wait); the async engine also wraps
-``_fetch`` in single-flight coalescing and disjunct batching.  Here the
-primitives are blocking calls, so the interpreter never suspends and
-:func:`_drive` runs it to completion with one ``send`` -- no event loop.
+``_fetch`` in single-flight coalescing.  Here the primitives are
+blocking calls, so the interpreter never suspends and :func:`_drive`
+runs it to completion with one ``send`` -- no event loop.
 """
 
 from __future__ import annotations
@@ -145,9 +145,9 @@ class ExecutionReport:
     #: the logical caller that initiated it; every joiner reports one
     #: ``coalesced_hits`` and no per-source traffic for it.
     coalesced_hits: int = 0
-    #: Logical source calls folded into another caller's merged
-    #: disjunctive call (async executor's batching); same attribution
-    #: rule, with the batch leader carrying the one physical call.
+    #: Always 0 -- a disjunction reaches a source as one planned query,
+    #: never merged at execution time; kept because the X18 harness
+    #: (``benchmarks/anatomy``) reads it.
     batched_hits: int = 0
 
     def measured_cost(self, k1: float, k2: float) -> float:
@@ -202,7 +202,7 @@ class _ExecutionContext:
     so a diff around one execution would also report whatever ran
     beside it (and, under coalescing, one shared physical call in every
     overlapping report).  A physical call lands once, on the execution
-    that issued it; joiners count ``coalesced_hits``/``batched_hits``.
+    that issued it; joiners count ``coalesced_hits``.
     """
 
     attempts: int = 0
@@ -210,7 +210,6 @@ class _ExecutionContext:
     failovers: int = 0
     backoff: float = 0.0
     coalesced_hits: int = 0
-    batched_hits: int = 0
     per_source: dict[str, MeterSnapshot] = field(default_factory=dict)
     failed_sources: set[str] = field(default_factory=set)
     budget_left: int | None = None
@@ -252,11 +251,6 @@ class _ExecutionContext:
             self.coalesced_hits += 1
         get_metrics().counter("executor.coalesced_hits").inc()
 
-    def add_batched(self) -> None:
-        with self._lock:
-            self.batched_hits += 1
-        get_metrics().counter("executor.batched_hits").inc()
-
     def tally(self, source: str, **deltas: int) -> None:
         """Attribute source traffic caused by this execution."""
         delta = MeterSnapshot(**deltas)
@@ -283,7 +277,6 @@ class _ExecutionContext:
             per_source=per_source,
             call_seconds=tuple(self.call_seconds),
             coalesced_hits=self.coalesced_hits,
-            batched_hits=self.batched_hits,
         )
 
     def mark_failed(self, source: str) -> None:
@@ -503,7 +496,7 @@ class Executor:
 
     async def _attempts(
         self, plan: SourceQuery, ctx: _ExecutionContext, span,
-        source: CapabilitySource, fill_cache: bool = True,
+        source: CapabilitySource,
     ) -> Relation:
         """The retry/failover loop for one physical source query."""
         policy = self.retry_policy if self.retry_policy is not None \
@@ -515,7 +508,7 @@ class Executor:
             attempt += 1
             ctx.add_attempt()
             try:
-                result = await self._submit(source, plan, ctx, fill_cache)
+                result = await self._submit(source, plan, ctx)
                 span.set_attributes(
                     attempts=attempt, retries=retries,
                     backoff_seconds=backoff, rows=len(result),
@@ -571,11 +564,11 @@ class Executor:
 
     #: How a source query that missed the cache is fetched: the attempts
     #: loop itself here; the async engine overrides this hook to wrap
-    #: the loop in single-flight coalescing and disjunct batching.
+    #: the loop in single-flight coalescing.
     _fetch = _attempts
 
     async def _submit(self, source: CapabilitySource, plan: SourceQuery,
-                      ctx: _ExecutionContext, fill_cache: bool) -> Relation:
+                      ctx: _ExecutionContext) -> Relation:
         """One attempt: fix order, call the source, tally, fill the cache."""
         condition = plan.condition
         if self.fix_queries and not condition.is_true:
@@ -606,7 +599,7 @@ class Executor:
                 condition=str(condition), rows=len(result),
             )
         ctx.tally(source.name, queries=1, tuples=len(result))
-        if fill_cache and self.cache is not None:
+        if self.cache is not None:
             self.cache.put(plan.source, plan.condition, plan.attrs, result)
         return result
 

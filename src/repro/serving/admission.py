@@ -39,19 +39,20 @@ from repro.errors import OverloadError
 from repro.observability.metrics import get_metrics
 from repro.observability.trace import get_tracer
 
+#: The registry family the gate publishes under.
+METRICS_PREFIX = "serving.admission"
+
 
 class AdmissionController:
     """Bounds concurrent requests; sheds after ``queue_timeout`` seconds."""
 
-    def __init__(self, max_in_flight: int, queue_timeout: float = 1.0,
-                 metrics_prefix: str = "serving.admission"):
+    def __init__(self, max_in_flight: int, queue_timeout: float = 1.0):
         if max_in_flight < 1:
             raise ValueError("max_in_flight must be at least 1")
         if queue_timeout < 0:
             raise ValueError("queue_timeout must be non-negative")
         self.max_in_flight = max_in_flight
         self.queue_timeout = queue_timeout
-        self.metrics_prefix = metrics_prefix
         self._slots = threading.BoundedSemaphore(max_in_flight)
         self._local = threading.local()
         self._lock = threading.Lock()
@@ -87,12 +88,12 @@ class AdmissionController:
         acquired = self._slots.acquire(timeout=self.queue_timeout)
         waited = time.perf_counter() - started
         metrics.histogram(
-            f"{self.metrics_prefix}.queue_wait_seconds"
+            f"{METRICS_PREFIX}.queue_wait_seconds"
         ).observe(waited)
         if not acquired:
             with self._lock:
                 self.shed += 1
-            metrics.counter(f"{self.metrics_prefix}.shed").inc()
+            metrics.counter(f"{METRICS_PREFIX}.shed").inc()
             get_tracer().event(
                 "admission.shed", waited_seconds=waited,
                 max_in_flight=self.max_in_flight,
@@ -106,9 +107,9 @@ class AdmissionController:
             self.admitted += 1
             self._in_flight += 1
             current = self._in_flight
-        gauge = metrics.gauge(f"{self.metrics_prefix}.in_flight")
+        gauge = metrics.gauge(f"{METRICS_PREFIX}.in_flight")
         gauge.set(current)
-        metrics.counter(f"{self.metrics_prefix}.admitted").inc()
+        metrics.counter(f"{METRICS_PREFIX}.admitted").inc()
         self._local.depth = 1
         try:
             yield

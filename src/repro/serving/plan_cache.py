@@ -41,6 +41,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.source.source import CapabilitySource
 
 
+#: The registry family :class:`PlanTemplates` publishes under.
+TEMPLATE_METRICS_PREFIX = "serving.template_cache"
+
+
 def plan_cache_key(query: TargetQuery) -> Hashable:
     """The cache key for a target query: source x canonical condition x
     projection.  Equivalent rewritings of the same query collide; any
@@ -86,13 +90,12 @@ class PlanTemplates:
 
     ``hits`` counts served instantiations, ``rejected`` counts lookups
     whose substitution failed validation (the caller replans); both are
-    mirrored to ``<prefix>.template_hits`` / ``.template_rejected``.
+    mirrored to ``serving.template_cache.template_hits`` /
+    ``.template_rejected``.
     """
 
-    def __init__(self, max_entries: int = 256,
-                 metrics_prefix: str = "serving.template_cache"):
-        self._cache = BoundedCache(max_entries, metrics_prefix)
-        self.metrics_prefix = metrics_prefix
+    def __init__(self, max_entries: int = 256):
+        self._cache = BoundedCache(max_entries, TEMPLATE_METRICS_PREFIX)
         self._lock = threading.Lock()
         #: Plans served by rebinding a template's constants.
         self.hits = 0
@@ -146,14 +149,16 @@ class PlanTemplates:
 
         with self._lock:
             self.hits += 1
-        get_metrics().counter(f"{self.metrics_prefix}.template_hits").inc()
+        get_metrics().counter(
+            f"{TEMPLATE_METRICS_PREFIX}.template_hits").inc()
         return PlanningResult(f"{old_result.planner}+template", query,
                               candidate, cost_model.cost(candidate))
 
     def _reject(self) -> None:
         with self._lock:
             self.rejected += 1
-        get_metrics().counter(f"{self.metrics_prefix}.template_rejected").inc()
+        get_metrics().counter(
+            f"{TEMPLATE_METRICS_PREFIX}.template_rejected").inc()
 
     def invalidate(self) -> int:
         return self._cache.invalidate()

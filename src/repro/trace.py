@@ -214,11 +214,8 @@ def main(argv: list[str] | None = None) -> int:
         f"{report.backoff_seconds:.3f}s backoff), "
         f"{len(answer.rows)} answer rows"
     )
-    if report.coalesced_hits or report.batched_hits:
-        print(
-            f"  shared: {report.coalesced_hits} coalesced hits, "
-            f"{report.batched_hits} batched hits"
-        )
+    if report.coalesced_hits:
+        print(f"  shared: {report.coalesced_hits} coalesced hits")
     for name, delta in sorted(report.per_source.items()):
         print(f"  {name}: {delta.queries} queries, {delta.tuples} tuples")
     for row in answer.rows[: args.limit]:

@@ -4,7 +4,7 @@ The AsyncExecutor's contract is the same *observational equivalence*
 the parallel executor promises: on any concrete plan it returns
 exactly the rows the serial Executor returns, and where the serial
 executor raises, it raises the same error -- whatever the event loop
-interleaved, coalesced or batched along the way.  Three layers of
+interleaved or coalesced along the way.  Three layers of
 evidence, mirroring ``test_parallel_parity``:
 
 1. the golden corpus from ``test_golden_battery`` -- every feasible
@@ -12,8 +12,8 @@ evidence, mirroring ``test_parallel_parity``:
    three must equal the ground-truth reference answer;
 2. hypothesis-generated plan trees (random Union/Intersect/Postprocess
    shapes over mirrored sources, with both supported and rejected leaf
-   conditions), with coalescing ON and OFF -- rows and error types
-   must match serial;
+   conditions), coalescing as the engine always does -- rows and error
+   types must match serial;
 3. the same generated trees under a seeded :class:`FaultInjector` with
    a recovering retry policy -- draw interleavings differ and
    coalescing even collapses draws entirely, but the *answer* may not
@@ -189,25 +189,12 @@ def _outcome(executor, plan: Plan):
         return type(exc)
 
 
-@given(_plans, st.booleans())
-@settings(max_examples=40, deadline=None)
-def test_generated_plans_rows_and_errors_match_serial(plan, coalesce):
-    catalog = _make_catalog()
-    serial_outcome = _outcome(Executor(catalog), plan)
-    with AsyncExecutor(catalog, coalesce=coalesce) as executor:
-        async_outcome = _outcome(executor, plan)
-    assert async_outcome == serial_outcome
-
-
 @given(_plans)
-@settings(max_examples=15, deadline=None)
-def test_generated_plans_match_with_batching_enabled(plan):
-    # The bookstore grammar refuses merged author-disjunctions, so the
-    # batcher must *fall back* to identical single calls -- parity is
-    # the proof the fallback path loses nothing.
+@settings(max_examples=40, deadline=None)
+def test_generated_plans_rows_and_errors_match_serial(plan):
     catalog = _make_catalog()
     serial_outcome = _outcome(Executor(catalog), plan)
-    with AsyncExecutor(catalog, batch_window=0.002) as executor:
+    with AsyncExecutor(catalog) as executor:
         async_outcome = _outcome(executor, plan)
     assert async_outcome == serial_outcome
 
@@ -227,11 +214,9 @@ def _faulted_catalog(fault_seed: int) -> dict:
     return catalog
 
 
-@given(_plans, st.integers(0, 10_000), st.booleans())
+@given(_plans, st.integers(0, 10_000))
 @settings(max_examples=25, deadline=None)
-def test_generated_plans_agree_under_same_fault_seed(
-    plan, fault_seed, coalesce
-):
+def test_generated_plans_agree_under_same_fault_seed(plan, fault_seed):
     # Both executors see catalogs with *identical* injector seeds.  The
     # retry policy always recovers (p^40 ~ 0), so both must produce the
     # answer -- and the identical answer -- whatever the interleaving,
@@ -242,7 +227,6 @@ def test_generated_plans_agree_under_same_fault_seed(
     )
     with AsyncExecutor(
         _faulted_catalog(fault_seed), retry_policy=_RECOVERING,
-        coalesce=coalesce,
     ) as executor:
         async_outcome = _outcome(executor, plan)
     assert async_outcome == serial_outcome

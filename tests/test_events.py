@@ -95,13 +95,13 @@ class TestEventLog:
             query=BMW, source="cars", outcome="ok",
             duration_seconds=0.002, trace_id="0" * 31 + "7",
             fingerprint="abcdef123456", plan_cache="hit",
-            coalesced_hits=2, batched_hits=1, answers=3,
+            coalesced_hits=2, answers=3,
         ))
         text = log.format()
         assert "ask events: 1 retained of 1 recorded" in text
         assert "[abcdef123456]" in text
         assert "plan_cache=hit" in text
-        assert "coalesced=2" in text and "batched=1" in text
+        assert "coalesced=2" in text
         assert "trace=" + "0" * 31 + "7" in text
         assert BMW in text
 

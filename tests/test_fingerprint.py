@@ -29,6 +29,7 @@ from repro.conditions.skeleton import (
     substitute_plan,
 )
 from repro.conditions.tree import TRUE, And, Leaf, Or
+from repro.observability.metrics import MetricsRegistry, use_metrics
 from repro.planners.base import PlanningResult
 from repro.plans.coalesce import flight_key
 from repro.plans.cost import CostModel
@@ -251,15 +252,16 @@ def test_rebinding_equals_the_reference_substitution(old, rng):
     assert atom_substitution(old, new) == expected
 
     attrs = frozenset({"a", "b", "c"})
-    templates = PlanTemplates(metrics_prefix="test.fingerprint")
+    templates = PlanTemplates()
     stored = PlanningResult("p", TargetQuery(old, attrs, "cars"),
                             _plan_over(old), 1.0)
     query = TargetQuery(new, attrs, "cars")
     key = templates.key(query)
     assert key == templates.key(stored.query)
-    templates.store(key, old, stored)
-    rebound = templates.instantiate(key, query, _AcceptingSource(),
-                                    _FlatCost())
+    with use_metrics(MetricsRegistry()):
+        templates.store(key, old, stored)
+        rebound = templates.instantiate(key, query, _AcceptingSource(),
+                                        _FlatCost())
     if expected is None:
         # One old atom would have to become two different new ones.
         assert rebound is None
@@ -283,6 +285,11 @@ def test_substitution_refuses_what_the_reference_refuses(old, new):
 class TestTemplateRefusals:
     ATTRS = frozenset({"make", "model"})
 
+    @pytest.fixture(autouse=True)
+    def _private_registry(self):
+        with use_metrics(MetricsRegistry()):
+            yield
+
     def _stored(self, templates, text):
         source = make_example41_source()
         from repro.planners.gencompact import GenCompact
@@ -297,7 +304,7 @@ class TestTemplateRefusals:
     def test_a_key_from_another_shape_is_refused(self):
         """``instantiate`` takes the key from its caller: a query whose
         skeleton is not the entry's is rejected, never rebound."""
-        templates = PlanTemplates(metrics_prefix="test.fingerprint")
+        templates = PlanTemplates()
         source, key = self._stored(templates, "make = 'BMW' and price < 40000")
         other = TargetQuery(parse_condition("make = 'BMW' or price < 40000"),
                             self.ATTRS, "cars")
@@ -306,7 +313,7 @@ class TestTemplateRefusals:
         assert (templates.hits, templates.rejected) == (0, 1)
 
     def test_ambiguous_duplicate_is_refused(self):
-        templates = PlanTemplates(metrics_prefix="test.fingerprint")
+        templates = PlanTemplates()
         old = parse_condition("make = 'BMW' or make = 'BMW'")
         stored = PlanningResult(
             "p", TargetQuery(old, self.ATTRS, "cars"),
@@ -330,7 +337,7 @@ class TestTemplateRefusals:
     def test_a_rebound_query_the_grammar_rejects_is_refused(self):
         """Literal templates make support value-dependent: the stored
         vector rebinds, the unchanged validation refuses."""
-        templates = PlanTemplates(metrics_prefix="test.fingerprint")
+        templates = PlanTemplates()
         old = parse_condition("style = 'sedan'")
         attrs = frozenset({"model"})
         stored = PlanningResult(

@@ -108,6 +108,33 @@ class TestMediator:
         cm = mediator.cost_model()
         assert "cars" in cm.stats
 
+    def test_unknown_engine_fails_before_planning(self):
+        from repro.planners.gencompact import GenCompact
+        from repro.source.library import standard_catalog
+
+        class CountingPlanner(GenCompact):
+            calls = 0
+
+            def plan(self, *args, **kwargs):
+                CountingPlanner.calls += 1
+                return super().plan(*args, **kwargs)
+
+        m = Mediator(planner=CountingPlanner(), event_log_entries=8)
+        for source in standard_catalog().values():
+            m.add_source(source)
+        unsatisfiable = ("SELECT title FROM bookstore "
+                         "WHERE price < 10 and price > 20")
+        satisfiable = ("SELECT title FROM bookstore "
+                       "WHERE author = 'Carl Jung' and title contains 'dreams'")
+        for text in (unsatisfiable, satisfiable):
+            with pytest.raises(PlanExecutionError, match="bogus"):
+                m.ask(text, executor="bogus")
+        assert CountingPlanner.calls == 0
+        assert len(m.events) == 0
+        # The same asks on a real engine do reach the planner.
+        m.ask(satisfiable, executor="serial")
+        assert CountingPlanner.calls == 1
+
 
 class TestCompilesEachDescriptionOnce:
     """A description is compiled when it joins the catalog and never

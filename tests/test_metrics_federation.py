@@ -301,14 +301,12 @@ class TestDashCluster:
         "",
         "  serving: request sharing",
         "  coalesced hits                      7",
-        "  batched hits                        2",
-        "  source calls avoided                9",
+        "  source calls avoided                7",
     ]
 
     def test_serving_panel_golden(self):
         registry = MetricsRegistry()
         registry.counter("executor.coalesced_hits").inc(7)
-        registry.counter("executor.batched_hits").inc(2)
         assert serving_panel(registry.snapshot()) == self.GOLDEN_SERVING
 
     def test_serving_panel_absent_when_untouched(self):

@@ -12,7 +12,10 @@ promoted to an exact entry).
 from __future__ import annotations
 
 from repro.conditions.parser import parse_condition
+import pytest
+
 from repro.mediator.mediator import Mediator
+from repro.observability.metrics import MetricsRegistry, use_metrics
 from repro.planners.base import PlanningResult
 from repro.plans.cost import CostModel
 from repro.query import TargetQuery
@@ -65,6 +68,13 @@ class TestTemplateKey:
 
 
 class TestPlanTemplatesStore:
+    @pytest.fixture(autouse=True)
+    def _private_registry(self):
+        # The store's counters land in a throwaway registry, never in
+        # the process-wide one other tests read.
+        with use_metrics(MetricsRegistry()):
+            yield
+
     def _planned(self, source, text: str) -> PlanningResult:
         from repro.planners.gencompact import GenCompact
 
@@ -74,7 +84,7 @@ class TestPlanTemplatesStore:
     def test_rebinds_and_counts_hit(self):
         source = make_example41_source()
         cost_model = CostModel({source.name: source.stats})
-        templates = PlanTemplates(metrics_prefix="test.template_cache")
+        templates = PlanTemplates()
         first = self._planned(source, "make = 'BMW' and price < 40000")
         key = templates.key(first.query)
         templates.store(key, first.query.condition, first)
@@ -94,7 +104,7 @@ class TestPlanTemplatesStore:
     def test_miss_returns_none(self):
         source = make_example41_source()
         cost_model = CostModel({source.name: source.stats})
-        templates = PlanTemplates(metrics_prefix="test.template_cache")
+        templates = PlanTemplates()
         query = _query("make = 'BMW' and price < 40000")
         assert templates.instantiate(
             templates.key(query), query, source, cost_model
@@ -103,7 +113,7 @@ class TestPlanTemplatesStore:
         assert templates.hits == 0
 
     def test_infeasible_results_are_not_stored(self):
-        templates = PlanTemplates(metrics_prefix="test.template_cache")
+        templates = PlanTemplates()
         query = _query("year = 1999")
         infeasible = PlanningResult("gencompact", query, None, float("inf"))
         templates.store(templates.key(query), query.condition, infeasible)
@@ -111,7 +121,7 @@ class TestPlanTemplatesStore:
 
     def test_first_feasible_template_wins(self):
         source = make_example41_source()
-        templates = PlanTemplates(metrics_prefix="test.template_cache")
+        templates = PlanTemplates()
         first = self._planned(source, "make = 'BMW' and price < 40000")
         second = self._planned(source, "make = 'Honda' and price < 15000")
         key = templates.key(first.query)
@@ -128,7 +138,7 @@ class TestPlanTemplatesStore:
     def test_version_bump_invalidates(self):
         source = make_example41_source()
         cost_model = CostModel({source.name: source.stats})
-        templates = PlanTemplates(metrics_prefix="test.template_cache")
+        templates = PlanTemplates()
         first = self._planned(source, "make = 'BMW' and price < 40000")
         key = templates.key(first.query)
         templates.store(key, first.query.condition, first, version=1)

@@ -34,7 +34,7 @@ from repro.observability import (
 from repro.planners.gencompact import GenCompact
 from repro.plans.cost import CostModel
 from repro.query import TargetQuery, parse_query
-from repro.serving.plan_cache import PlanTemplates
+from repro.serving.plan_cache import TEMPLATE_METRICS_PREFIX, PlanTemplates
 from repro.source.library import car_guide, standard_catalog
 
 from tests import reference_keys as reference
@@ -291,7 +291,7 @@ class TestTemplateStoreAccounting:
         source = make_example41_source()
         cost_model = CostModel({source.name: source.stats})
         registry = MetricsRegistry()
-        prefix = "test.store_accounting"
+        prefix = TEMPLATE_METRICS_PREFIX
 
         def counters() -> dict[str, float]:
             return {
@@ -301,7 +301,7 @@ class TestTemplateStoreAccounting:
             }
 
         with use_metrics(registry):
-            templates = PlanTemplates(metrics_prefix=prefix)
+            templates = PlanTemplates()
             stats = templates.stats
             first = self._query("BMW", 40000)
             key = templates.key(first)
