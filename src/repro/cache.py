@@ -97,7 +97,7 @@ class BoundedCache:
         with self._lock:
             return self._weight
 
-    def _publish(self, event: str, amount: int = 1) -> None:
+    def publish(self, event: str, amount: int = 1) -> None:
         """Bump ``<prefix>.<event>`` in the process registry."""
         metrics = get_metrics()
         bound = self._bound
@@ -148,8 +148,8 @@ class BoundedCache:
                 self.stats.hits += 1
         if self.metrics_prefix is not None:
             if stale:
-                self._publish("invalidations")
-            self._publish("misses" if value is None else "hits")
+                self.publish("invalidations")
+            self.publish("misses" if value is None else "hits")
         return value
 
     def peek(self, key: Hashable, version: int = 0) -> Any | None:
@@ -186,7 +186,7 @@ class BoundedCache:
                 evictions += 1
             self.stats.evictions += evictions
         if evictions and self.metrics_prefix is not None:
-            self._publish("evictions", evictions)
+            self.publish("evictions", evictions)
 
     def invalidate(self, match: Callable[[Hashable], bool] | None = None
                    ) -> int:
@@ -204,5 +204,5 @@ class BoundedCache:
                 dropped = len(doomed)
             self.stats.invalidations += dropped
         if dropped and self.metrics_prefix is not None:
-            self._publish("invalidations", dropped)
+            self.publish("invalidations", dropped)
         return dropped

@@ -94,6 +94,16 @@ class Atom:
         # its name), without the Python-level ``Enum.__hash__`` call.
         return hash((self.attribute, self.op._name_, self.value))
 
+    @classmethod
+    def _trusted(cls, attribute: str, op: Op, value: Value) -> "Atom":
+        """``Atom(attribute, op, value)`` without ``__post_init__``'s
+        checks, for a builder that knows the value's class suits the
+        operator: a prepared query binds constants into a skeleton whose
+        atoms passed the checks with constants of the same classes."""
+        atom = object.__new__(cls)
+        atom.__dict__.update(attribute=attribute, op=op, value=value)
+        return atom
+
     def __post_init__(self) -> None:
         if not self.attribute:
             raise ConditionError("atomic condition needs a non-empty attribute")

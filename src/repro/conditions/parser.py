@@ -18,7 +18,7 @@ import re
 
 from repro.conditions.atoms import Atom, Op, op_from_text
 from repro.conditions.tree import TRUE, And, Condition, Leaf, Or
-from repro.errors import ConditionParseError
+from repro.errors import ConditionError, ConditionParseError
 
 # One scanner pass: every alternative skips the whitespace before its
 # token, keywords are their own (ASCII case-insensitive) alternatives,
@@ -45,28 +45,56 @@ _TOKEN_RE = re.compile(
     re.DOTALL,
 )
 
-#: A token: ``(kind, text, position)``.
-_Token = tuple[str, str, int]
+#: The kinds whose tokens carry a constant (``true`` also as a factor).
+_CONSTANT_KINDS = frozenset(("number", "string", "true", "false"))
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    append = tokens.append
-    for match in _TOKEN_RE.finditer(text):
+def _tokenize(text: str, spelled: bool = True
+              ) -> tuple[list[re.Match], tuple[str, ...] | None, list]:
+    """One scan of ``text``: its tokens, its *spelling* and its constants.
+
+    The tokens are the scanner's matches (``lastgroup`` is the kind).
+    The spelling is every token's text with each number or string
+    replaced by its class (``$num`` / ``$str``, which no token spells),
+    so two texts differing only in such constants spell alike (None
+    unless ``spelled``); the constants are the typed values of the
+    number, string, ``true`` and ``false`` tokens, left to right.
+    """
+    tokens = list(_TOKEN_RE.finditer(text))
+    spelling: list[str] = []
+    constants: list = []
+    spell, constant = spelling.append, constants.append
+    for match in tokens:
         kind = match.lastgroup
-        if kind == "bad":
+        token = match[kind]
+        if kind in _CONSTANT_KINDS:
+            if kind == "number":
+                constant(float(token) if "." in token else int(token))
+                token = "$num"
+            elif kind == "string":
+                body = token[1:-1]
+                constant(body if "\\" not in body else _unescape(token))
+                token = "$str"
+            else:
+                constant(kind == "true")
+        elif kind == "bad":
             pos = match.start(kind)
             raise ConditionParseError(
                 f"unexpected character {text[pos]!r} at position {pos}", pos
             )
-        append((kind, match[kind], match.start(kind)))
-    return tokens
+        if spelled:
+            spell(token)
+    return tokens, tuple(spelling) if spelled else None, constants
 
 
-def _found(token: _Token) -> str:
+def _position(token: re.Match) -> int:
+    return token.start(token.lastgroup)
+
+
+def _found(token: re.Match) -> str:
     """How an error message quotes a token (keywords in lower case)."""
-    kind, text, _ = token
-    return repr((kind if kind in _KEYWORDS else text) or "end of input")
+    kind = token.lastgroup
+    return repr((kind if kind in _KEYWORDS else token[kind]) or "end of input")
 
 
 def _unescape(quoted: str) -> str:
@@ -75,37 +103,57 @@ def _unescape(quoted: str) -> str:
 
 
 class _Parser:
-    """Recursive descent over the token list; ``index`` is the cursor."""
+    """Recursive descent over the token list; ``index`` is the cursor.
 
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+    Constants are read from the tokenizer's vector: ``constant`` counts
+    the constant tokens consumed, and ``slots`` records, per atom left to
+    right, which constants filled it: an index into the vector, or a
+    tuple of them for an ``in`` list -- the slot program a spelling's
+    later texts bind by.
+    """
+
+    def __init__(self, tokens: list[re.Match], constants: list):
+        self.tokens = tokens
+        self.constants = constants
         self.index = 0
+        self.constant = 0
+        self.slots: list[int | tuple[int, ...]] = []
 
-    def expect(self, kind: str) -> _Token:
+    def expect(self, kind: str) -> re.Match:
         token = self.tokens[self.index]
-        if token[0] != kind:
+        if token.lastgroup != kind:
             raise ConditionParseError(
                 f"expected {kind} but found {_found(token)} "
-                f"at position {token[2]}",
-                token[2],
+                f"at position {_position(token)}",
+                _position(token),
             )
         self.index += 1
         return token
 
     # -- grammar -----------------------------------------------------------
     def parse(self) -> Condition:
-        expr = self.parse_or()
+        try:
+            expr = self.parse_or()
+        except ConditionParseError:
+            raise
+        except ConditionError as exc:
+            # What was spelled parses, but an atom refuses its constant
+            # (``price < true``) or a connector its ``true`` operand.
+            pos = _position(self.tokens[self.index - 1])
+            raise ConditionParseError(f"{exc} at position {pos}",
+                                      pos) from None
         token = self.tokens[self.index]
-        if token[0] != "eof":
+        if token.lastgroup != "eof":
             raise ConditionParseError(
-                f"trailing input {_found(token)} at position {token[2]}",
-                token[2],
+                f"trailing input {_found(token)} at position "
+                f"{_position(token)}",
+                _position(token),
             )
         return expr
 
     def parse_or(self) -> Condition:
         parts = [self.parse_and()]
-        while self.tokens[self.index][0] == "or":
+        while self.tokens[self.index].lastgroup == "or":
             self.index += 1
             parts.append(self.parse_and())
         if len(parts) == 1:
@@ -114,7 +162,7 @@ class _Parser:
 
     def parse_and(self) -> Condition:
         parts = [self.parse_factor()]
-        while self.tokens[self.index][0] == "and":
+        while self.tokens[self.index].lastgroup == "and":
             self.index += 1
             parts.append(self.parse_factor())
         if len(parts) == 1:
@@ -123,7 +171,7 @@ class _Parser:
 
     def parse_factor(self) -> Condition:
         token = self.tokens[self.index]
-        kind = token[0]
+        kind = token.lastgroup
         if kind == "ident":
             return self.parse_atom()
         if kind == "lparen":
@@ -133,59 +181,72 @@ class _Parser:
             return inner
         if kind == "true":
             self.index += 1
+            self.constant += 1
             return TRUE
         raise ConditionParseError(
             f"expected a condition but found {_found(token)} "
-            f"at position {token[2]}",
-            token[2],
+            f"at position {_position(token)}",
+            _position(token),
         )
 
     def parse_atom(self) -> Leaf:
         """``ident op value`` with the cursor on the ``ident``."""
-        attr = self.tokens[self.index][1]
+        attr = self.tokens[self.index]["ident"]
         self.index += 1
         token = self.tokens[self.index]
-        kind = token[0]
+        kind = token.lastgroup
         if kind == "op":
             self.index += 1
-            return Leaf(Atom(attr, op_from_text(token[1]), self.parse_value()))
+            atom = Atom(attr, op_from_text(token["op"]), self.parse_value())
+            self.slots.append(self.constant - 1)
+            return Leaf(atom)
         if kind == "contains":
             self.index += 1
-            return Leaf(Atom(attr, Op.CONTAINS,
-                             _unescape(self.expect("string")[1])))
+            self.expect("string")
+            self.constant += 1
+            atom = Atom(attr, Op.CONTAINS, self.constants[self.constant - 1])
+            self.slots.append(self.constant - 1)
+            return Leaf(atom)
         if kind == "in":
             self.index += 1
             self.expect("lparen")
+            first = self.constant
             values = [self.parse_value()]
-            while self.tokens[self.index][0] == "comma":
+            while self.tokens[self.index].lastgroup == "comma":
                 self.index += 1
                 values.append(self.parse_value())
             self.expect("rparen")
-            return Leaf(Atom(attr, Op.IN, tuple(values)))
+            atom = Atom(attr, Op.IN, tuple(values))
+            self.slots.append(tuple(range(first, self.constant)))
+            return Leaf(atom)
         raise ConditionParseError(
-            f"expected an operator after {attr!r} at position {token[2]}",
-            token[2],
+            f"expected an operator after {attr!r} at position "
+            f"{_position(token)}",
+            _position(token),
         )
 
     def parse_value(self):
         token = self.tokens[self.index]
         self.index += 1
-        kind, text, _ = token
-        if kind == "number":
-            return float(text) if "." in text else int(text)
-        if kind == "string":
-            return _unescape(text)
-        if kind == "true":
-            return True
-        if kind == "false":
-            return False
+        if token.lastgroup in _CONSTANT_KINDS:
+            self.constant += 1
+            return self.constants[self.constant - 1]
         raise ConditionParseError(
             f"expected a constant but found {_found(token)} "
-            f"at position {token[2]}",
-            token[2],
+            f"at position {_position(token)}",
+            _position(token),
         )
+
+
+def parse_tokens(tokens: list[re.Match], constants: list
+                 ) -> tuple[Condition, list]:
+    """The condition :func:`_tokenize`'s output spells, and its slot
+    program (see :class:`_Parser`)."""
+    parser = _Parser(tokens, constants)
+    return parser.parse(), parser.slots
 
 
 def parse_condition(text: str) -> Condition:
     """Parse a condition expression into a :class:`Condition` tree."""
-    return _Parser(text).parse()
+    tokens, _, constants = _tokenize(text, spelled=False)
+    return parse_tokens(tokens, constants)[0]

@@ -28,6 +28,10 @@ from repro.errors import ConditionError
 
 #: dnf_terms budget for unsatisfiability checking.
 _UNSAT_MAX_TERMS = 256
+#: The bounding operators (tuples: membership is an identity scan, with
+#: no Python-level ``Enum.__hash__`` call).
+_UPPER_BOUNDS = (Op.LT, Op.LE)
+_LOWER_BOUNDS = (Op.GT, Op.GE)
 
 
 def _comparable(left, right) -> bool:
@@ -124,11 +128,9 @@ def contradicts(left: Atom, right: Atom) -> bool:
     if not _comparable(lv, rv):
         return False
     try:
-        lo_ops = {Op.GT, Op.GE}
-        hi_ops = {Op.LT, Op.LE}
-        if left.op in hi_ops and right.op in lo_ops:
+        if left.op in _UPPER_BOUNDS and right.op in _LOWER_BOUNDS:
             upper, lower = left, right
-        elif left.op in lo_ops and right.op in hi_ops:
+        elif left.op in _LOWER_BOUNDS and right.op in _UPPER_BOUNDS:
             upper, lower = right, left
         else:
             return False
@@ -228,10 +230,20 @@ def is_definitely_unsatisfiable(condition: Condition) -> bool:
     """
     if condition.is_true:
         return False
-    try:
-        terms = dnf_terms(condition, max_terms=_UNSAT_MAX_TERMS)
-    except ConditionError:
+    attributes = [atom.attribute for atom in condition.atoms()]
+    if len(set(attributes)) == len(attributes):
+        # No attribute twice: no term holds a pair contradicts() can refute.
         return False
+    if all(child.is_leaf for child in condition.children):
+        # Flat: the DNF is this one term, or one leaf per term.
+        if condition.is_or:
+            return False
+        terms = [condition.children]
+    else:
+        try:
+            terms = dnf_terms(condition, max_terms=_UNSAT_MAX_TERMS)
+        except ConditionError:
+            return False
     if not terms:
         return False
     for term in terms:

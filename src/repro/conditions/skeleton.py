@@ -22,7 +22,6 @@ from repro.conditions.atoms import Atom
 from repro.conditions.fingerprint import Fingerprint
 from repro.conditions.tree import Condition, Leaf
 from repro.errors import ConditionError
-from repro.plans.nodes import IntersectPlan, Plan, Postprocess, SourceQuery, UnionPlan
 
 
 def _rewrite_atoms(node: Condition, rewrite: Callable[[Atom], Atom]) -> Condition:
@@ -57,47 +56,3 @@ class Skeleton:
         fill = iter(values)
         return _rewrite_atoms(
             self.template, lambda atom: Atom(atom.attribute, atom.op, next(fill)))
-
-
-def rebinding(old: Fingerprint, new: Fingerprint) -> dict[Atom, Atom] | None:
-    """Map each atom of ``old`` to the atom at its position in ``new``.
-
-    None when the two do not share a skeleton, or when the mapping would
-    be ambiguous: the same old atom occurs at two positions that receive
-    *different* new atoms -- substitution could then silently produce a
-    wrong plan, so the caller must replan.
-    """
-    if old.skeleton != new.skeleton:
-        return None
-    mapping: dict[Atom, Atom] = {}
-    for old_atom, new_atom in zip(old.atoms, new.atoms):
-        if mapping.setdefault(old_atom, new_atom) != new_atom:
-            return None
-    return mapping
-
-
-def atom_substitution(old_root: Condition, new_root: Condition) -> dict[Atom, Atom] | None:
-    """:func:`rebinding` of the atoms of two condition trees."""
-    return rebinding(Fingerprint(old_root), Fingerprint(new_root))
-
-
-def remap_condition(condition: Condition, mapping: dict[Atom, Atom]) -> Condition:
-    """Rewrite a condition through an atom mapping (unknown atoms kept).
-
-    Handles *derived* conditions too: planners build source queries from
-    conjunctions of child subsets, which are not subtrees of the root,
-    but their leaves are the root's atoms.
-    """
-    return _rewrite_atoms(condition, lambda atom: mapping.get(atom, atom))
-
-
-def substitute_plan(plan: Plan, mapping: dict[Atom, Atom]) -> Plan:
-    """A copy of ``plan`` with every condition rewritten through ``mapping``."""
-    if isinstance(plan, SourceQuery):
-        return SourceQuery(remap_condition(plan.condition, mapping), plan.attrs, plan.source)
-    if isinstance(plan, Postprocess):
-        return Postprocess(remap_condition(plan.condition, mapping), plan.attrs,
-                           substitute_plan(plan.input, mapping))
-    if isinstance(plan, (UnionPlan, IntersectPlan)):
-        return type(plan)([substitute_plan(child, mapping) for child in plan.children])
-    raise ConditionError(f"cannot substitute into {type(plan).__name__}")

@@ -165,6 +165,16 @@ class Leaf(Condition):
         _set_size(self, 1)
         _set_canonical(self, True)
 
+    @classmethod
+    def _trusted(cls, atom: Atom) -> "Leaf":
+        """``Leaf(atom)`` without re-validating an atom known to be one."""
+        node = object.__new__(cls)
+        _set_atom(node, atom)
+        _set_hash(node, hash(("leaf", atom)))
+        _set_size(node, 1)
+        _set_canonical(node, True)
+        return node
+
     @property
     def is_leaf(self) -> bool:
         return True

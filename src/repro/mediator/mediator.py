@@ -24,12 +24,13 @@ from repro.observability.metrics import (
 )
 from repro.observability.slo import query_fingerprint
 from repro.observability.trace import Tracer, get_tracer, use_tracer
+from repro.cache import BoundedCache  # after observability: import cycle
 from repro.planners.base import Planner, PlannerStats, PlanningResult
 from repro.planners.gencompact import GenCompact
 from repro.plans.cost import CostModel
 from repro.plans.execute import ExecutionReport, Executor
 from repro.plans.retry import RetryPolicy
-from repro.query import TargetQuery, parse_query
+from repro.query import TargetQuery, parse_query, prepare_query
 from repro.serving.plan_cache import PlanCache, PlanTemplates, plan_cache_key
 from repro.source.source import CapabilitySource
 
@@ -121,7 +122,10 @@ class Mediator:
         behind it: an exact miss first tries to *rebind* the plan of a
         previously planned query with the same constant-stripped
         skeleton, so constant-varying respellings of one query shape
-        cost a validated substitution instead of a planning run.
+        cost a validated substitution instead of a planning run.  With
+        it comes a memo of query-text spellings as large as the plan
+        cache (:func:`~repro.query.prepare_query`): a text that differs
+        from an earlier one only in its constants is not parsed again.
         ``minimal_answers``
         (default off) prunes provably subsumed Union branches from
         every plan right before execution
@@ -174,9 +178,13 @@ class Mediator:
         self._cost_model: tuple[int, CostModel] | None = None
         self.plan_cache = None
         self.plan_templates = None
+        #: Query-text spellings -> their compiled parse (see
+        #: :func:`~repro.query.prepare_query`), beside the plan cache.
+        self.spellings: BoundedCache | None = None
         if plan_cache_entries is not None:
             self.plan_cache = PlanCache(plan_cache_entries)
             self.plan_templates = PlanTemplates(plan_cache_entries)
+            self.spellings = BoundedCache(plan_cache_entries)
         self.minimal_answers = minimal_answers
         self.admission = None
         if max_in_flight is not None:
@@ -410,8 +418,16 @@ class Mediator:
         :meth:`add_source` / :meth:`bump_catalog` re-plans.
         """
         if isinstance(query, str):
-            query = parse_query(query)
+            query = self._parse(query)
         return self._plan(query, planner)[0]
+
+    def _parse(self, text: str) -> TargetQuery:
+        """A query text's :class:`TargetQuery`: through the spelling memo
+        when a plan cache exists, so a text spelled like an earlier one
+        binds its constants into that parse instead of parsing."""
+        if self.spellings is None:
+            return parse_query(text)
+        return prepare_query(text, self.spellings)
 
     def _plan(self, query: TargetQuery, planner: Planner | None
               ) -> tuple[PlanningResult, str]:
@@ -426,10 +442,7 @@ class Mediator:
         )
         with tracer.span("mediator.plan", **attributes) as span:
             source = self.source(query.source)
-            source.schema.validate_attributes(query.attributes)
-            source.schema.validate_attributes(query.condition_attributes)
             scheme = planner if planner is not None else self.planner
-            self._ensure_compiled(source)
             cache_key = None
             # The version every outcome of this call is stamped with:
             # read *before* planning, so a concurrent catalog change
@@ -469,6 +482,13 @@ class Mediator:
                         cost=rebound.cost, plan_cache="template_hit",
                     )
                     return rebound, "template_hit"
+            # Only a planner run validates the query's attributes and
+            # compiles the grammars: a cache or template entry exists
+            # only for a query of its key (same attributes), planned
+            # under the version it carries.
+            source.schema.validate_attributes(query.attributes)
+            source.schema.validate_attributes(query.condition_attributes)
+            self._ensure_compiled(source)
             result = scheme.plan(query, source, self.cost_model())
             result.catalog_version = version
             plan_cache = ""
@@ -532,7 +552,7 @@ class Mediator:
         # or telemetry -- even for an ask the shortcut would answer.
         engine = self._executor_for(executor)
         if isinstance(query, str):
-            query = parse_query(query)
+            query = self._parse(query)
         tracer = get_tracer()
         attributes = (
             {"query": query.text, "source": query.source}

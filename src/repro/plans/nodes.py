@@ -67,6 +67,15 @@ class SourceQuery(Plan):
     attrs: frozenset[str]
     source: str
 
+    @classmethod
+    def _trusted(cls, condition: Condition, attrs: frozenset[str],
+                 source: str) -> "SourceQuery":
+        """``SourceQuery(condition, attrs, source)`` built the way the
+        template store rebinds one: fields set, nothing run."""
+        node = object.__new__(cls)
+        node.__dict__.update(condition=condition, attrs=attrs, source=source)
+        return node
+
     @property
     def attributes(self) -> frozenset[str]:
         return self.attrs
@@ -105,6 +114,16 @@ class Postprocess(Plan):
                 f"postprocessing needs attributes {sorted(missing)} that the "
                 f"input plan does not produce"
             )
+
+    @classmethod
+    def _trusted(cls, condition: Condition, attrs: frozenset[str],
+                 input: Plan) -> "Postprocess":
+        """``Postprocess(condition, attrs, input)`` without the attribute
+        check, for a rebinding of a checked node: the same attributes
+        over an input that produces the same ones."""
+        node = object.__new__(cls)
+        node.__dict__.update(condition=condition, attrs=attrs, input=input)
+        return node
 
     @property
     def attributes(self) -> frozenset[str]:

@@ -264,6 +264,19 @@ class SourceDescription:
                 return True
         return value in literals
 
+    def literal_free(self, atoms: Iterable[Atom]) -> bool:
+        """Does no literal template (``style = 'sedan'``) share an atom's
+        ``(attribute, op)``?  Then every template that can match one of
+        these atoms is a constant class, and ``Check`` of a condition
+        over them depends on each constant only through the classes
+        admitting it."""
+        index = self._template_index
+        for atom in atoms:
+            entry = index.get((atom.attribute, atom.op))
+            if entry is not None and entry[1]:
+                return False
+        return True
+
     def check(self, condition: Condition) -> CheckResult:
         """The paper's ``Check(C, R)``: exportable attributes for ``C``.
 

@@ -54,7 +54,8 @@ class Wrapper:
     spellings of one condition share an entry; an exact miss first
     tries to *rebind* the plan of an earlier query with the same
     constant-stripped skeleton, re-validating every source query
-    against the source description.  A bind-join's thousandth probe
+    against the source description wherever a literal template makes
+    support depend on the constants.  A bind-join's thousandth probe
     therefore costs a validation, not a planning run.  A provably empty
     condition is answered ``[]`` without contacting the source.
     """

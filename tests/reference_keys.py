@@ -1,7 +1,8 @@
 """The query-identity functions as they stood before
 ``repro.conditions.fingerprint`` derived them in one pass: the reference
 ``tests/test_fingerprint.py`` compares the shipped keys, skeletons and
-rebinding against.
+rebinding against, and the atom-map substitution the template store's
+compiled plans must reproduce.
 
 Kept verbatim -- one tree walk per question, ``repr`` as the sort key,
 public constructors -- because the key *values* are behaviour: plan
@@ -16,6 +17,7 @@ from typing import Hashable
 from repro.conditions.atoms import Atom
 from repro.conditions.canonical import canonicalize
 from repro.conditions.tree import And, Condition, Leaf, Or
+from repro.plans.nodes import IntersectPlan, Plan, Postprocess, SourceQuery, UnionPlan
 
 #: Representative values per constant class used inside skeleton trees.
 _MARKERS = {
@@ -95,3 +97,29 @@ def atom_substitution(
             return None
         mapping[old_atom] = new_atom
     return mapping
+
+
+def remap_condition(condition: Condition, mapping: dict[Atom, Atom]) -> Condition:
+    """``condition`` with every atom rewritten through ``mapping``
+    (unknown atoms kept: planners build source queries from subsets of
+    the root's conjuncts, whose leaves are the root's atoms)."""
+    if condition.is_leaf:
+        return Leaf(mapping.get(condition.atom, condition.atom))
+    if condition.is_true:
+        return condition
+    return condition.with_children(
+        [remap_condition(child, mapping) for child in condition.children])
+
+
+def substitute_plan(plan: Plan, mapping: dict[Atom, Atom]) -> Plan:
+    """A copy of ``plan`` with every condition rewritten through ``mapping``."""
+    if isinstance(plan, SourceQuery):
+        return SourceQuery(remap_condition(plan.condition, mapping),
+                           plan.attrs, plan.source)
+    if isinstance(plan, Postprocess):
+        return Postprocess(remap_condition(plan.condition, mapping),
+                           plan.attrs, substitute_plan(plan.input, mapping))
+    if isinstance(plan, (UnionPlan, IntersectPlan)):
+        return type(plan)([substitute_plan(child, mapping)
+                           for child in plan.children])
+    raise TypeError(f"cannot substitute into {type(plan).__name__}")

@@ -1,13 +1,14 @@
 """The one-pass query fingerprint against the functions it replaced.
 
 ``tests/reference_keys.py`` keeps ``canonical_key`` / ``_node_key`` /
-``Skeleton.of`` / ``atom_substitution`` as they stood; hypothesis trees
-assert the shipped values equal them (key *values* are behaviour: plan
-fingerprints and golden renderings hash them), that the exact key is
-idempotent and invariant under commutation, reassociation and duplicated
-siblings, and that rebinding through a template's stored atom vector is
-the old substitution, refusals included.  A negative battery pins what
-must never collide: constants of different types.
+``Skeleton.of`` / ``atom_substitution`` / ``substitute_plan`` as they
+stood; hypothesis trees assert the shipped values equal them (key
+*values* are behaviour: plan fingerprints and golden renderings hash
+them), that the exact key is idempotent and invariant under commutation,
+reassociation and duplicated siblings, and that rebinding through a
+template's compiled plan is the old substitution, refusals included.
+A negative battery pins what must never collide: constants of different
+types.
 """
 
 from __future__ import annotations
@@ -22,12 +23,7 @@ from repro.conditions.atoms import Atom, Op
 from repro.conditions.canonical import canonicalize
 from repro.conditions.fingerprint import Fingerprint, canonical_key
 from repro.conditions.parser import parse_condition
-from repro.conditions.skeleton import (
-    Skeleton,
-    atom_substitution,
-    rebinding,
-    substitute_plan,
-)
+from repro.conditions.skeleton import Skeleton
 from repro.conditions.tree import TRUE, And, Leaf, Or
 from repro.observability.metrics import MetricsRegistry, use_metrics
 from repro.planners.base import PlanningResult
@@ -249,8 +245,6 @@ class _FlatCost:
 def test_rebinding_equals_the_reference_substitution(old, rng):
     new = _rebound(old, _same_class_value(rng))
     expected = reference.atom_substitution(old, new)
-    assert atom_substitution(old, new) == expected
-
     attrs = frozenset({"a", "b", "c"})
     templates = PlanTemplates()
     stored = PlanningResult("p", TargetQuery(old, attrs, "cars"),
@@ -267,7 +261,7 @@ def test_rebinding_equals_the_reference_substitution(old, rng):
         assert rebound is None
         assert (templates.hits, templates.rejected) == (0, 1)
     else:
-        assert rebound.plan == substitute_plan(stored.plan, expected)
+        assert rebound.plan == reference.substitute_plan(stored.plan, expected)
         assert rebound.query is query
         assert (templates.hits, templates.rejected) == (1, 0)
 
@@ -276,10 +270,20 @@ def test_rebinding_equals_the_reference_substitution(old, rng):
 @settings(max_examples=200, deadline=None)
 def test_substitution_refuses_what_the_reference_refuses(old, new):
     expected = reference.atom_substitution(old, new)
-    assert atom_substitution(old, new) == expected
-    assert rebinding(Fingerprint(old), Fingerprint(new)) == expected
     if Fingerprint(old).skeleton != Fingerprint(new).skeleton:
         assert expected is None
+    # A template stored for ``old`` serves ``new`` exactly when the
+    # reference maps one onto the other.
+    attrs = frozenset({"a", "b", "c"})
+    templates = PlanTemplates()
+    stored = PlanningResult("p", TargetQuery(old, attrs, "cars"),
+                            _plan_over(old), 1.0)
+    key = templates.key(stored.query)
+    with use_metrics(MetricsRegistry()):
+        templates.store(key, old, stored)
+        rebound = templates.instantiate(key, TargetQuery(new, attrs, "cars"),
+                                        _AcceptingSource(), _FlatCost())
+    assert (rebound is None) == (expected is None)
 
 
 class TestTemplateRefusals:

@@ -19,7 +19,7 @@ from unittest import mock
 
 import pytest
 
-from repro.conditions.fingerprint import Fingerprint
+from repro.conditions.fingerprint import Fingerprint, SkeletonBinder
 from repro.conditions.tree import And, Condition, Leaf, Or, TrueCondition
 from repro.errors import InfeasiblePlanError
 from repro.mediator import Mediator
@@ -73,6 +73,8 @@ RENDERERS = (
     (Or, "to_text"), (TrueCondition, "to_text"), (TargetQuery, "to_text"),
 )
 FINGERPRINT = (Fingerprint, "__init__")
+#: A prepared text's one pass: its condition and fingerprint together.
+BIND = (SkeletonBinder, "bind")
 
 
 # ----------------------------------------------------------------------
@@ -85,16 +87,18 @@ class TestUntracedAskRendersNothing:
         fresh = WARM.replace("25000", "24000")
         with _warm_mediator() as mediator:
             mediator.ask(WARM, executor=executor)  # engines start lazily
-            with counting(FINGERPRINT, *RENDERERS) as calls:
+            with counting(FINGERPRINT, BIND, *RENDERERS) as calls:
                 template_hit = mediator.ask(fresh, executor=executor)
                 exact_hit = mediator.ask(fresh, executor=executor)
         assert template_hit.planning.planner.endswith("+template")
         assert exact_hit.planning is template_hit.planning
         for target in RENDERERS:
             assert calls[target].call_count == 0, target
-        # One pass per ask: the key, the template key and the rebinding
-        # all read the query's memoised fingerprint.
-        assert calls[FINGERPRINT].call_count == 2
+        # One derivation per ask, and for a text spelled like an earlier
+        # one it is the prepared bind (no tree walk): the key, the
+        # template key and the rebinding all read its fingerprint.
+        assert calls[FINGERPRINT].call_count == 0
+        assert calls[BIND].call_count == 2
 
     def test_plan_without_a_cache_computes_no_key(self):
         """No plan cache configured => no key, skeleton or text."""
@@ -209,17 +213,20 @@ def _python_calls(run) -> int:
     return count
 
 
-#: Measured on CPython 3.11 plus ten per cent: 498 and 293 frames with
-#: the fused σπ kernel, against 12 529 and 12 317 when σ called a
-#: compiled predicate once per source row.  Raise them only with a
-#: reason: every frame here is paid per ask.
-TEMPLATE_HIT_CALL_BUDGET = 548
-EXACT_HIT_CALL_BUDGET = 322
-#: The exact-hit ask with telemetry armed, measured the same way: 331
-#: frames with a latency objective and the event ring, 337 when the ask
+#: Measured on CPython 3.11 plus ten per cent: 312 and 208 frames since
+#: a text spelled like an earlier one binds its constants into a
+#: prepared skeleton and a template hit binds them into a compiled plan
+#: (503 and 296 when every ask parsed, walked its tree twice and
+#: substituted and re-validated the plan; 12 529 and 12 317 when σ
+#: called a compiled predicate once per source row).  Raise them only
+#: with a reason: every frame here is paid per ask.
+TEMPLATE_HIT_CALL_BUDGET = 343
+EXACT_HIT_CALL_BUDGET = 229
+#: The exact-hit ask with telemetry armed, measured the same way: 243
+#: frames with a latency objective and the event ring, 249 when the ask
 #: breaches the objective and its one event lands in both logs.
-ARMED_HIT_CALL_BUDGET = 364
-BREACHING_HIT_CALL_BUDGET = 371
+ARMED_HIT_CALL_BUDGET = 267
+BREACHING_HIT_CALL_BUDGET = 274
 
 
 class TestWarmAskCallBudget:

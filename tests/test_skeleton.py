@@ -3,13 +3,12 @@
 import pytest
 
 from repro.conditions.parser import parse_condition
-from repro.conditions.skeleton import (
-    Skeleton,
-    atom_substitution,
-    remap_condition,
-    substitute_plan,
-)
+from repro.conditions.skeleton import Skeleton
+from repro.observability.metrics import MetricsRegistry, use_metrics
+from repro.planners.base import PlanningResult
 from repro.plans.nodes import Postprocess, SourceQuery, UnionPlan
+from repro.query import TargetQuery
+from repro.serving.plan_cache import PlanTemplates
 from repro.wrapper import Wrapper
 from tests.conftest import make_example41_source
 
@@ -47,30 +46,59 @@ class TestSkeleton:
             skeleton.bind(("a", "b"))
 
 
+class _AnySource:
+    def supports(self, condition, attributes) -> bool:
+        return True
+
+
+class _FlatCost:
+    def cost(self, plan) -> float:
+        return 1.0
+
+
+def _rebind(old, new, plan=None):
+    """A template stored for ``old`` (planned as one source query over it
+    unless ``plan`` is given), instantiated for ``new``: the rebound
+    result, or None when the template store refuses the substitution."""
+    attrs = frozenset({"model"})
+    templates = PlanTemplates()
+    stored = PlanningResult("p", TargetQuery(old, attrs, "cars"),
+                            plan or SourceQuery(old, attrs, "cars"), 1.0)
+    key = templates.key(stored.query)
+    with use_metrics(MetricsRegistry()):
+        templates.store(key, old, stored)
+        return templates.instantiate(key, TargetQuery(new, attrs, "cars"),
+                                     _AnySource(), _FlatCost())
+
+
 class TestAtomSubstitution:
     def test_basic_mapping(self):
         old = parse_condition("make = 'BMW' and price < 40000")
         new = parse_condition("make = 'Audi' and price < 15000")
-        mapping = atom_substitution(old, new)
-        assert mapping is not None
-        assert remap_condition(parse_condition("make = 'BMW'"), mapping) == (
-            parse_condition("make = 'Audi'")
-        )
+        plan = Postprocess(
+            parse_condition("price < 40000"), frozenset({"model"}),
+            SourceQuery(parse_condition("make = 'BMW'"),
+                        frozenset({"model", "price"}), "cars"))
+        rebound = _rebind(old, new, plan)
+        assert rebound is not None
+        assert [q.condition for q in rebound.plan.source_queries()] == [
+            parse_condition("make = 'Audi'")]
+        assert rebound.plan.condition == parse_condition("price < 15000")
 
     def test_mismatched_skeletons_rejected(self):
         old = parse_condition("make = 'BMW' and price < 40000")
         new = parse_condition("make = 'Audi' or price < 15000")
-        assert atom_substitution(old, new) is None
+        assert _rebind(old, new) is None
 
     def test_ambiguous_duplicates_rejected(self):
         old = parse_condition("p = 1 or p = 1")
         new = parse_condition("p = 2 or p = 3")
-        assert atom_substitution(old, new) is None
+        assert _rebind(old, new) is None
 
     def test_consistent_duplicates_accepted(self):
         old = parse_condition("p = 1 or p = 1")
         new = parse_condition("p = 2 or p = 2")
-        assert atom_substitution(old, new) is not None
+        assert _rebind(old, new) is not None
 
     def test_substitute_plan_rewrites_all_conditions(self):
         old = parse_condition(
@@ -79,7 +107,6 @@ class TestAtomSubstitution:
         new = parse_condition(
             "(make = 'VW' and price < 7) or (make = 'Kia' and price < 3)"
         )
-        mapping = atom_substitution(old, new)
         plan = UnionPlan([
             SourceQuery(old.children[0], frozenset({"model"}), "cars"),
             Postprocess(
@@ -92,9 +119,12 @@ class TestAtomSubstitution:
                 ),
             ),
         ])
-        rebound = substitute_plan(plan, mapping)
-        conditions = [q.condition for q in rebound.source_queries()]
-        assert parse_condition("make = 'VW' and price < 7") in conditions
+        rebound = _rebind(old, new, plan)
+        conditions = [q.condition for q in rebound.plan.source_queries()]
+        assert conditions == [parse_condition("make = 'VW' and price < 7"),
+                              parse_condition("price < 3")]
+        assert rebound.plan.children[1].condition == parse_condition(
+            "make = 'Kia'")
 
 
 class TestWrapperTemplateReuse:
