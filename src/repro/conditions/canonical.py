@@ -14,6 +14,9 @@ time linear in the size of the input tree, as the paper requires.
 
 from __future__ import annotations
 
+from collections import Counter
+from typing import Hashable
+
 from repro.conditions.tree import Condition, trusted_connector
 
 
@@ -41,3 +44,25 @@ def canonicalize(condition: Condition) -> Condition:
 def is_canonical(condition: Condition) -> bool:
     """True iff no connector node has a child of its own kind."""
     return condition._canonical
+
+
+def commutation_key(
+    condition: Condition, memo: dict[Condition, Hashable]
+) -> Hashable:
+    """A key equal for two trees iff one permutes the other's children.
+
+    A leaf is its own key (typed atom identity); a connector's key is its
+    kind and the *multiset* of its children's keys, so ``a or a`` keeps
+    both copies (it is not ``a`` to IPG).  ``memo`` holds the key per
+    (structurally equal) node across the trees of one planning run.
+    """
+    key = memo.get(condition)
+    if key is None:
+        children = condition.children
+        if not children:
+            key = condition
+        else:
+            key = (type(condition), frozenset(Counter(
+                [commutation_key(child, memo) for child in children]).items()))
+        memo[condition] = key
+    return key

@@ -230,8 +230,9 @@ class RewriteResult:
 class RewriteEngine:
     """Breadth-first closure of a seed tree under a rule set, with budgets.
 
-    ``max_trees`` bounds the number of distinct trees returned,
-    ``max_steps`` the number of rule applications attempted, and
+    ``max_trees`` bounds the number of distinct trees returned (the
+    search stops at the first new tree past it), ``max_steps`` the
+    number of rule applications attempted, and
     ``max_size_factor`` rejects trees that grew beyond
     ``factor * seed.size()`` (this is what tames the copy rule).
     When ``canonical`` is true every produced tree is canonicalized
@@ -255,30 +256,24 @@ class RewriteEngine:
         # this call: the explored trees share almost all their subtrees.
         memos: list[tuple[Local, dict]] = [(rule.local, {}) for rule in self.rules]
         steps = 0
-        truncated = False
         while frontier:
             tree = frontier.popleft()
             for local, memo in memos:
                 for produced in _below(local, tree, memo):
                     steps += 1
                     if steps > self.max_steps:
-                        truncated = True
-                        frontier.clear()
-                        break
+                        return RewriteResult(list(seen), True, steps)
                     if self.canonical:
                         produced = canonicalize(produced)
                     if produced.size() > max_size or produced in seen:
                         continue
                     if len(seen) >= self.max_trees:
-                        truncated = True
-                        continue
+                        # A new tree with the budget full: no later step
+                        # can add one, so the trees are final.
+                        return RewriteResult(list(seen), True, steps)
                     seen[produced] = None
                     frontier.append(produced)
-                if truncated and not frontier:
-                    break
-            if truncated and not frontier:
-                break
-        return RewriteResult(list(seen), truncated, steps)
+        return RewriteResult(list(seen), False, steps)
 
 
 def enumerate_orderings(condition: Condition, limit: int = 720) -> list[Condition]:

@@ -47,6 +47,10 @@ class PlannerStats:
     """
 
     cts_processed: int = 0
+    #: CTs GenCompact skipped before IPG because they permute the
+    #: children of a CT it already planned (order-free descriptions);
+    #: ``cts_processed`` counts the CTs planned.
+    cts_commuted: int = 0
     plans_considered: int = 0
     subplans_considered: int = 0
     check_calls: int = 0
@@ -76,6 +80,7 @@ class PlannerStats:
 
     def merge(self, other: "PlannerStats") -> None:
         self.cts_processed += other.cts_processed
+        self.cts_commuted += other.cts_commuted
         self.plans_considered += other.plans_considered
         self.subplans_considered += other.subplans_considered
         self.check_calls += other.check_calls

@@ -8,7 +8,8 @@ GenCompact improves on GenModular by:
    canonical-tree processing);
 2. an **integrated plan-generation module** (IPG) that walks each
    canonical CT once, producing the single best plan directly with the
-   pruning rules PR1-PR3.
+   pruning rules PR1-PR3 -- and, when the closed description is
+   order-free, only one CT of each commutation class.
 
 The final plan is produced against the commutation-closed description;
 the executor "fixes" the order of each source query of the one plan
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from math import inf
 
-from repro.conditions.canonical import canonicalize
+from repro.conditions.canonical import canonicalize, commutation_key
 from repro.conditions.rewrite import GENCOMPACT_RULES, RewriteEngine
 from repro.observability.trace import get_tracer
 from repro.planners.base import (
@@ -97,6 +98,14 @@ class GenCompact(Planner):
                 pr3=self.pr3,
                 mcsc_solver=self.mcsc_solver,
             )
+            # On an order-free description a CT that permutes the
+            # children of one already planned has the same Checks and
+            # best cost, and ties stay with the earlier: plan one CT
+            # per commutation class.
+            order_free = checker.description.order_free
+            planned: set = set()
+            keys: dict = {}
+
             def generate(trees, best: tuple[Plan | None, float],
                          limit: float = -inf):
                 """The cheaper of ``best`` and the best plan of ``trees``
@@ -107,10 +116,15 @@ class GenCompact(Planner):
                         if best[1] <= limit:
                             stats.rewrite_stopped = 1
                             break
+                        ct = canonicalize(ct)
+                        if order_free:
+                            key = commutation_key(ct, keys)
+                            if key in planned:
+                                stats.cts_commuted += 1
+                                continue
+                            planned.add(key)
                         stats.cts_processed += 1
-                        candidate = ipg.best_plan(
-                            canonicalize(ct), query.attributes
-                        )
+                        candidate = ipg.best_plan(ct, query.attributes)
                         if candidate is None:
                             continue
                         with tracer.span("planner.cost") as cost_span:
@@ -120,6 +134,7 @@ class GenCompact(Planner):
                             best = candidate, candidate_cost
                     generate_span.set_attributes(
                         cts_processed=stats.cts_processed,
+                        cts_commuted=stats.cts_commuted,
                         Q=stats.subplans_considered,
                         pr1_fires=stats.pr1_fires,
                         pr2_fires=stats.pr2_fires,

@@ -48,7 +48,9 @@ experiments that must be bit-identical should stay serial.
 
 from __future__ import annotations
 
-import asyncio
+# ``asyncio`` (with the ``ssl``, ``socket`` and ``selectors`` it loads) is
+# imported inside the functions that run on a loop: a process on the
+# serial or pool engine never loads it (DESIGN.md, "Resident size").
 import threading
 from typing import Mapping
 
@@ -100,6 +102,7 @@ class AsyncExecutor(Executor):
 
     # -- event-loop lifecycle ------------------------------------------
     def _ensure_loop(self) -> asyncio.AbstractEventLoop:
+        import asyncio
         with self._loop_lock:
             if self._loop is None:
                 loop = asyncio.new_event_loop()
@@ -114,6 +117,7 @@ class AsyncExecutor(Executor):
 
     def close(self) -> None:
         """Stop the loop thread, cancelling any stragglers (idempotent)."""
+        import asyncio
         with self._loop_lock:
             loop, self._loop = self._loop, None
             thread, self._loop_thread = self._loop_thread, None
@@ -131,6 +135,7 @@ class AsyncExecutor(Executor):
         loop.close()
 
     async def _shutdown(self) -> None:
+        import asyncio
         self._coalescer.drain()
         tasks = [
             task for task in asyncio.all_tasks()
@@ -150,6 +155,7 @@ class AsyncExecutor(Executor):
     def pending_task_count(self) -> int:
         """How many tasks the loop is running right now (tests assert 0
         after cancellation -- nothing orphaned)."""
+        import asyncio
         loop = self._ensure_loop()
 
         async def count() -> int:
@@ -160,6 +166,7 @@ class AsyncExecutor(Executor):
     # -- entry points --------------------------------------------------
     def _run(self, plan: Plan, ctx: _ExecutionContext) -> Relation:
         """The driver: submit the interpreter to the loop, block for it."""
+        import asyncio
         loop = self._ensure_loop()
         tracer = get_tracer()
         token = tracer.current_context()
@@ -185,6 +192,7 @@ class AsyncExecutor(Executor):
         slower siblings are still in flight, yet the fold order (and so
         the answer, row order included) is exactly serial's.
         """
+        import asyncio
         children = plan.children
         if len(children) == 1:
             return await self._execute(children[0], ctx)
@@ -259,6 +267,7 @@ class AsyncExecutor(Executor):
     async def _backoff(self, policy: RetryPolicy, delay: float) -> None:
         # Backing off suspends this task only -- the loop (and every
         # sibling call) keeps running.
+        import asyncio
         if policy.real_sleep and delay > 0.0:
             await asyncio.sleep(delay)
 

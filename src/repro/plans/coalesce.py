@@ -26,7 +26,9 @@ no orphan task behind.
 
 from __future__ import annotations
 
-import asyncio
+# ``asyncio`` (with the ``ssl``, ``socket`` and ``selectors`` it loads) is
+# imported inside the functions that run on a loop: a process on the
+# serial or pool engine never loads it (DESIGN.md, "Resident size").
 from dataclasses import dataclass
 from typing import Awaitable, Callable
 
@@ -66,6 +68,7 @@ class _Flight:
     __slots__ = ("future", "task", "waiters")
 
     def __init__(self) -> None:
+        import asyncio
         self.future: asyncio.Future = \
             asyncio.get_running_loop().create_future()
         self.task: asyncio.Task | None = None
@@ -90,6 +93,7 @@ class RequestCoalescer:
         every waiter.  A caller cancelled while waiting detaches; the
         last waiter to detach cancels the physical call itself.
         """
+        import asyncio
         flight = self._flights.get(key)
         shared = flight is not None
         if flight is None:
@@ -122,6 +126,7 @@ class RequestCoalescer:
 
     async def _run_flight(self, key: FlightKey, flight: _Flight,
                           call: Awaitable[Relation]) -> None:
+        import asyncio
         try:
             result = await call
         except asyncio.CancelledError:

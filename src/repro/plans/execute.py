@@ -35,8 +35,8 @@ runs it to completion with one ``send`` -- no event loop.
 
 from __future__ import annotations
 
-import asyncio
 import logging
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -99,7 +99,14 @@ def _drive(coroutine):
 
 
 def _worker_name() -> str:
-    """Who runs a source call: the event-loop task, else the thread."""
+    """Who runs a source call: the event-loop task, else the thread.
+
+    Only a loaded :mod:`asyncio` can be running a loop; the serial and
+    pool drivers never import it.
+    """
+    asyncio = sys.modules.get("asyncio")
+    if asyncio is None:
+        return threading.current_thread().name
     try:
         task = asyncio.current_task()
     except RuntimeError:  # no running loop: the serial or pool driver

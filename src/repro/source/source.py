@@ -26,7 +26,9 @@ no matter how aggressive the caller, it never exceeds the limit.
 
 from __future__ import annotations
 
-import asyncio
+# ``asyncio`` (with the ``ssl``, ``socket`` and ``selectors`` it loads) is
+# imported inside the functions that run on a loop: a process on the
+# serial or pool engine never loads it (DESIGN.md, "Resident size").
 import threading
 import time
 import weakref
@@ -310,6 +312,7 @@ class CapabilitySource:
 
     def _async_concurrency_gate(self) -> asyncio.BoundedSemaphore | None:
         """The running loop's gate for this source (created on demand)."""
+        import asyncio
         if self.max_concurrency is None:
             return None
         loop = asyncio.get_running_loop()
@@ -445,6 +448,7 @@ class CapabilitySource:
         call), which is what lets benchmarks assert both executors were
         charged identical simulated time.
         """
+        import asyncio
         instruments = self._instruments()
         async with self.async_concurrency_slot() as queue_wait:
             with get_tracer().span(

@@ -13,7 +13,11 @@ permutations of its segments.  A segment is a maximal symbol run between
 top-level connector keywords (parenthesized groups count as one
 segment).  For recursive rules this closes the rule set, which is a
 superset of the single-rule languages but still only accepts
-commutative rearrangements of natively acceptable strings.
+commutative rearrangements of natively acceptable strings.  It also
+decides, syntactically and conservatively, whether the closed
+description is *order-free* -- ``Check`` sees each connector node's
+children only as a multiset -- so GenCompact plans one CT per
+commutation class (DESIGN.md, "Planner hot path").
 
 :func:`fix_condition` searches the commutative orbit of a condition for
 an ordering the native description supports -- the paper's "fix the
@@ -24,6 +28,7 @@ plan that will execute are fixed.
 from __future__ import annotations
 
 from itertools import islice, permutations
+from typing import Sequence
 
 from repro.conditions.rewrite import enumerate_orderings
 from repro.conditions.tree import Condition
@@ -32,10 +37,13 @@ from repro.ssdl.description import SourceDescription
 from repro.ssdl.symbols import (
     AND_SYM,
     LPAREN_SYM,
+    NT,
     OR_SYM,
     RPAREN_SYM,
+    TRUE_SYM,
     KeywordSym,
     Symbol,
+    Template,
 )
 
 #: Do not permute sequences with more segments than this (k! blow-up guard).
@@ -74,6 +82,66 @@ def _split_segments(
     return segments
 
 
+def _is_segment(symbols: Sequence[Symbol]) -> bool:
+    """One template, one nonterminal, or one parenthesised nonterminal."""
+    if len(symbols) == 1:
+        return isinstance(symbols[0], (Template, NT))
+    return (len(symbols) == 3 and symbols[0] == LPAREN_SYM
+            and isinstance(symbols[1], NT) and symbols[2] == RPAREN_SYM)
+
+
+def _order_free(
+    productions: dict[str, tuple[tuple[Symbol, ...], ...]], max_segments: int
+) -> bool:
+    """Does the closure of ``productions`` see every connector node's
+    children only as a multiset?
+
+    Yes when every alternative is ``true``, one segment, or a pure
+    top-level ``and``/``or`` sequence of at most ``max_segments``
+    segments (so the closure holds all its permutations), and no
+    nonterminal used bare as a segment of an X-sequence derives a bare
+    X-sequence (through unit alternatives).  Every derived string is then
+    balanced, an X-sequence alternative lines its segments up one to one
+    with the children of an X node, and permuting the children permutes
+    the segments: DESIGN.md, "Planner hot path", has the induction.
+    """
+    units: dict[str, set[str]] = {}
+    heads = {AND_SYM: set(), OR_SYM: set()}
+    segments_of = {AND_SYM: set(), OR_SYM: set()}
+    for head, alternatives in productions.items():
+        for alternative in alternatives:
+            if AND_SYM not in alternative and OR_SYM not in alternative:
+                if alternative != (TRUE_SYM,) and not _is_segment(alternative):
+                    return False
+                if len(alternative) == 1 and isinstance(alternative[0], NT):
+                    units.setdefault(head, set()).add(alternative[0].name)
+                continue
+            for connector in (AND_SYM, OR_SYM):
+                segments = _split_segments(alternative, connector)
+                if segments is not None:
+                    break
+            else:
+                return False
+            if len(segments) > max_segments or not all(map(_is_segment, segments)):
+                return False
+            heads[connector].add(head)
+            segments_of[connector].update(
+                segment[0].name for segment in segments
+                if isinstance(segment[0], NT))
+    for connector, bare in heads.items():
+        # Close "derives a bare X-sequence" under unit alternatives.
+        grown = True
+        while grown:
+            grown = False
+            for head, targets in units.items():
+                if head not in bare and targets & bare:
+                    bare.add(head)
+                    grown = True
+        if bare & segments_of[connector]:
+            return False
+    return True
+
+
 def commutation_closure(
     description: SourceDescription, max_segments: int = DEFAULT_MAX_SEGMENTS
 ) -> SourceDescription:
@@ -83,7 +151,8 @@ def commutation_closure(
     segments are left unpermuted (the factorial closure would be too
     large); fixing falls back to searching orderings of the query
     instead.  The returned description shares attribute associations
-    with the original.
+    with the original, and its ``order_free`` says whether ``Check``
+    against it is blind to the order of every node's children.
     """
     new_productions: dict[str, list[tuple[Symbol, ...]]] = {}
     for head, alternatives in description.productions.items():
@@ -109,6 +178,7 @@ def commutation_closure(
         attributes=description.attributes,
         name=f"{description.name}+commuted" if description.name else "commuted",
     )
+    closed.order_free = _order_free(description.productions, max_segments)
     return closed
 
 

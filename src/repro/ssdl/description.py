@@ -158,6 +158,10 @@ class SourceDescription:
         #: Cache-missing Checks answered ∅ before either recognizer ran:
         #: the condition holds an atom no template can match.
         self.check_prefiltered = 0
+        #: Does ``Check`` see each connector node's children only as a
+        #: multiset?  Set by :func:`~repro.ssdl.commute.commutation_closure`
+        #: from a syntactic test; False for any other description.
+        self.order_free = False
 
     def _validate(self) -> None:
         if not self.condition_nonterminals:

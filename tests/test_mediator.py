@@ -1,5 +1,10 @@
 """Integration tests for the Mediator facade and the query parser."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.errors import (
@@ -211,3 +216,38 @@ class TestCompilesEachDescriptionOnce:
         assert not source.capabilities_compiled
         mediator.ask("SELECT model FROM cars WHERE make = 'BMW' and price < 40000")
         assert source.compiled and set(compiles.values()) == {1}
+
+
+_SERIAL_THEN_ASYNC = """
+import sys
+from repro import Mediator, bookstore
+sql = "SELECT title FROM bookstore WHERE author = 'Carl Jung'"
+mediator = Mediator()
+mediator.add_source(bookstore(300))
+rows = len(mediator.ask(sql).rows)
+print(rows, "asyncio" in sys.modules, "ssl" in sys.modules)
+async_mediator = Mediator(executor="async")
+async_mediator.add_source(bookstore(300))
+print(len(async_mediator.ask(sql).rows), "asyncio" in sys.modules)
+async_mediator.close()
+"""
+
+
+def test_a_serial_mediator_never_loads_asyncio():
+    """``asyncio`` (which pulls in ``ssl``, ``socket`` and ``selectors``)
+    loads on the async engine's first event loop, not before: a process
+    asking on the serial engine does not carry it."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, "-c", _SERIAL_THEN_ASYNC],
+                          env=env, text=True, capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    serial, asynchronous = done.stdout.split("\n")[:2]
+    rows = serial.split()[0]
+    assert serial == f"{rows} False False" and int(rows) > 0
+    assert asynchronous == f"{rows} True"

@@ -10,7 +10,8 @@ Five batteries (DESIGN.md, "Planner hot path"):
 3. **Table/prune parity** -- GenCompact with the prune switched off, and
    with the per-node tables not shared across CTs, finds the same plan.
 4. **Rewrite byte-identity** -- the memoizing engine returns the trees
-   of ``tests/reference_rewrite.py`` in the same order.
+   of ``tests/reference_rewrite.py`` in the same order (spending no
+   more steps).
 5. **Search-space pins** -- exact Check / sub-plan / MCSC counts for the
    paper's examples and four fixed trees: a search-space regression
    shows as a count, not as a timing.
@@ -432,8 +433,13 @@ def _assert_same_exploration(seed: Condition, rules, **budget) -> None:
     want = reference_rewrite.RewriteEngine(
         rules=[_REFERENCE_RULE[rule] for rule in rules], **budget
     ).explore(seed)
-    assert got.trees == want.trees
-    assert (got.steps, got.truncated) == (want.steps, want.truncated)
+    assert (got.trees, got.truncated) == (want.trees, want.truncated)
+    # The engine stops at the first new tree past a full budget, where
+    # the reference drains its frontier: only the steps it spent shrink.
+    if got.truncated:
+        assert got.steps <= want.steps
+    else:
+        assert got.steps == want.steps
     # The memo lived in the call: nothing is left on the engine or rules.
     assert vars(engine) == state
     for rule in rules:
@@ -490,10 +496,12 @@ _PIN_ATTRS = frozenset({"key", "a1"})
 #: name -> (scenario factory or condition text, check_calls, check_prefiltered,
 #: subplans_considered, mcsc_problems, chosen plan).  The synthetic trees'
 #: rewrite closures fit the budget, so none of this depends on the order
-#: a hash-ordered set is walked in.
+#: a hash-ordered set is walked in.  Every description here but
+#: ``car_guide``'s is order-free, so CTs commuting a planned one are
+#: skipped.
 _PINS = {
     "example_1_1": (
-        lambda: bookstore_scenario(500), 22, 0, 16, 5,
+        lambda: bookstore_scenario(500), 14, 0, 9, 3,
         "SP(author = 'Sigmund Freud' or author = 'Carl Jung', "
         "{author, id, price, title}, SP(title contains 'dreams', "
         "{author, id, price, title}, bookstore))"),
@@ -513,13 +521,13 @@ _PINS = {
     "feasible_or": (
         "(a2 = 'v2_12' and a1 <= 441) or "
         "(a1 = 102 and a4 = 'v4_1' and a1 = 300)",
-        249, 49, 504, 118,
+        102, 14, 196, 45,
         "(SP(a1 = 300, {a1, key}, SP(a1 = 102 and a4 = 'v4_1', {a1, key}, "
         "world42)) ∪ SP(a1 <= 441, {a1, key}, SP(a2 = 'v2_12', {a1, key}, "
         "world42)))"),
     "infeasible_and": (
         "a3 <= 506 and (a1 >= 918 or a3 <= 91 or a3 >= 239) and a0 = 'v0_2'",
-        78, 34, 104, 46, None),
+        53, 19, 56, 27, None),
     "infeasible_or": (
         "a3 >= 890 or (a3 = 632 and a1 <= 631 and a1 <= 480 and a1 = 226)",
         29, 9, 18, 11, None),
