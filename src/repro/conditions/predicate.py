@@ -37,19 +37,24 @@ any          constant that is not a str,   ``Atom.matches``
 
 The generated source holds positions and the names ``c0, c1, ...``
 only; constants are passed as arguments, never spliced into text, and
-attribute names never appear.  Compiled code is therefore shared by
-every condition of one *shape* (operators, positions, constant kinds):
-fresh constants re-bind in a function call instead of re-compiling.
+attribute names never appear.  Compiled code is therefore keyed by the
+condition's *shape*: one walk of the tree yields the shape -- per atom
+its position and the row of the table above it falls in, per connector
+its kind and its children's shapes -- and the constants, in the order
+the text binds them.  A hit binds the constants into cached code; only
+a miss renders the text, from the shape.  Shape and text determine each
+other, so each generated expression is compiled once.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import count
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
-from repro.conditions.atoms import Atom, Op
-from repro.conditions.tree import Condition
+from repro.conditions.atoms import Atom
+from repro.conditions.tree import TRUE, Condition, Leaf
 
 #: A compiled condition as one pass: ``(tuples, g)`` -> the list of
 #: ``g(t)`` for every tuple ``t`` satisfying it, in input order.
@@ -59,11 +64,11 @@ Kernel = Callable[[Sequence[tuple], Callable[[tuple], tuple]], list]
 #: is the tuple itself, at C speed.
 KEEP_ALL = itemgetter(slice(None))
 
-#: Distinct condition shapes kept compiled.
+#: Distinct condition shapes kept compiled (and attribute orders kept
+#: mapped to positions).
 MAX_COMPILED_SHAPES = 512
 
 _SCALARS = (str, int, float, bool)
-_ORDERED = {Op.LT: "<", Op.LE: "<=", Op.GT: ">", Op.GE: ">="}
 
 
 def _matches(atom: Atom, value) -> bool:
@@ -80,53 +85,92 @@ _NAMESPACE = {
     "m": _matches,
 }
 
+#: An atom's text per variant: ``{v}`` is the row value, ``{c}`` its
+#: constant and ``{a}`` the atom itself (bound second).
+_TEXT = {
+    "=": "{v} == {c}",
+    "!=": "({v} is not None and {v} != {c})",
+    "in": "({v} is not None and {v} in {c})",
+    "contains": "(isinstance({v}, S) and {c} in {v}.lower())",
+    "m": "m({c}, {v})",
+}
+_ORDERED = ("<", "<=", ">", ">=")
+#: The ordered variants, by operator text: against a str or a number.
+_VS_STR = {op: f"{op} str" for op in _ORDERED}
+_VS_NUMBER = {op: f"{op} number" for op in _ORDERED}
+_TEXT.update({
+    f"{op} {kind}":
+        f"({{v}} {op} {{c}} if {{v}}.__class__ {guard} else m({{a}}, {{v}}))"
+    for op in _ORDERED for kind, guard in (("str", "is S"), ("number", "in N"))
+})
 
-def _atom_source(atom: Atom, positions: dict[str, int], consts: list) -> str:
-    position = positions.get(atom.attribute)
-    if position is None:
-        return "False"
-    value = f"t[{position}]"
-
-    def bind(const) -> str:
-        consts.append(const)
-        return f"c{len(consts) - 1}"
-
-    op, const = atom.op, atom.value
-    if op is Op.IN:
-        if all(type(v) in _SCALARS for v in const):
-            return f"({value} is not None and {value} in {bind(const)})"
-    elif type(const) in _SCALARS:
-        if op is Op.EQ:
-            return f"{value} == {bind(const)}"
-        if op is Op.NE:
-            return f"({value} is not None and {value} != {bind(const)})"
-        if op is Op.CONTAINS:
-            return (f"(isinstance({value}, S) and "
-                    f"{bind(const.lower())} in {value}.lower())")
-        guard = "is S" if type(const) is str else "in N"
-        return (f"({value} {_ORDERED[op]} {bind(const)} "
-                f"if {value}.__class__ {guard} else m({bind(atom)}, {value}))")
-    return f"m({bind(atom)}, {value})"
+#: The shape of an atom over an attribute the order lacks, and of TRUE.
+_MISSING = (None, "False")
+_TRUE = ("true", ())
 
 
-def _source(condition: Condition, positions: dict[str, int],
-            consts: list) -> str:
-    if condition.is_leaf:
-        return _atom_source(condition.atom, positions, consts)
-    if condition.is_true:
+def _shape(condition: Condition, positions: dict[str, int], consts: list):
+    """``condition``'s shape over ``positions``, appending its constants
+    to ``consts`` in the order :func:`_source` names them."""
+    if condition.__class__ is Leaf:
+        atom = condition.atom
+        position = positions.get(atom.attribute)
+        if position is None:
+            return _MISSING
+        # The operator's text, without Enum's Python-level accessors.
+        op, const = atom.op._value_, atom.value
+        if op == "in":
+            if all(type(v) in _SCALARS for v in const):
+                consts.append(const)
+                return position, op
+        elif type(const) in _SCALARS:
+            if op == "contains":
+                consts.append(const.lower())
+                return position, op
+            consts.append(const)
+            if op == "=" or op == "!=":
+                return position, op
+            consts.append(atom)
+            return position, (_VS_STR if type(const) is str else _VS_NUMBER)[op]
+        consts.append(atom)
+        return position, "m"
+    if condition is TRUE:
+        return _TRUE
+    return condition.kind, tuple([_shape(child, positions, consts)
+                                  for child in condition.children])
+
+
+def _source(shape, names: Iterator[int]) -> str:
+    """The Python expression of ``shape``, its constants named
+    ``c{next(names)}`` in binding order."""
+    head, rest = shape
+    if head == "and" or head == "or":
+        return "(" + f" {head} ".join(
+            _source(child, names) for child in rest) + ")"
+    if head == "true":
         return "True"
-    joiner = " and " if condition.is_and else " or "
-    return "(" + joiner.join(
-        _source(child, positions, consts) for child in condition.children
-    ) + ")"
+    if head is None:
+        return "False"
+    text = _TEXT[rest]
+    fill = {"v": f"t[{head}]", "c": f"c{next(names)}"}
+    if "{a}" in text:
+        fill["a"] = f"c{next(names)}"
+    return text.format(**fill)
 
 
 @lru_cache(maxsize=MAX_COMPILED_SHAPES)
-def _binder(source: str, n_consts: int) -> Callable[..., Kernel]:
-    """``(c0, c1, ...) -> kernel`` for one generated expression."""
-    params = ", ".join(f"c{i}" for i in range(n_consts))
+def _binder(shape) -> Callable[..., Kernel]:
+    """``(c0, c1, ...) -> kernel`` for one shape, rendered on a miss."""
+    names = count()
+    source = _source(shape, names)
+    params = ", ".join(f"c{i}" for i in range(next(names)))
     return eval(f"lambda {params}: lambda ts, g: [g(t) for t in ts if {source}]",
                 _NAMESPACE)
+
+
+@lru_cache(maxsize=MAX_COMPILED_SHAPES)
+def _positions(attribute_names: tuple[str, ...]) -> dict[str, int]:
+    return {name: i for i, name in enumerate(attribute_names)}
 
 
 def compile_kernel(condition: Condition,
@@ -137,11 +181,10 @@ def compile_kernel(condition: Condition,
     the order lacks is a missing one), and ``g`` maps each kept tuple
     (:data:`KEEP_ALL` for none).
     """
-    positions = {name: i for i, name in enumerate(attribute_names)}
     consts: list = []
-    source = _source(condition, positions, consts)
+    shape = _shape(condition, _positions(tuple(attribute_names)), consts)
     try:
-        binder = _binder(source, len(consts))
+        binder = _binder(shape)
     except (SyntaxError, RecursionError, MemoryError):
         # Deeper nesting than the Python compiler takes (about 200
         # levels): interpret, as Condition.evaluate always has.

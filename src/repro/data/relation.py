@@ -29,7 +29,7 @@ from typing import Iterable, Iterator
 
 from repro.conditions.predicate import KEEP_ALL, compile_kernel
 from repro.conditions.tree import Condition
-from repro.data.schema import Schema
+from repro.data.schema import Schema, row_picker
 from repro.errors import SchemaError
 
 #: A tuple is represented as an attribute -> value mapping.
@@ -43,14 +43,6 @@ def _getter(keys: tuple):
         first = itemgetter(keys[0])
         return lambda row: (first(row),)
     return itemgetter(*keys)
-
-
-def _picker(positions: tuple[int, ...]):
-    """``row tuple -> the values at positions``, at C speed (one
-    position is a one-element slice, which is already a 1-tuple)."""
-    if len(positions) == 1:
-        return itemgetter(slice(positions[0], positions[0] + 1))
-    return itemgetter(*positions)
 
 
 def _proves_key(schema: Schema, tuples: tuple[tuple, ...]) -> bool:
@@ -152,32 +144,23 @@ class Relation:
         return Relation._of(self.schema, kernel(self._tuples, KEEP_ALL),
                             self.key_unique)
 
-    def _projection(self, attributes: Iterable[str]):
-        """``(sub-schema, row picker, key proof kept)`` of π_attributes;
-        the picker is :data:`KEEP_ALL` when every attribute is kept."""
-        schema = self.schema
-        sub_schema = schema.project(attributes)
-        if len(sub_schema.attrs) == len(schema.attrs):
-            return schema, KEEP_ALL, self.key_unique
-        picker = _picker(tuple(map(schema.position,
-                                   sub_schema.attribute_names)))
-        return sub_schema, picker, self.key_unique and sub_schema.key is not None
-
     def project(self, attributes: Iterable[str]) -> "Relation":
         """π_attributes with duplicate elimination (set semantics)."""
-        sub_schema, picker, keyed = self._projection(attributes)
+        sub_schema, picker, keeps_key = self.schema.projection(attributes)
         if picker is KEEP_ALL:
             return self.distinct()
-        return Relation._set_of(sub_schema, map(picker, self._tuples), keyed)
+        return Relation._set_of(sub_schema, map(picker, self._tuples),
+                                self.key_unique and keeps_key)
 
     def sp(self, condition: Condition, attributes: Iterable[str]) -> "Relation":
         """``SP(C, A, R)`` = π_A(σ_C(R)) -- the paper's select-project
         query, as one pass."""
         if condition.is_true:
             return self.project(attributes)
-        sub_schema, picker, keyed = self._projection(attributes)
+        sub_schema, picker, keeps_key = self.schema.projection(attributes)
         kernel = compile_kernel(condition, self.schema.attribute_names)
-        return Relation._set_of(sub_schema, kernel(self._tuples, picker), keyed)
+        return Relation._set_of(sub_schema, kernel(self._tuples, picker),
+                                self.key_unique and keeps_key)
 
     # -- set operations (require identical attribute sets) ----------------
     def _aligned(self, other: "Relation") -> Iterable[tuple]:
@@ -190,7 +173,7 @@ class Relation:
             raise SchemaError(
                 f"set operation over different attribute sets: {mine} vs {theirs}"
             )
-        return map(_picker(tuple(map(other.schema.position, mine))),
+        return map(row_picker(tuple(map(other.schema.position, mine))),
                    other._tuples)
 
     def union(self, other: "Relation") -> "Relation":

@@ -13,9 +13,14 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Sequence
 
+from repro.conditions.predicate import KEEP_ALL
 from repro.errors import SchemaError, UnknownAttributeError
+
+#: ``row tuple -> row tuple``: one schema's rows laid out as another's.
+Picker = Callable[[tuple], tuple]
 
 
 class AttrType(enum.Enum):
@@ -53,8 +58,16 @@ class Attribute:
         return isinstance(value, self.type.python_types())
 
 
-#: Sub-schemas memoised per schema before the memo starts over.
+#: Projections memoised per schema before the memo starts over.
 _MAX_PROJECTIONS = 256
+
+
+def row_picker(positions: tuple[int, ...]) -> Picker:
+    """``row tuple -> the values at positions``, at C speed (one
+    position is a one-element slice, which is already a 1-tuple)."""
+    if len(positions) == 1:
+        return itemgetter(slice(positions[0], positions[0] + 1))
+    return itemgetter(*positions)
 
 
 @dataclass(frozen=True)
@@ -105,7 +118,7 @@ class Schema:
         return {name: i for i, name in enumerate(self.attribute_names)}
 
     @cached_property
-    def _projections(self) -> dict[frozenset, "Schema"]:
+    def _projections(self) -> dict[frozenset, tuple["Schema", Picker, bool]]:
         return {}
 
     def __contains__(self, attribute: str) -> bool:
@@ -131,19 +144,35 @@ class Schema:
 
     def project(self, attributes: Iterable[str]) -> "Schema":
         """The sub-schema over ``attributes``: schema order kept, the key
-        kept only when it is among them.  Memoised per attribute set."""
-        attrs = self.validate_attributes(attributes)
+        kept only when it is among them."""
+        return self.projection(attributes)[0]
+
+    def projection(self, attributes: Iterable[str]
+                   ) -> tuple["Schema", Picker, bool]:
+        """π_attributes over row tuples, memoised per attribute set:
+        ``(sub-schema, picker, key kept)``.  The picker maps a row tuple
+        of this schema to one of the sub-schema; when every attribute is
+        kept the sub-schema is this schema and the picker
+        :data:`~repro.conditions.predicate.KEEP_ALL`."""
+        attributes = frozenset(attributes)
         cache = self._projections
-        sub = cache.get(attrs)
-        if sub is None:
+        entry = cache.get(attributes)
+        if entry is None:
+            self.validate_attributes(attributes)
             if len(cache) >= _MAX_PROJECTIONS:
                 cache.clear()
-            sub = cache[attrs] = Schema(
-                self.name,
-                tuple(a for a in self.attrs if a.name in attrs),
-                self.key if self.key in attrs else None,
-            )
-        return sub
+            if len(attributes) == len(self.attrs):
+                sub, picker = self, KEEP_ALL
+            else:
+                sub = Schema(
+                    self.name,
+                    tuple(a for a in self.attrs if a.name in attributes),
+                    self.key if self.key in attributes else None,
+                )
+                picker = row_picker(tuple(map(self.position,
+                                              sub.attribute_names)))
+            entry = cache[attributes] = (sub, picker, sub.key is not None)
+        return entry
 
     def validate_row(self, row: dict) -> None:
         """Raise :class:`SchemaError` if the row does not fit the schema."""

@@ -5,16 +5,22 @@
   connectors and the awkward values (``None``, missing attributes,
   bool-vs-int, str-vs-number, mixed-type columns), under any
   projection.
+* The compiled code is keyed by the condition's shape: equal shapes are
+  equal texts, and constants that ``==`` conflates (``1``, ``1.0``,
+  ``True``, ``'1'``, subclasses) still bind as ``evaluate`` reads them.
 * ``Relation``'s operators return the rows, **in the order**, that the
   row-at-a-time dict implementation they replaced returns; that
   implementation lives on here as the reference -- also when a proven
-  unique key lets π, ``SP``, ∩ and ``distinct`` skip deduplication.
+  unique key lets π, ``SP``, ∩ and ``distinct`` skip deduplication, and
+  when the projection comes from the schema's memo.
 * Constants and attribute names are data: nothing a query carries can
   reach the generated source text.
 """
 
 import re
+from itertools import count
 from operator import itemgetter
+from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
@@ -30,7 +36,7 @@ from repro.conditions.predicate import (
 from repro.conditions.tree import TRUE, And, Leaf, Or
 from repro.data.relation import Relation
 from repro.data.schema import AttrType, Schema
-from repro.errors import SchemaError
+from repro.errors import SchemaError, UnknownAttributeError
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -169,25 +175,49 @@ class TestAtomSemanticsTable:
             assert compiled((value,)) == atom.matches({"a": value})
 
 
+def _shape(condition, names) -> tuple:
+    return predicate_module._shape(
+        condition, predicate_module._positions(tuple(names)), [])
+
+
+def _constants(condition, names) -> list:
+    constants: list = []
+    predicate_module._shape(
+        condition, predicate_module._positions(tuple(names)), constants)
+    return constants
+
+
 class TestCompileCache:
+    """One cache, keyed by the condition's shape: the text is rendered
+    from the shape on a miss and never on a hit."""
+
     def setup_method(self):
         predicate_module._binder.cache_clear()
 
+    def test_fresh_constants_rebind_without_recompiling(self):
+        rows = [(c,) for c in range(51)]
+        shapes = set()
+        with mock.patch.object(predicate_module, "_source",
+                               wraps=predicate_module._source) as render:
+            for constant in range(50):
+                condition = Leaf(Atom("a", Op.EQ, constant))
+                kernel = compile_kernel(condition, ("a",))
+                assert kernel(rows, KEEP_ALL) == [(constant,)]
+                assert _constants(condition, ("a",)) == [constant]
+                shapes.add(_shape(condition, ("a",)))
+        assert shapes == {(0, "=")}
+        assert render.call_count == 1  # the one miss renders, hits do not
+        info = predicate_module._binder.cache_info()
+        assert (info.misses, info.hits) == (1, 49)
+
     def test_two_attribute_orders_never_share_a_predicate(self):
         condition = Leaf(Atom("a", Op.EQ, 1))
+        assert _shape(condition, ("a", "b")) != _shape(condition, ("b", "a"))
         first = compile_predicate(condition, ("a", "b"))
         second = compile_predicate(condition, ("b", "a"))
         assert first((1, 2)) and not second((1, 2))
         assert second((2, 1)) and not first((2, 1))
         assert predicate_module._binder.cache_info().currsize == 2
-
-    def test_fresh_constants_rebind_without_recompiling(self):
-        rows = [(c,) for c in range(51)]
-        for constant in range(50):
-            kernel = compile_kernel(Leaf(Atom("a", Op.EQ, constant)), ("a",))
-            assert kernel(rows, KEEP_ALL) == [(constant,)]
-        info = predicate_module._binder.cache_info()
-        assert (info.misses, info.hits) == (1, 49)
 
     def test_the_projection_is_an_argument_not_a_shape(self):
         schema = Schema.of("t", ["a", "b", "c"], key="a")
@@ -217,6 +247,130 @@ class TestCompileCache:
         for positions in ((), (1,), (1, 0)):
             _kernel_equals_evaluate(condition, rows, ("a", "b"), positions)
         assert predicate_module._binder.cache_info().currsize == 0
+
+
+# ----------------------------------------------------------------------
+# (a') one shape, one text; any constants bind as ``evaluate`` reads them
+# ----------------------------------------------------------------------
+
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+#: Constants ``==`` and ``hash`` take for one another while the atom
+#: semantics do not (``1``, ``1.0``, ``True``, ``'1'`` and subclasses).
+_mixed = st.sampled_from(
+    [1, 1.0, True, "1", 0, 0.0, False, "", "A", _Int(1), _Str("1"), _Str("a")])
+_mixed_cells = st.one_of(st.none(), _mixed)
+_orderable = _mixed.filter(lambda v: not isinstance(v, bool))
+
+
+def _mixed_constant(op: Op):
+    if op is Op.IN:
+        return st.lists(_mixed_cells, min_size=1, max_size=3).map(tuple)
+    if op is Op.CONTAINS:
+        return _mixed.filter(lambda v: isinstance(v, str))
+    if op in (Op.EQ, Op.NE):
+        return _mixed_cells
+    return _orderable
+
+
+_mixed_atoms = st.sampled_from(list(Op)).flatmap(
+    lambda op: st.builds(Atom, st.sampled_from(_CONDITION_ATTRS), st.just(op),
+                         _mixed_constant(op)))
+mixed_conditions = st.recursive(
+    st.builds(Leaf, _mixed_atoms), _connector, max_leaves=6)
+
+
+def _rebound(condition, draw, keep_ops: bool = True):
+    """``condition`` with every constant drawn afresh -- and every
+    operator too unless ``keep_ops`` -- over the same attributes."""
+    if condition.is_leaf:
+        atom = condition.atom
+        op = atom.op if keep_ops else draw(st.sampled_from(list(Op)))
+        return Leaf(Atom(atom.attribute, op, draw(_mixed_constant(op))))
+    return type(condition)([_rebound(child, draw, keep_ops)
+                            for child in condition.children])
+
+
+@given(mixed_conditions, st.data(),
+       st.lists(st.dictionaries(st.sampled_from(_NAMES), _mixed_cells),
+                max_size=5),
+       st.permutations(_NAMES))
+@settings(max_examples=400, deadline=None)
+def test_equal_shapes_render_equal_text_and_bind_as_evaluate(
+        condition, data, rows, names):
+    twin = _rebound(condition, data.draw)
+    other = _rebound(condition, data.draw, keep_ops=False)
+    for left, right in ((condition, twin), (condition, other)):
+        assert (_shape(left, names) == _shape(right, names)) == (
+            _generated_source(left, names) == _generated_source(right, names))
+    # A later compile of an equal shape binds into the first one's code.
+    for tree in (condition, twin, other):
+        _kernel_equals_evaluate(tree, rows, names, (0,))
+
+
+# ----------------------------------------------------------------------
+# (a'') the projection memo: one entry per attribute set, its key proof
+# ANDed per relation
+# ----------------------------------------------------------------------
+
+class TestProjectionMemo:
+    ROWS = [{"k": i, "s": "x", "n": 1.0, "f": True} for i in range(3)]
+
+    def _schema(self) -> Schema:
+        """``_TYPED`` with an empty memo of its own."""
+        return Schema("t", _TYPED.attrs, key="k")
+
+    def test_a_hit_that_drops_the_key_loses_the_proof(self):
+        relation = Relation(self._schema(), self.ROWS)
+        assert relation.key_unique
+        condition = Leaf(Atom("n", Op.GE, 0))
+        for _ in range(2):  # a miss, then a hit
+            assert not relation.project({"s", "n"}).key_unique
+            assert not relation.sp(condition, {"s", "n"}).key_unique
+            assert relation.sp(condition, {"k", "s"}).key_unique
+        assert relation.schema.projection({"s", "n"})[2] is False
+
+    def test_an_unproven_relation_never_gains_the_proof(self):
+        schema = self._schema()
+        proven = Relation(schema, self.ROWS)
+        unproven = Relation(schema, self.ROWS + self.ROWS[:1])
+        assert proven.key_unique and not unproven.key_unique
+        condition = Leaf(Atom("n", Op.GE, 0))
+        assert proven.sp(condition, {"k", "s"}).key_unique
+        assert proven.project({"k", "s"}).key_unique
+        # Both fill no new entry: they read the proven relation's.
+        entries = len(schema._projections)
+        assert not unproven.sp(condition, {"k", "s"}).key_unique
+        assert not unproven.project({"k", "s"}).key_unique
+        assert len(schema._projections) == entries
+
+    def test_a_list_or_set_meets_the_frozenset_entry(self):
+        schema = self._schema()
+        entry = schema.projection(frozenset({"k", "s"}))
+        assert schema.projection(["s", "k"]) is entry
+        assert schema.projection({"k", "s"}) is entry
+        assert schema.project(("s", "k", "s")) is entry[0]
+        relation = Relation(schema, self.ROWS)
+        assert relation.project(["s", "k"]).schema is entry[0]
+        everything = schema.projection(list(schema.attribute_names))
+        assert everything == (schema, KEEP_ALL, True)
+
+    def test_an_unknown_attribute_still_raises(self):
+        schema = self._schema()
+        relation = Relation(schema, self.ROWS)
+        relation.project({"k", "s"})
+        for attrs in ({"k", "ghost"}, ["ghost"], frozenset({"s", "ghost"})):
+            with pytest.raises(UnknownAttributeError):
+                relation.project(attrs)
+            with pytest.raises(UnknownAttributeError):
+                relation.sp(Leaf(Atom("k", Op.EQ, 1)), attrs)
+        assert set(schema._projections) == {frozenset({"k", "s"})}
 
 
 # ----------------------------------------------------------------------
@@ -542,8 +696,7 @@ _TOKEN = re.compile(
 
 
 def _generated_source(condition, names) -> str:
-    return predicate_module._source(
-        condition, {name: i for i, name in enumerate(names)}, [])
+    return predicate_module._source(_shape(condition, names), count())
 
 
 @pytest.mark.parametrize("hostile", _HOSTILE)

@@ -213,20 +213,20 @@ def _python_calls(run) -> int:
     return count
 
 
-#: Measured on CPython 3.11 plus ten per cent: 312 and 208 frames since
-#: a text spelled like an earlier one binds its constants into a
-#: prepared skeleton and a template hit binds them into a compiled plan
-#: (503 and 296 when every ask parsed, walked its tree twice and
-#: substituted and re-validated the plan; 12 529 and 12 317 when σ
-#: called a compiled predicate once per source row).  Raise them only
-#: with a reason: every frame here is paid per ask.
-TEMPLATE_HIT_CALL_BUDGET = 343
-EXACT_HIT_CALL_BUDGET = 229
-#: The exact-hit ask with telemetry armed, measured the same way: 243
-#: frames with a latency objective and the event ring, 249 when the ask
+#: Measured on CPython 3.11 plus ten per cent: 285 and 181 frames since
+#: the σπ kernels are cached by condition shape and the projection by
+#: attribute set (312 and 208 when each pass rendered its condition's
+#: text to find its kernel; 503 and 296 when every ask parsed, walked
+#: its tree twice and substituted and re-validated the plan; 12 529 and
+#: 12 317 when σ called a compiled predicate once per source row).
+#: Raise them only with a reason: every frame here is paid per ask.
+TEMPLATE_HIT_CALL_BUDGET = 314
+EXACT_HIT_CALL_BUDGET = 199
+#: The exact-hit ask with telemetry armed, measured the same way: 216
+#: frames with a latency objective and the event ring, 222 when the ask
 #: breaches the objective and its one event lands in both logs.
-ARMED_HIT_CALL_BUDGET = 267
-BREACHING_HIT_CALL_BUDGET = 274
+ARMED_HIT_CALL_BUDGET = 238
+BREACHING_HIT_CALL_BUDGET = 244
 
 
 class TestWarmAskCallBudget:
