@@ -13,6 +13,11 @@
   implementation lives on here as the reference -- also when a proven
   unique key lets π, ``SP``, ∩ and ``distinct`` skip deduplication, and
   when the projection comes from the schema's memo.
+* The column proofs are sound: a kernel compiled under a relation's
+  proofs (which drops the per-row ``None`` and class guards) still
+  equals ``evaluate`` on columns mixing numbers, NaN, bools, strings,
+  ``None``, subclasses and tuples, and no operator chain carries a proof
+  its result's rows do not bear out.
 * Constants and attribute names are data: nothing a query carries can
   reach the generated source text.
 """
@@ -31,12 +36,14 @@ from repro.conditions.atoms import Atom, Op
 from repro.conditions.predicate import (
     KEEP_ALL,
     MAX_COMPILED_SHAPES,
+    NUMBERS,
+    STRINGS,
     compile_kernel,
 )
 from repro.conditions.tree import TRUE, And, Leaf, Or
 from repro.data.relation import Relation
 from repro.data.schema import AttrType, Schema
-from repro.errors import SchemaError, UnknownAttributeError
+from repro.errors import ConditionError, SchemaError, UnknownAttributeError
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -177,13 +184,13 @@ class TestAtomSemanticsTable:
 
 def _shape(condition, names) -> tuple:
     return predicate_module._shape(
-        condition, predicate_module._positions(tuple(names)), [])
+        condition, predicate_module._columns(tuple(names), None, None), [])
 
 
 def _constants(condition, names) -> list:
     constants: list = []
     predicate_module._shape(
-        condition, predicate_module._positions(tuple(names)), constants)
+        condition, predicate_module._columns(tuple(names), None, None), constants)
     return constants
 
 
@@ -650,6 +657,199 @@ class TestKeyProof:
         assert not Relation(_TYPED, [{**row, "k": None}]).key_unique
         assert not Relation(_TYPED, [{**row, "k": 1}, {**row, "k": 1}]).key_unique
         assert not Relation(_UNTYPED, [{"a": "x"}], validate=False).key_unique
+
+
+# ----------------------------------------------------------------------
+# (b'') column proofs: a proven kernel equals evaluate, and no chain
+# carries a proof its rows do not bear out
+# ----------------------------------------------------------------------
+
+_NAN = float("nan")
+#: Values a column may mix: numbers (NaN included), bools, strings,
+#: ``None``, int and str subclasses, tuples.
+_CELL_POOLS = {
+    "numbers": [0, 1, 2, -3, 1.5, 0.0, _NAN, True, False],
+    "strings": ["", "x", "X", "ab", "Dreams", "dreams of"],
+    "numbers+none": [1, 2.5, None, False],
+    "strings+none": ["x", "ab", None],
+    "ints+subclass": [1, 2, _Int(1), _Int(3)],
+    "strings+subclass": ["x", "ab", _Str("x"), _Str("AB")],
+    "tuples": [(1,), (1, "x"), ()],
+    "anything": [1, 1.5, _NAN, True, "x", None, _Int(2), _Str("ab"), (1,)],
+}
+_KEYED = Schema.of("t", ["k"] + list(_NAMES), key="k")
+#: The same attributes in another order, for ∪ and ∩ operands.
+_KEYED_REORDERED = Schema.of("t", list(reversed(_NAMES)) + ["k"], key="k")
+
+
+@st.composite
+def _mixed_relation_rows(draw, max_size=8):
+    """Rows whose every column draws from one pool (often homogeneous,
+    so proofs are made), keyed uniquely, repeatedly or with ``None``."""
+    pools = {name: draw(st.sampled_from(sorted(_CELL_POOLS)))
+             for name in _NAMES}
+    size = draw(st.integers(0, max_size))
+    keys = draw(st.sampled_from(["unique", "repeating", "none"]))
+    rows = []
+    for index in range(size):
+        row = {name: draw(st.sampled_from(_CELL_POOLS[pools[name]]))
+               for name in _NAMES}
+        row["k"] = {"unique": index, "repeating": index % 3,
+                    "none": None if index == 1 else index}[keys]
+        rows.append(row)
+    return rows
+
+
+def _true_classes(relation: Relation) -> tuple:
+    """The proof recomputed from the rows: per column, every class the
+    rows show."""
+    columns = zip(*relation.tuples) if len(relation) else [
+        () for _ in relation.schema.attribute_names]
+    return tuple({type(v) for v in column} for column in columns)
+
+
+def _classes_hold(relation: Relation) -> None:
+    """Every carried proof is borne out by the result's own rows."""
+    claims = relation.column_classes
+    assert len(claims) == len(relation.schema.attribute_names)
+    for claim, classes in zip(claims, _true_classes(relation)):
+        if claim == NUMBERS:
+            assert classes <= {int, float, bool}, classes
+        elif claim == STRINGS:
+            assert classes <= {str}, classes
+        else:
+            assert claim is None
+
+
+#: A constant of every class an atom may carry.
+_CONSTANTS = [0, 2, -1, 1.5, _NAN, True, False, "", "x", "AB", "dreams",
+              _Int(1), _Str("x"), None, (1, "x")]
+
+
+def _every_atom(attribute: str):
+    """One atom per operator × constant class the constructor admits
+    (``in`` takes each constant alone and beside a string and ``None``)."""
+    for op in Op:
+        for constant in _CONSTANTS:
+            value = (constant, "x", None) if op is Op.IN else constant
+            try:
+                yield Atom(attribute, op, value)
+            except ConditionError:
+                continue
+
+
+class TestColumnProofs:
+    @given(_mixed_relation_rows())
+    @settings(max_examples=120, deadline=None)
+    def test_the_built_proof_is_exact(self, rows):
+        relation = Relation(_KEYED, rows, validate=False)
+        for claim, classes in zip(relation.column_classes,
+                                  _true_classes(relation)):
+            expected = None
+            if classes and classes <= {int, float, bool}:
+                expected = NUMBERS
+            elif classes == {str}:
+                expected = STRINGS
+            assert claim == expected
+
+    @given(_mixed_relation_rows())
+    @settings(max_examples=80, deadline=None)
+    def test_every_operator_and_constant_class_equals_evaluate(self, rows):
+        relation = Relation(_KEYED, rows, validate=False)
+        names = _KEYED.attribute_names
+        tuples = relation.tuples
+        for name in names:
+            for atom in _every_atom(name):
+                condition = Leaf(atom)
+                kernel = compile_kernel(condition, names,
+                                        relation.column_classes)
+                expected = [t for t, row in zip(tuples, rows)
+                            if condition.evaluate(row)]
+                assert kernel(tuples, KEEP_ALL) == expected, atom
+                assert relation.select(condition).tuples == tuple(expected)
+
+    @given(_mixed_relation_rows(), conditions)
+    @settings(max_examples=200, deadline=None)
+    def test_proven_trees_equal_evaluate(self, rows, condition):
+        relation = Relation(_KEYED, rows, validate=False)
+        kept = [row for row in relation if condition.evaluate(row)]
+        assert relation.select(condition).rows == kept
+
+    @given(_mixed_relation_rows(), _mixed_relation_rows(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_no_chain_claims_more_than_its_rows(self, left, right, data):
+        current = Relation(_KEYED, left, validate=False)
+        other = Relation(
+            data.draw(st.sampled_from([_KEYED, _KEYED_REORDERED])), right,
+            validate=False)
+        _classes_hold(current)
+        _classes_hold(other)
+        steps = data.draw(st.lists(st.sampled_from(
+            ["select", "project", "sp", "union", "intersect", "distinct"]),
+            max_size=5))
+        for step in steps:
+            attrs = current.schema.attribute_names
+            try:
+                if step == "select":
+                    current = current.select(data.draw(conditions))
+                elif step == "project":
+                    current = current.project(data.draw(
+                        st.sets(st.sampled_from(attrs), min_size=1)))
+                elif step == "sp":
+                    current = current.sp(data.draw(conditions), data.draw(
+                        st.sets(st.sampled_from(attrs), min_size=1)))
+                elif step == "distinct":
+                    current = current.distinct()
+                else:
+                    operand = other.project(attrs)
+                    current = getattr(current, step)(operand)
+            except TypeError:  # an unhashable row met deduplication
+                return
+            _classes_hold(current)
+
+    def test_proofs_propagate_by_the_stated_rules(self):
+        numbers = {"k": 1, "a": 1, "b": "x", "c": None, "d": 2.5}
+        strings = {"k": 2, "a": "y", "b": "z", "c": None, "d": True}
+        relation = Relation(_KEYED, [numbers], validate=False)
+        n, s = NUMBERS, STRINGS
+        assert relation.column_classes == (n, n, s, None, n)
+        assert relation.select(Leaf(Atom("a", Op.EQ, 0))).column_classes \
+            == relation.column_classes  # σ keeps it, even with no rows left
+        assert relation.project({"d", "b"}).column_classes == (s, n)
+        assert relation.sp(Leaf(Atom("a", Op.GE, 0)), {"a"}).column_classes \
+            == (n,)
+        assert relation.distinct().column_classes == relation.column_classes
+        other = Relation(_KEYED_REORDERED, [strings], validate=False)
+        assert relation.union(other).column_classes == (n, None, s, None, n)
+        assert relation.intersect(other).column_classes == \
+            relation.column_classes
+        assert Relation(_KEYED, []).column_classes == (None,) * 5
+        subclassed = Relation(_KEYED, [{**numbers, "a": _Int(1),
+                                         "b": _Str("x")}], validate=False)
+        assert subclassed.column_classes == (n, None, None, None, n)
+
+    def test_a_proven_column_compiles_without_guards(self):
+        relation = Relation(_KEYED, [{"k": 1, "a": 2, "b": "x", "c": None,
+                                      "d": 1.5}], validate=False)
+        names = relation.schema.attribute_names
+        classes = relation.column_classes
+
+        def text(atom):
+            shape = predicate_module._shape(
+                Leaf(atom), predicate_module._columns(names, classes, None), [])
+            return predicate_module._source(shape, count())
+
+        assert text(Atom("a", Op.LT, 3)) == "t[1] < c0"
+        assert text(Atom("b", Op.GE, "w")) == "t[2] >= c0"
+        assert text(Atom("a", Op.NE, 3)) == "t[1] != c0"
+        assert text(Atom("b", Op.IN, ("x", "y"))) == "t[2] in c0"
+        assert text(Atom("b", Op.CONTAINS, "X")) == "c0 in t[2].lower()"
+        # An unproven column, or a constant of the other class, keeps
+        # its guard.
+        assert "is not None" in text(Atom("c", Op.NE, 3))
+        assert "isinstance" in text(Atom("a", Op.CONTAINS, "x"))
+        assert "m(" in text(Atom("a", Op.LT, "x"))
+        assert "m(" in text(Atom("b", Op.LT, 3))
 
 
 def test_set_operations_reject_different_attribute_sets():
