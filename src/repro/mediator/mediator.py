@@ -28,7 +28,7 @@ from repro.cache import BoundedCache  # after observability: import cycle
 from repro.planners.base import Planner, PlannerStats, PlanningResult
 from repro.planners.gencompact import GenCompact
 from repro.plans.cost import CostModel
-from repro.plans.execute import ExecutionReport, Executor
+from repro.plans.execute import ExecutionReport, Executor, make_executor
 from repro.plans.retry import RetryPolicy
 from repro.query import TargetQuery, parse_query, prepare_query
 from repro.serving.plan_cache import PlanCache, PlanTemplates, plan_cache_key
@@ -95,16 +95,14 @@ class Mediator:
         :class:`~repro.plans.parallel.ParallelExecutor` with that many
         worker threads (``None`` = the serial executor).
 
-        ``executor`` names the *default* execution engine --
-        ``"serial"``, ``"parallel"`` or ``"async"`` -- overriding the
-        ``parallel_workers`` inference; every :meth:`ask` can still
-        pick per call with ``ask(..., executor=...)`` (the engines are
-        built lazily and share the catalog, result cache and retry
-        policy, so switching engines never changes answers).  The
-        async engine runs source calls as tasks on one event-loop
-        thread with single-flight coalescing; call :meth:`close` -- or
-        use the mediator as a context manager -- to stop its loop
-        thread.
+        ``executor`` names the *default* engine of
+        :func:`~repro.plans.execute.make_executor` -- ``"serial"``,
+        ``"parallel"`` or ``"async"`` -- overriding the
+        ``parallel_workers`` inference; ``ask(..., executor=...)``
+        picks per call.  Engines are built on first use and share the
+        catalog, result cache and retry policy, so switching engines
+        never changes answers; :meth:`close` (or a ``with`` block)
+        stops their pool and loop threads.
 
         Every registered source's SSDL grammars are compiled into
         token-trie recognizers at :meth:`add_source` time -- the
@@ -223,47 +221,28 @@ class Mediator:
             self.result_cache = ResultCache(result_cache_tuples)
         self.retry_policy = retry_policy
         self.parallel_workers = parallel_workers
-        #: Lazily built engines, keyed "serial" | "parallel" | "async";
-        #: all share the live catalog, result cache and retry policy.
+        #: Lazily built engines by name (see
+        #: :func:`~repro.plans.execute.make_executor`); all share the
+        #: live catalog, result cache and retry policy.
         self._executors: dict[str, Executor] = {}
-        if executor is None:
-            executor = "serial" if parallel_workers is None else "parallel"
-        self._executor = self._executor_for(executor)
-
-    _EXECUTORS = ("serial", "parallel", "async")
+        #: The engine an ask without ``executor=`` runs on.
+        self._default_engine = executor if executor is not None else (
+            "serial" if parallel_workers is None else "parallel"
+        )
+        # Built now, so an unknown engine name fails at construction.
+        self._executor_for(None)
 
     def _executor_for(self, choice: str | None) -> Executor:
-        """The engine for one ask (``None`` = the mediator's default)."""
-        if choice is None:
-            return self._executor
-        if choice not in self._EXECUTORS:
-            raise PlanExecutionError(
-                f"unknown executor {choice!r}; pick one of "
-                f"{', '.join(self._EXECUTORS)}"
-            )
-        engine = self._executors.get(choice)
+        """The engine for one ask (``None`` = the mediator's default),
+        built on first use."""
+        name = self._default_engine if choice is None else choice
+        engine = self._executors.get(name)
         if engine is None:
-            if choice == "serial":
-                engine = Executor(
-                    self.catalog, cache=self.result_cache,
-                    retry_policy=self.retry_policy,
-                )
-            elif choice == "parallel":
-                from repro.plans.parallel import ParallelExecutor
-
-                engine = ParallelExecutor(
-                    self.catalog, cache=self.result_cache,
-                    retry_policy=self.retry_policy,
-                    max_workers=self.parallel_workers or 8,
-                )
-            else:
-                from repro.plans.async_exec import AsyncExecutor
-
-                engine = AsyncExecutor(
-                    self.catalog, cache=self.result_cache,
-                    retry_policy=self.retry_policy,
-                )
-            self._executors[choice] = engine
+            # ``parallel_workers=0`` has always meant the pool's default.
+            engine = self._executors.setdefault(name, make_executor(
+                name, self.catalog, self.parallel_workers or None,
+                cache=self.result_cache, retry_policy=self.retry_policy,
+            ))
         return engine
 
     def close(self) -> None:
@@ -272,19 +251,9 @@ class Mediator:
         are rebuilt lazily on the next ask."""
         engines, self._executors = self._executors, {}
         for engine in engines.values():
-            closer = getattr(engine, "close", None)
-            if closer is not None:
-                closer()
+            engine.close()
         if self.events is not None:
             self.events.close()
-        # The default engine is always registered in _executors, so it
-        # was closed above; rebuild it lazily via the same registry.
-        if self._executor in engines.values():
-            name = next(
-                name for name, engine in engines.items()
-                if engine is self._executor
-            )
-            self._executor = self._executor_for(name)
 
     def __enter__(self) -> "Mediator":
         return self

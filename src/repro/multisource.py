@@ -27,7 +27,8 @@ from caching across calls.  Pass ``parallel_workers=N`` to make that
 executor a :class:`~repro.plans.parallel.ParallelExecutor`: a
 partitioned query's per-slice source calls then overlap instead of
 queueing -- the natural fit, since a partition plan is a Union over
-independent slices.
+independent slices.  ``close()`` (or a ``with`` block) stops its worker
+threads, as on a :class:`~repro.mediator.Mediator`.
 """
 
 from __future__ import annotations
@@ -44,24 +45,12 @@ from repro.planners.base import Planner, PlannerStats, PlanningResult
 from repro.planners.gencompact import GenCompact
 from repro.plans.cache import ResultCache
 from repro.plans.cost import CostModel
-from repro.plans.execute import ExecutionReport, Executor
+from repro.plans.execute import ExecutionReport, make_executor
 from repro.plans.nodes import Plan, SourceQuery, UnionPlan
-from repro.plans.parallel import ParallelExecutor
 from repro.plans.retry import RetryPolicy
 from repro.query import TargetQuery
 from repro.source.metering import MeterSnapshot
 from repro.source.source import CapabilitySource
-
-
-def _make_executor(
-    catalog: dict[str, CapabilitySource],
-    parallel_workers: int | None = None,
-    **kwargs,
-) -> Executor:
-    """The group's long-lived executor: serial, or parallel when asked."""
-    if parallel_workers is None:
-        return Executor(catalog, **kwargs)
-    return ParallelExecutor(catalog, max_workers=parallel_workers, **kwargs)
 
 
 def _check_same_attributes(sources: list[CapabilitySource], role: str) -> None:
@@ -77,6 +66,43 @@ def _check_same_attributes(sources: list[CapabilitySource], role: str) -> None:
                 f"{role} group members must share an attribute set; "
                 f"{source.name!r} differs from {sources[0].name!r}"
             )
+
+
+class _SourceGroup:
+    """Both group kinds: the member sources, a planner, a cost model and
+    one long-lived executor -- serial, or parallel with
+    ``parallel_workers``."""
+
+    def __init__(self, sources: list[CapabilitySource], role: str,
+                 planner: Planner | None, k1: float, k2: float,
+                 cache: ResultCache | None, retry_policy: RetryPolicy | None,
+                 parallel_workers: int | None, per_source_constants=None,
+                 failover=None):
+        _check_same_attributes(sources, role)
+        self.sources = {s.name: s for s in sources}
+        self.planner = planner if planner is not None else GenCompact()
+        self._cost_model = CostModel({s.name: s.stats for s in sources}, k1, k2,
+                                     per_source=per_source_constants)
+        self.cache = cache
+        self._executor = make_executor(
+            "serial" if parallel_workers is None else "parallel", self.sources,
+            parallel_workers, cache=cache, retry_policy=retry_policy,
+            failover=failover, cost_model=self._cost_model,
+        )
+
+    def close(self) -> None:
+        """Stop the executor's worker threads, if any (idempotent; the
+        group stays usable and a pool restarts on the next fan-out)."""
+        self._executor.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def cost_model(self) -> CostModel:
+        return self._cost_model
 
 
 @dataclass
@@ -112,7 +138,7 @@ class MirrorFailover:
         return choice.chosen.plan if choice.feasible else None
 
 
-class MirrorGroup:
+class MirrorGroup(_SourceGroup):
     """The same logical relation served by several sources."""
 
     def __init__(
@@ -130,24 +156,8 @@ class MirrorGroup:
         configure the group's single long-lived executor; mirrors double
         as failover targets for each other automatically.
         ``parallel_workers`` makes that executor parallel."""
-        _check_same_attributes(sources, "mirror")
-        self.sources = {s.name: s for s in sources}
-        self.planner = planner if planner is not None else GenCompact()
-        self._cost_model = CostModel(
-            {s.name: s.stats for s in sources},
-            k1,
-            k2,
-            per_source=per_source_constants,
-        )
-        self.cache = cache
-        self._executor = _make_executor(
-            self.sources,
-            cache=cache,
-            retry_policy=retry_policy,
-            failover=MirrorFailover(self),
-            cost_model=self._cost_model,
-            parallel_workers=parallel_workers,
-        )
+        super().__init__(sources, "mirror", planner, k1, k2, cache, retry_policy,
+                         parallel_workers, per_source_constants, MirrorFailover(self))
 
     def plan(self, query: TargetQuery,
              skip: frozenset[str] = frozenset()) -> MirrorChoice:
@@ -183,9 +193,6 @@ class MirrorGroup:
             )
         return self._executor.execute_with_report(choice.chosen.plan)
 
-    def cost_model(self) -> CostModel:
-        return self._cost_model
-
 
 @dataclass
 class PartitionPlan:
@@ -220,7 +227,7 @@ class PartialAnswer:
         return self.result.rows
 
 
-class PartitionedSource:
+class PartitionedSource(_SourceGroup):
     """A logical relation horizontally partitioned across sources."""
 
     def __init__(
@@ -237,20 +244,8 @@ class PartitionedSource:
         long-lived executor (shared across every ``ask``);
         ``parallel_workers`` makes it parallel, so the per-partition
         slices of a union plan are fetched concurrently."""
-        _check_same_attributes(sources, "partition")
-        self.sources = {s.name: s for s in sources}
-        self.planner = planner if planner is not None else GenCompact()
-        self._cost_model = CostModel(
-            {s.name: s.stats for s in sources}, k1, k2
-        )
-        self.cache = cache
-        self._executor = _make_executor(
-            self.sources,
-            cache=cache,
-            retry_policy=retry_policy,
-            cost_model=self._cost_model,
-            parallel_workers=parallel_workers,
-        )
+        super().__init__(sources, "partition", planner, k1, k2, cache,
+                         retry_policy, parallel_workers)
 
     def plan(self, query: TargetQuery) -> PartitionPlan:
         """One plan per partition, combined by union.
@@ -342,9 +337,6 @@ class PartitionedSource:
             coalesced_hits=sum(r.coalesced_hits for r in reports),
         )
         return PartialAnswer(merged, not missing, missing, combined)
-
-    def cost_model(self) -> CostModel:
-        return self._cost_model
 
 
 def merge_stats(results: dict[str, PlanningResult]) -> PlannerStats:

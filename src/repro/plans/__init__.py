@@ -11,6 +11,7 @@ from repro.plans.execute import (
     ExecutionReport,
     Executor,
     FailoverTarget,
+    make_executor,
     reference_answer,
 )
 from repro.plans.async_exec import AsyncExecutor
@@ -59,6 +60,7 @@ __all__ = [
     "enumerate_concrete",
     "count_concrete",
     "Executor",
+    "make_executor",
     "ParallelExecutor",
     "AsyncExecutor",
     "RequestCoalescer",

@@ -52,7 +52,6 @@ from __future__ import annotations
 # imported inside the functions that run on a loop: a process on the
 # serial or pool engine never loads it (DESIGN.md, "Resident size").
 import threading
-from typing import Mapping
 
 from repro.data.relation import Relation
 from repro.observability.trace import get_tracer
@@ -73,23 +72,8 @@ class AsyncExecutor(Executor):
     coalesce across requests.
     """
 
-    def __init__(
-        self,
-        catalog: Mapping[str, CapabilitySource],
-        fix_queries: bool = True,
-        cache=None,
-        retry_policy=None,
-        failover=None,
-        cost_model=None,
-    ):
-        super().__init__(
-            catalog,
-            fix_queries=fix_queries,
-            cache=cache,
-            retry_policy=retry_policy,
-            failover=failover,
-            cost_model=cost_model,
-        )
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         self._coalescer = RequestCoalescer()
         self._loop: asyncio.AbstractEventLoop | None = None
         self._loop_thread: threading.Thread | None = None
@@ -145,12 +129,6 @@ class AsyncExecutor(Executor):
             task.cancel()
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
-
-    def __enter__(self) -> "AsyncExecutor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def pending_task_count(self) -> int:
         """How many tasks the loop is running right now (tests assert 0

@@ -29,8 +29,9 @@ primitives: ``_run`` (the driver of one execution),
 ``_execute_combination`` (the fan-out policy), ``_call`` (one source
 call) and ``_backoff`` (one retry's wait); the async engine also wraps
 ``_fetch`` in single-flight coalescing.  Here the primitives are
-blocking calls, so the interpreter never suspends and :func:`_drive`
-runs it to completion with one ``send`` -- no event loop.
+blocking calls, so the interpreter never suspends and
+:func:`~repro.source.source.drive` runs it to completion with one
+``send`` -- no event loop.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from typing import Iterable, Mapping, Protocol
 
 from repro.data.relation import Relation
 from repro.errors import (
-    InterpreterSuspendedError,
     PlanExecutionError,
     TransientSourceError,
     UnsupportedQueryError,
@@ -70,32 +70,12 @@ from repro.plans.nodes import (
 )
 from repro.plans.retry import RetryPolicy
 from repro.source.metering import MeterSnapshot
-from repro.source.source import CapabilitySource
+from repro.source.source import CapabilitySource, drive
 
 logger = logging.getLogger(__name__)
 
 #: What an executor without a retry policy applies (immutable, shared).
 NO_RETRY = RetryPolicy.none()
-
-
-def _drive(coroutine):
-    """Run the interpreter to completion inline, without an event loop.
-
-    With blocking primitives nothing in the interpreter's ``await``
-    chain ever suspends, so one ``send`` finishes it.  A coroutine that
-    does suspend is waiting on something only a loop can deliver: it
-    is closed (its ``finally`` blocks end the open spans) and
-    :class:`~repro.errors.InterpreterSuspendedError` is raised.
-    """
-    try:
-        coroutine.send(None)
-    except StopIteration as done:
-        return done.value
-    coroutine.close()
-    raise InterpreterSuspendedError(
-        "the plan interpreter suspended under the loop-free driver; "
-        "primitives that await real I/O need an event-loop driver"
-    )
 
 
 def _worker_name() -> str:
@@ -356,6 +336,15 @@ class Executor:
         except KeyError:
             raise PlanExecutionError(f"unknown source {name!r}") from None
 
+    def close(self) -> None:
+        """Release the engine's threads (none here; idempotent)."""
+
+    def __enter__(self) -> "Executor":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
     # ------------------------------------------------------------------
     def execute(self, plan: Plan) -> Relation:
         """Evaluate a concrete plan; returns the mediator's result relation."""
@@ -364,7 +353,7 @@ class Executor:
     def _run(self, plan: Plan, ctx: _ExecutionContext) -> Relation:
         """The driver of one top-level execution: inline, no loop (the
         async engine hands the same interpreter to its event loop)."""
-        return _drive(self._execute(plan, ctx))
+        return drive(self._execute(plan, ctx))
 
     def _new_context(self) -> _ExecutionContext:
         policy = self.retry_policy
@@ -640,6 +629,34 @@ class Executor:
         started = time.perf_counter()
         result = self._run(plan, ctx)
         return ctx.report(result, time.perf_counter() - started)
+
+
+def make_executor(name: str, catalog: Mapping[str, CapabilitySource],
+                  max_workers: int | None = None, **options) -> Executor:
+    """Build the engine called ``name`` -- ``"serial"``, ``"parallel"``
+    or ``"async"`` -- over ``catalog``.
+
+    ``options`` are the serial engine's constructor arguments, which
+    every engine takes; ``max_workers`` sizes the parallel engine's
+    pool (``None`` = its default) and is ignored by the others.  The
+    pool and async engine modules are imported here because they
+    import this one; neither loads :mod:`asyncio` before a loop runs.
+    """
+    if name == "serial":
+        return Executor(catalog, **options)
+    if name == "parallel":
+        from repro.plans.parallel import ParallelExecutor
+
+        if max_workers is not None:
+            options["max_workers"] = max_workers
+        return ParallelExecutor(catalog, **options)
+    if name == "async":
+        from repro.plans.async_exec import AsyncExecutor
+
+        return AsyncExecutor(catalog, **options)
+    raise PlanExecutionError(
+        f"unknown executor {name!r}; pick one of serial, parallel, async"
+    )
 
 
 def reference_answer(

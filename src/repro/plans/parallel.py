@@ -52,13 +52,11 @@ import logging
 import threading
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Mapping
-
 from repro.data.relation import Relation
 from repro.observability.trace import Span, get_tracer
-from repro.plans.execute import Executor, _drive, _ExecutionContext
+from repro.plans.execute import Executor, _ExecutionContext
 from repro.plans.nodes import IntersectPlan, Plan, UnionPlan
-from repro.source.source import CapabilitySource
+from repro.source.source import drive
 
 logger = logging.getLogger(__name__)
 
@@ -73,26 +71,10 @@ class ParallelExecutor(Executor):
     a thread.
     """
 
-    def __init__(
-        self,
-        catalog: Mapping[str, CapabilitySource],
-        fix_queries: bool = True,
-        cache=None,
-        retry_policy=None,
-        failover=None,
-        cost_model=None,
-        max_workers: int = 8,
-    ):
+    def __init__(self, *args, max_workers: int = 8, **kwargs):
         if max_workers < 1:
             raise ValueError("max_workers must be at least 1")
-        super().__init__(
-            catalog,
-            fix_queries=fix_queries,
-            cache=cache,
-            retry_policy=retry_policy,
-            failover=failover,
-            cost_model=cost_model,
-        )
+        super().__init__(*args, **kwargs)
         self.max_workers = max_workers
         self._pool: ThreadPoolExecutor | None = None
         self._pool_lock = threading.Lock()
@@ -108,12 +90,6 @@ class ParallelExecutor(Executor):
             pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True)
-
-    def __enter__(self) -> "ParallelExecutor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def _ensure_pool(self) -> ThreadPoolExecutor:
         with self._pool_lock:
@@ -195,6 +171,6 @@ class ParallelExecutor(Executor):
         """
         try:
             with get_tracer().attach(trace_context):
-                return _drive(self._execute(child, ctx))
+                return drive(self._execute(child, ctx))
         finally:
             self._slots.release()

@@ -18,10 +18,15 @@ planners testable rather than assumed.
 
 Sources are safe to call from several threads at once (the parallel
 executor does), and they enforce their *own* concurrency ceiling: a
-``max_concurrency`` limit gates :meth:`execute` with a semaphore, the
+``max_concurrency`` limit gates every call with a semaphore, the
 stand-in for a site that throttles past N simultaneous connections.
 The ``max_in_flight`` high-water mark makes the guarantee testable --
 no matter how aggressive the caller, it never exceeds the limit.
+
+A call has one body, ``_serve``, and two entry points:
+:meth:`execute` drives it to completion without an event loop and
+:meth:`execute_async` awaits it.  Only the two waits differ between
+them -- the gate's semaphore and how the round trip is spent.
 """
 
 from __future__ import annotations
@@ -32,19 +37,39 @@ from __future__ import annotations
 import threading
 import time
 import weakref
-from contextlib import asynccontextmanager, contextmanager
-from typing import AsyncIterator, Iterable, Iterator
+from typing import Iterable
 
 from repro.conditions.tree import Condition
 from repro.data.relation import Relation
 from repro.data.stats import TableStats
-from repro.errors import UnsupportedQueryError
+from repro.errors import InterpreterSuspendedError, UnsupportedQueryError
 from repro.observability.metrics import get_metrics
 from repro.observability.trace import get_tracer
 from repro.source.faults import FaultInjector, SimulatedLatency
 from repro.source.metering import QueryMeter
 from repro.ssdl.commute import commutation_closure, fix_condition
 from repro.ssdl.description import CheckResult, SourceDescription
+
+
+def drive(coroutine):
+    """Run a coroutine to completion inline, without an event loop.
+
+    A coroutine whose ``await`` chain only reaches blocking calls never
+    suspends, so one ``send`` finishes it: the plan interpreter under the
+    serial and pool engines, and a blocking source call.  One that does
+    suspend waits on something only a loop delivers: it is closed (its
+    ``finally`` blocks end the open spans) and
+    :class:`~repro.errors.InterpreterSuspendedError` is raised.
+    """
+    try:
+        coroutine.send(None)
+    except StopIteration as done:
+        return done.value
+    coroutine.close()
+    raise InterpreterSuspendedError(
+        "the plan interpreter suspended under the loop-free driver; "
+        "primitives that await real I/O need an event-loop driver"
+    )
 
 
 class CapabilitySource:
@@ -72,8 +97,8 @@ class CapabilitySource:
         call a seeded round-trip delay -- the offline stand-in for a
         distant live site, and what makes parallel execution pay off.
 
-        ``max_concurrency`` caps simultaneous in-flight :meth:`execute`
-        calls (``None`` = unlimited): the source's declared capacity,
+        ``max_concurrency`` caps simultaneous in-flight calls
+        (``None`` = unlimited): the source's declared capacity,
         enforced here with a semaphore so no executor -- however
         parallel -- can hammer the site past it.  Assignable after
         construction, but only until the first call arrives.
@@ -93,12 +118,9 @@ class CapabilitySource:
         self.max_in_flight = 0
         self._in_flight = 0
         self._gate: threading.BoundedSemaphore | None = None
-        #: Async twins of ``_gate``, one per event loop (a semaphore is
-        #: bound to the loop it was created on; keying weakly lets dead
-        #: loops drop their gates).  Sync and async callers share the
-        #: same *declared* capacity but gate independently -- mixing
-        #: both against one throttled source concurrently is not a
-        #: supported deployment shape.
+        #: The awaiting callers' gates, one per event loop (a semaphore
+        #: is bound to the loop it was created on; keying weakly lets
+        #: dead loops drop their gates).
         self._async_gates: "weakref.WeakKeyDictionary" = \
             weakref.WeakKeyDictionary()
         self._flight_lock = threading.Lock()
@@ -233,44 +255,8 @@ class CapabilitySource:
     # ------------------------------------------------------------------
     @property
     def in_flight(self) -> int:
-        """How many :meth:`execute` calls are running right now."""
+        """How many calls are being served right now."""
         return self._in_flight
-
-    @contextmanager
-    def concurrency_slot(self) -> Iterator[float]:
-        """Hold one of the source's ``max_concurrency`` slots.
-
-        Blocks while the site is at capacity.  :meth:`execute` takes a
-        slot automatically; the context manager is public so callers
-        batching raw relation access can respect the limit too.
-
-        Yields the **queue wait** in seconds -- how long this call
-        blocked on the semaphore before its slot opened (0.0 for
-        ungated sources).  The wait is also published to the metrics
-        registry, so throttled sites show their queueing next to their
-        service time.
-        """
-        gate = self._concurrency_gate()
-        instruments = self._instruments()
-        queue_wait = 0.0
-        if gate is not None:
-            waited_from = time.perf_counter()
-            gate.acquire()
-            queue_wait = time.perf_counter() - waited_from
-            instruments["queue_wait"].observe(queue_wait)
-        with self._flight_lock:
-            self._in_flight += 1
-            if self._in_flight > self.max_in_flight:
-                self.max_in_flight = self._in_flight
-            watermark = self._in_flight
-        instruments["in_flight"].set(watermark)
-        try:
-            yield queue_wait
-        finally:
-            with self._flight_lock:
-                self._in_flight -= 1
-            if gate is not None:
-                gate.release()
 
     def _instruments(self) -> dict:
         """This source's registry instruments (cached per registry).
@@ -299,47 +285,47 @@ class CapabilitySource:
             self._metrics_cache = cached
         return cached[1]
 
-    def _concurrency_gate(self) -> threading.BoundedSemaphore | None:
+    def _concurrency_gate(self, on_loop: bool):
+        """The ``max_concurrency`` semaphore a call waits on (``None``
+        when ungated): one :class:`threading.BoundedSemaphore` for
+        blocking callers, one :class:`asyncio.BoundedSemaphore` per
+        running event loop for awaiting ones."""
         if self.max_concurrency is None:
             return None
-        if self._gate is None:
-            with self._flight_lock:
-                if self._gate is None:
-                    self._gate = threading.BoundedSemaphore(
-                        self.max_concurrency
-                    )
-        return self._gate
-
-    def _async_concurrency_gate(self) -> asyncio.BoundedSemaphore | None:
-        """The running loop's gate for this source (created on demand)."""
+        if not on_loop:
+            if self._gate is None:
+                with self._flight_lock:
+                    if self._gate is None:
+                        self._gate = threading.BoundedSemaphore(self.max_concurrency)
+            return self._gate
         import asyncio
-        if self.max_concurrency is None:
-            return None
         loop = asyncio.get_running_loop()
         with self._flight_lock:
             gate = self._async_gates.get(loop)
             if gate is None:
-                gate = asyncio.BoundedSemaphore(self.max_concurrency)
-                self._async_gates[loop] = gate
+                gate = self._async_gates[loop] = asyncio.BoundedSemaphore(self.max_concurrency)
         return gate
 
-    @asynccontextmanager
-    async def async_concurrency_slot(self) -> AsyncIterator[float]:
-        """:meth:`concurrency_slot`'s awaitable twin.
-
-        Waits on an :class:`asyncio.BoundedSemaphore` instead of
-        blocking a thread, so a throttled source suspends its callers'
-        *tasks* while the event loop keeps serving everyone else.
-        Shares the ``in_flight`` bookkeeping (and the ``max_in_flight``
-        high-water mark) with the sync path; a caller cancelled while
-        queued never takes a slot and never leaks one.
+    async def _serve(self, condition: Condition, attributes: Iterable[str],
+                     on_loop: bool) -> Relation:
+        """The one call body behind :meth:`execute` and
+        :meth:`execute_async`: gate, in-flight accounting, the
+        ``source.service`` span, latency, the fault draw, enforcement
+        and metering.  ``on_loop`` changes only the two waits -- the
+        gate's semaphore and how the round trip is spent; blocking
+        callers never suspend, so :func:`drive` finishes the call with
+        one ``send``.  A call cancelled while queued on the gate never
+        takes a slot and never leaks one.
         """
-        gate = self._async_concurrency_gate()
         instruments = self._instruments()
+        gate = self._concurrency_gate(on_loop)
         queue_wait = 0.0
         if gate is not None:
             waited_from = time.perf_counter()
-            await gate.acquire()
+            if on_loop:
+                await gate.acquire()
+            else:
+                gate.acquire()
             queue_wait = time.perf_counter() - waited_from
             instruments["queue_wait"].observe(queue_wait)
         with self._flight_lock:
@@ -349,58 +335,57 @@ class CapabilitySource:
             watermark = self._in_flight
         instruments["in_flight"].set(watermark)
         try:
-            yield queue_wait
+            with get_tracer().span("source.service", source=self.name) as span:
+                span.set_attribute("queue_wait_seconds", queue_wait)
+                latency = self.latency
+                if latency is not None:
+                    if on_loop:
+                        delay = latency.draw()
+                        if latency.real_sleep and delay > 0.0:
+                            import asyncio
+                            await asyncio.sleep(delay)
+                    else:
+                        delay = latency.apply()
+                    span.set_attribute("latency_seconds", delay)
+                if self.fault_injector is not None:
+                    fault = self.fault_injector.draw(self.name)
+                    if fault is not None:
+                        self.meter.record_failure()
+                        instruments["failures"].inc()
+                        raise fault
+                attrs = frozenset(attributes)
+                result = self.enforcing_description.check(condition)
+                if not result.supports(attrs):
+                    self.meter.record_rejection()
+                    instruments["rejected"].inc()
+                    raise self._rejection(condition, attrs, result)
+                answer = self.relation.sp(condition, attrs)
+                self.meter.record(len(answer))
+                instruments["queries"].inc()
+                instruments["tuples"].inc(len(answer))
+                span.set_attribute("rows", len(answer))
+                return answer
         finally:
             with self._flight_lock:
                 self._in_flight -= 1
             if gate is not None:
                 gate.release()
 
-    def _draw_fault(self, instruments: dict) -> None:
-        """Raise this call's injected fault, if the injector draws one."""
-        if self.fault_injector is not None:
-            fault = self.fault_injector.draw(self.name)
-            if fault is not None:
-                self.meter.record_failure()
-                instruments["failures"].inc()
-                raise fault
-
-    def _enforce_and_answer(
-        self, condition: Condition, attributes: Iterable[str],
-        instruments: dict, span,
-    ) -> Relation:
-        """The capability-enforcement + metering core shared by the sync
-        and async execute paths (everything after latency and faults)."""
-        attrs = frozenset(attributes)
-        result = self.enforcing_description.check(condition)
-        if not result.supports(attrs):
-            self.meter.record_rejection()
-            instruments["rejected"].inc()
-            if not result:
-                reason = (
-                    "the condition expression is not accepted by the form"
-                )
-            else:
-                exportable = " | ".join(
-                    "{" + ", ".join(sorted(s)) + "}"
-                    for s in result.attribute_sets
-                )
-                reason = (
-                    f"the form cannot export attributes {sorted(attrs)} "
-                    f"for this condition (exportable: {exportable})"
-                )
-            raise UnsupportedQueryError(
-                f"source {self.name!r} rejected SP({condition}, "
-                f"{sorted(attrs)}): {reason}",
-                condition=condition,
-                attributes=attrs,
+    def _rejection(self, condition: Condition, attrs: frozenset,
+                   result: CheckResult) -> UnsupportedQueryError:
+        """Why the form refuses ``SP(condition, attrs)``."""
+        if not result:
+            reason = "the condition expression is not accepted by the form"
+        else:
+            exportable = " | ".join(
+                "{" + ", ".join(sorted(s)) + "}" for s in result.attribute_sets
             )
-        answer = self.relation.sp(condition, attrs)
-        self.meter.record(len(answer))
-        instruments["queries"].inc()
-        instruments["tuples"].inc(len(answer))
-        span.set_attribute("rows", len(answer))
-        return answer
+            reason = (f"the form cannot export attributes {sorted(attrs)} "
+                      f"for this condition (exportable: {exportable})")
+        return UnsupportedQueryError(
+            f"source {self.name!r} rejected SP({condition}, {sorted(attrs)}): {reason}",
+            condition=condition, attributes=attrs,
+        )
 
     def execute(self, condition: Condition, attributes: Iterable[str]) -> Relation:
         """Answer the source query ``SP(condition, attributes, R)``.
@@ -417,53 +402,25 @@ class CapabilitySource:
         (distinct from ``rejected``).
 
         With a :class:`SimulatedLatency` attached, every call -- faulted
-        or not -- first pays its seeded round-trip delay, held inside
-        the concurrency slot so a throttled site really does serialize
-        the waits.
+        or not -- first pays its seeded round-trip delay
+        (:meth:`SimulatedLatency.apply`), held inside the concurrency
+        slot so a throttled site really does serialize the waits.
         """
-        instruments = self._instruments()
-        with self.concurrency_slot() as queue_wait, get_tracer().span(
-            "source.service", source=self.name
-        ) as span:
-            span.set_attribute("queue_wait_seconds", queue_wait)
-            if self.latency is not None:
-                delay = self.latency.apply()
-                span.set_attribute("latency_seconds", delay)
-            self._draw_fault(instruments)
-            return self._enforce_and_answer(
-                condition, attributes, instruments, span
-            )
+        return drive(self._serve(condition, attributes, False))
 
     async def execute_async(
         self, condition: Condition, attributes: Iterable[str]
     ) -> Relation:
-        """:meth:`execute`'s awaitable twin, with identical semantics.
+        """:meth:`execute`'s call body, awaited by a caller on an event loop.
 
-        Same capability enforcement, metering, tracing, fault drawing
-        and concurrency gating -- but the round-trip latency is paid
-        with ``await asyncio.sleep`` and the concurrency gate with an
+        Only the waits differ: the same seeded round trip is spent with
+        ``await asyncio.sleep`` and the gate is the running loop's
         :class:`asyncio.BoundedSemaphore`, so thousands of in-flight
-        calls cost tasks, not threads.  The latency draw itself comes
-        from the same seeded stream as the sync path (one draw per
-        call), which is what lets benchmarks assert both executors were
-        charged identical simulated time.
+        calls cost tasks, not threads.  Blocking and awaiting callers
+        share the in-flight accounting but gate independently -- mixing
+        both against one throttled source is not a supported shape.
         """
-        import asyncio
-        instruments = self._instruments()
-        async with self.async_concurrency_slot() as queue_wait:
-            with get_tracer().span(
-                "source.service", source=self.name
-            ) as span:
-                span.set_attribute("queue_wait_seconds", queue_wait)
-                if self.latency is not None:
-                    delay = self.latency.draw()
-                    if self.latency.real_sleep and delay > 0.0:
-                        await asyncio.sleep(delay)
-                    span.set_attribute("latency_seconds", delay)
-                self._draw_fault(instruments)
-                return self._enforce_and_answer(
-                    condition, attributes, instruments, span
-                )
+        return await self._serve(condition, attributes, True)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -220,12 +220,21 @@ class TestCompilesEachDescriptionOnce:
 
 _SERIAL_THEN_ASYNC = """
 import sys
-from repro import Mediator, bookstore
+from repro import Mediator, SimulatedLatency, bookstore
+from repro.conditions.parser import parse_condition
 sql = "SELECT title FROM bookstore WHERE author = 'Carl Jung'"
+union = sql + " or author = 'Sigmund Freud'"
 mediator = Mediator()
 mediator.add_source(bookstore(300))
 rows = len(mediator.ask(sql).rows)
 print(rows, "asyncio" in sys.modules, "ssl" in sys.modules)
+source = bookstore(300)
+source.max_concurrency = 2
+source.latency = SimulatedLatency(real_sleep=False)
+bare = source.execute(parse_condition("author = 'Carl Jung'"), ["title"])
+fanned = mediator.ask(union, executor="parallel").rows
+mediator.close()
+print(len(bare), len(fanned) > rows, "asyncio" in sys.modules)
 async_mediator = Mediator(executor="async")
 async_mediator.add_source(bookstore(300))
 print(len(async_mediator.ask(sql).rows), "asyncio" in sys.modules)
@@ -236,7 +245,9 @@ async_mediator.close()
 def test_a_serial_mediator_never_loads_asyncio():
     """``asyncio`` (which pulls in ``ssl``, ``socket`` and ``selectors``)
     loads on the async engine's first event loop, not before: a process
-    asking on the serial engine does not carry it."""
+    asking on the serial engine does not carry it, nor does a bare
+    gated, latency-charged ``source.execute`` or a fanned-out ask on
+    the pool engine."""
     import os
     import subprocess
     import sys
@@ -247,7 +258,8 @@ def test_a_serial_mediator_never_loads_asyncio():
     done = subprocess.run([sys.executable, "-c", _SERIAL_THEN_ASYNC],
                           env=env, text=True, capture_output=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    serial, asynchronous = done.stdout.split("\n")[:2]
+    serial, blocking, asynchronous = done.stdout.split("\n")[:3]
     rows = serial.split()[0]
     assert serial == f"{rows} False False" and int(rows) > 0
+    assert blocking == f"{rows} True False"
     assert asynchronous == f"{rows} True"

@@ -291,3 +291,42 @@ def test_mirror_group_with_parallel_workers_answers_and_fails_over():
     mirrors[1].fault_injector = FaultInjector(seed=1)
     report = group.ask(query)
     assert report.result.as_row_set() == healthy
+
+
+def _mirrors() -> list:
+    out = []
+    for name in ("m0", "m1"):
+        mirror = bookstore(n=120, seed=1999)
+        mirror.name = name
+        out.append(mirror)
+    return out
+
+
+@pytest.mark.parametrize("make_group", [
+    lambda: MirrorGroup(_mirrors(), parallel_workers=2),
+    lambda: PartitionedSource(_partitions(), parallel_workers=3),
+], ids=["mirror", "partition"])
+def test_closing_a_group_stops_its_pool_threads(make_group):
+    """A group's worker pool lives until ``close()`` -- or the end of
+    its ``with`` block -- not until garbage collection; the group stays
+    usable and the pool restarts on the next fan-out."""
+    fan_out = TargetQuery(
+        parse_condition("author = 'Carl Jung' or author = 'Sigmund Freud'"),
+        ATTRS, "books",
+    )
+
+    def pool_threads(before: set) -> list:
+        return [t for t in threading.enumerate() if t not in before
+                and t.name.startswith("repro-parallel")]
+
+    before = set(threading.enumerate())
+    with make_group() as group:
+        answer = group.ask(fan_out).result.as_row_set()
+        started = pool_threads(before)
+        assert started  # the union fanned out onto the pool
+    assert not any(t.is_alive() for t in started)
+    assert group.ask(fan_out).result.as_row_set() == answer
+    assert pool_threads(before)
+    group.close()
+    group.close()
+    assert pool_threads(before) == []
