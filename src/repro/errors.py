@@ -151,7 +151,3 @@ class InterpreterSuspendedError(PlanExecutionError):
 class QueryFixingError(ReproError):
     """A source query accepted by the commutation-closed description could not
     be reordered into a form the native description accepts."""
-
-
-class BudgetExceededWarning(ReproError):
-    """Internal signal: a search budget was exhausted (not user-facing)."""

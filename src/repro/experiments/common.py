@@ -40,7 +40,3 @@ def plan_with(
     planner: Planner, query: TargetQuery, source: CapabilitySource
 ) -> PlanningResult:
     return planner.plan(query, source, cost_model_for(source))
-
-
-def fmt_cost(result: PlanningResult) -> str:
-    return f"{result.cost:.1f}" if result.feasible else "infeasible"

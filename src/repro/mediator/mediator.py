@@ -238,9 +238,8 @@ class Mediator:
         name = self._default_engine if choice is None else choice
         engine = self._executors.get(name)
         if engine is None:
-            # ``parallel_workers=0`` has always meant the pool's default.
             engine = self._executors.setdefault(name, make_executor(
-                name, self.catalog, self.parallel_workers or None,
+                name, self.catalog, self.parallel_workers,
                 cache=self.result_cache, retry_policy=self.retry_policy,
             ))
         return engine

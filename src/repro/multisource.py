@@ -104,6 +104,22 @@ class _SourceGroup:
     def cost_model(self) -> CostModel:
         return self._cost_model
 
+    def _plan_members(self, query: TargetQuery, skip: frozenset[str] = frozenset()
+                      ) -> dict[str, PlanningResult]:
+        """Plan ``query`` on every member not in ``skip``, after checking
+        its attributes against the shared schema (an unknown one raises
+        :class:`~repro.errors.UnknownAttributeError`, as on a Mediator)."""
+        schema = next(iter(self.sources.values())).schema
+        schema.validate_attributes(query.attributes)
+        schema.validate_attributes(query.condition_attributes)
+        return {
+            name: self.planner.plan(
+                TargetQuery(query.condition, query.attributes, name),
+                source, self._cost_model,
+            )
+            for name, source in self.sources.items() if name not in skip
+        }
+
 
 @dataclass
 class MirrorChoice:
@@ -167,16 +183,9 @@ class MirrorGroup(_SourceGroup):
         ``query.source`` is ignored (the group *is* the logical source);
         each per-mirror attempt retargets the query.
         """
-        per_source: dict[str, PlanningResult] = {}
-        best: PlanningResult | None = None
-        for name, source in self.sources.items():
-            if name in skip:
-                continue
-            retargeted = TargetQuery(query.condition, query.attributes, name)
-            result = self.planner.plan(retargeted, source, self._cost_model)
-            per_source[name] = result
-            if result.feasible and (best is None or result.cost < best.cost):
-                best = result
+        per_source = self._plan_members(query, skip)
+        best = min((result for result in per_source.values() if result.feasible),
+                   key=lambda result: result.cost, default=None)
         return MirrorChoice(best, per_source)
 
     def ask(self, query: TargetQuery) -> ExecutionReport:
@@ -254,22 +263,14 @@ class PartitionedSource(_SourceGroup):
         answer the query makes the whole query infeasible (answering
         from the other partitions would silently drop tuples).
         """
-        per_source: dict[str, PlanningResult] = {}
-        plans: list[Plan] = []
-        infeasible: list[str] = []
-        total = 0.0
-        for name, source in self.sources.items():
-            retargeted = TargetQuery(query.condition, query.attributes, name)
-            result = self.planner.plan(retargeted, source, self._cost_model)
-            per_source[name] = result
-            if result.feasible:
-                plans.append(result.plan)
-                total += result.cost
-            else:
-                infeasible.append(name)
+        per_source = self._plan_members(query)
+        infeasible = [name for name, result in per_source.items()
+                      if not result.feasible]
         if infeasible:
             return PartitionPlan(None, float("inf"), per_source, infeasible)
+        plans = [result.plan for result in per_source.values()]
         plan: Plan = plans[0] if len(plans) == 1 else UnionPlan(plans)
+        total = sum(result.cost for result in per_source.values())
         return PartitionPlan(plan, total, per_source, [])
 
     def ask(self, query: TargetQuery, partial: bool = False
@@ -298,9 +299,7 @@ class PartitionedSource(_SourceGroup):
         missing: list[str] = []
         merged: Relation | None = None
         reports: list[ExecutionReport] = []
-        for name, source in self.sources.items():
-            retargeted = TargetQuery(query.condition, query.attributes, name)
-            planned = self.planner.plan(retargeted, source, self._cost_model)
+        for name, planned in self._plan_members(query).items():
             if not planned.feasible:
                 missing.append(name)
                 continue

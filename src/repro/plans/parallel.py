@@ -33,8 +33,8 @@ Two throttles bound the concurrency:
   the pool -- a worker that cannot offload its sub-branches simply
   executes them itself (work keeps moving even at ``max_workers=1``).
 * each :class:`~repro.source.source.CapabilitySource` enforces its own
-  ``max_concurrency`` with a semaphore, so however wide the plan fans
-  out, no wrapper sees more simultaneous calls than it declared.
+  ``max_concurrency`` on one in-flight count, so however wide the plan
+  fans out, no wrapper sees more simultaneous calls than it declared.
 
 Determinism: results are combined in child order and each branch's
 computation is the serial one, so the *answer* is identical to serial

@@ -16,17 +16,19 @@ that simply has no field for the condition you wanted to send.  This
 independent enforcement is what makes the feasibility guarantees of the
 planners testable rather than assumed.
 
-Sources are safe to call from several threads at once (the parallel
-executor does), and they enforce their *own* concurrency ceiling: a
-``max_concurrency`` limit gates every call with a semaphore, the
-stand-in for a site that throttles past N simultaneous connections.
-The ``max_in_flight`` high-water mark makes the guarantee testable --
-no matter how aggressive the caller, it never exceeds the limit.
+Sources are safe to call from many threads and event loops at once,
+and they enforce their *own* concurrency ceiling: a ``max_concurrency``
+limit gates every call on one in-flight count (calls past it queue in
+arrival order), the stand-in for a site that throttles past N
+simultaneous connections.  The ``max_in_flight`` high-water mark makes
+the guarantee testable -- however aggressive the callers, it never
+exceeds the limit.
 
 A call has one body, ``_serve``, and two entry points:
 :meth:`execute` drives it to completion without an event loop and
 :meth:`execute_async` awaits it.  Only the two waits differ between
-them -- the gate's semaphore and how the round trip is spent.
+them -- how a queued call waits for its slot and how the round trip
+is spent.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ from __future__ import annotations
 # serial or pool engine never loads it (DESIGN.md, "Resident size").
 import threading
 import time
-import weakref
+from collections import deque
+from concurrent.futures import Future
 from typing import Iterable
 
 from repro.conditions.tree import Condition
@@ -99,12 +102,10 @@ class CapabilitySource:
 
         ``max_concurrency`` caps simultaneous in-flight calls
         (``None`` = unlimited): the source's declared capacity,
-        enforced here with a semaphore so no executor -- however
-        parallel -- can hammer the site past it.  Assignable after
-        construction, but only until the first call arrives.
+        enforced on one in-flight count so no executor -- however
+        parallel, on however many loops -- can hammer the site past it.
+        Assignable at any time; each call reads the current limit.
         """
-        if max_concurrency is not None and max_concurrency < 1:
-            raise ValueError("max_concurrency must be at least 1")
         self.name = name
         self.relation = relation
         self.description = description
@@ -114,15 +115,12 @@ class CapabilitySource:
         self.max_concurrency = max_concurrency
         self.meter = QueryMeter()
         #: High-water mark of simultaneous in-flight calls (for tests
-        #: asserting the semaphore is never oversubscribed).
+        #: asserting the limit is never oversubscribed).  The gate is
+        #: ``_in_flight`` and the queued calls' tickets in arrival
+        #: order, both under ``_flight_lock``.
         self.max_in_flight = 0
         self._in_flight = 0
-        self._gate: threading.BoundedSemaphore | None = None
-        #: The awaiting callers' gates, one per event loop (a semaphore
-        #: is bound to the loop it was created on; keying weakly lets
-        #: dead loops drop their gates).
-        self._async_gates: "weakref.WeakKeyDictionary" = \
-            weakref.WeakKeyDictionary()
+        self._queue: deque[Future] = deque()
         self._flight_lock = threading.Lock()
         self._state_lock = threading.Lock()
         self._stats: TableStats | None = None
@@ -254,6 +252,17 @@ class CapabilitySource:
 
     # ------------------------------------------------------------------
     @property
+    def max_concurrency(self) -> int | None:
+        """The most calls served at once (``None`` = unlimited)."""
+        return self._max_concurrency
+
+    @max_concurrency.setter
+    def max_concurrency(self, limit: int | None) -> None:
+        if limit is not None and limit < 1:
+            raise ValueError("max_concurrency must be at least 1")
+        self._max_concurrency = limit
+
+    @property
     def in_flight(self) -> int:
         """How many calls are being served right now."""
         return self._in_flight
@@ -285,55 +294,46 @@ class CapabilitySource:
             self._metrics_cache = cached
         return cached[1]
 
-    def _concurrency_gate(self, on_loop: bool):
-        """The ``max_concurrency`` semaphore a call waits on (``None``
-        when ungated): one :class:`threading.BoundedSemaphore` for
-        blocking callers, one :class:`asyncio.BoundedSemaphore` per
-        running event loop for awaiting ones."""
-        if self.max_concurrency is None:
-            return None
-        if not on_loop:
-            if self._gate is None:
-                with self._flight_lock:
-                    if self._gate is None:
-                        self._gate = threading.BoundedSemaphore(self.max_concurrency)
-            return self._gate
-        import asyncio
-        loop = asyncio.get_running_loop()
-        with self._flight_lock:
-            gate = self._async_gates.get(loop)
-            if gate is None:
-                gate = self._async_gates[loop] = asyncio.BoundedSemaphore(self.max_concurrency)
-        return gate
-
     async def _serve(self, condition: Condition, attributes: Iterable[str],
                      on_loop: bool) -> Relation:
         """The one call body behind :meth:`execute` and
         :meth:`execute_async`: gate, in-flight accounting, the
         ``source.service`` span, latency, the fault draw, enforcement
-        and metering.  ``on_loop`` changes only the two waits -- the
-        gate's semaphore and how the round trip is spent; blocking
-        callers never suspend, so :func:`drive` finishes the call with
-        one ``send``.  A call cancelled while queued on the gate never
-        takes a slot and never leaks one.
+        and metering.  ``on_loop`` changes only the two waits -- for
+        the slot :meth:`_leave` hands a queued call, and the round trip;
+        blocking callers never suspend, so :func:`drive` finishes the
+        call with one ``send``.  A call cancelled while queued takes no
+        slot; one cancelled as the slot reaches it gives the slot back.
         """
         instruments = self._instruments()
-        gate = self._concurrency_gate(on_loop)
-        queue_wait = 0.0
-        if gate is not None:
+        limit = self._max_concurrency
+        if limit is not None:
             waited_from = time.perf_counter()
-            if on_loop:
-                await gate.acquire()
+        ticket = None
+        with self._flight_lock:
+            if limit is None or (self._in_flight < limit and not self._queue):
+                self._in_flight += 1
+                if self._in_flight > self.max_in_flight:
+                    self.max_in_flight = self._in_flight
             else:
-                gate.acquire()
+                ticket = Future()
+                self._queue.append(ticket)
+        if ticket is not None:
+            try:
+                if on_loop:
+                    import asyncio
+                    await asyncio.wrap_future(ticket)
+                else:
+                    ticket.result()
+            except BaseException:
+                if not ticket.cancel():
+                    self._leave()
+                raise
+        queue_wait = 0.0
+        if limit is not None:
             queue_wait = time.perf_counter() - waited_from
             instruments["queue_wait"].observe(queue_wait)
-        with self._flight_lock:
-            self._in_flight += 1
-            if self._in_flight > self.max_in_flight:
-                self.max_in_flight = self._in_flight
-            watermark = self._in_flight
-        instruments["in_flight"].set(watermark)
+        instruments["in_flight"].set(self._in_flight)
         try:
             with get_tracer().span("source.service", source=self.name) as span:
                 span.set_attribute("queue_wait_seconds", queue_wait)
@@ -366,10 +366,20 @@ class CapabilitySource:
                 span.set_attribute("rows", len(answer))
                 return answer
         finally:
-            with self._flight_lock:
-                self._in_flight -= 1
-            if gate is not None:
-                gate.release()
+            self._leave()
+
+    def _leave(self) -> None:
+        """Free a call's slot: hand it straight to the oldest queued
+        call still waiting, while the current limit allows, otherwise
+        drop the in-flight count."""
+        with self._flight_lock:
+            limit = self._max_concurrency
+            while self._queue and (limit is None or self._in_flight <= limit):
+                ticket = self._queue.popleft()
+                if ticket.set_running_or_notify_cancel():
+                    ticket.set_result(None)
+                    return
+            self._in_flight -= 1
 
     def _rejection(self, condition: Condition, attrs: frozenset,
                    result: CheckResult) -> UnsupportedQueryError:
@@ -414,11 +424,10 @@ class CapabilitySource:
         """:meth:`execute`'s call body, awaited by a caller on an event loop.
 
         Only the waits differ: the same seeded round trip is spent with
-        ``await asyncio.sleep`` and the gate is the running loop's
-        :class:`asyncio.BoundedSemaphore`, so thousands of in-flight
-        calls cost tasks, not threads.  Blocking and awaiting callers
-        share the in-flight accounting but gate independently -- mixing
-        both against one throttled source is not a supported shape.
+        ``await asyncio.sleep`` and a queued call awaits its slot, so
+        thousands of in-flight calls cost tasks, not threads.  Blocking
+        and awaiting callers, on any number of loops, share the one
+        in-flight count and the one queue.
         """
         return await self._serve(condition, attributes, True)
 

@@ -9,6 +9,7 @@ from repro.errors import (
     InfeasiblePlanError,
     SchemaError,
     TransientSourceError,
+    UnknownAttributeError,
 )
 from repro.multisource import (
     MirrorGroup,
@@ -271,3 +272,29 @@ class TestPartialPartitions:
         partitioned = PartitionedSource([west, east])
         with pytest.raises(TransientSourceError):
             partitioned.ask(q("make = 'Toyota' and price <= 30000"))
+
+
+class TestUnknownAttributes:
+    """An attribute outside the shared schema is a schema error on every
+    group path, as on a Mediator -- not an infeasible plan."""
+
+    QUERIES = [q("make = 'BMW'", attrs=("id", "colour")),
+               q("colour = 'red'")]
+
+    def groups(self):
+        west = [r for r in ROWS if r["id"] % 2 == 0]
+        east = [r for r in ROWS if r["id"] % 2 == 1]
+        partitioned = PartitionedSource([rich_source("west", west),
+                                         rich_source("east", east)])
+        return {
+            "mirror": lambda query: MirrorGroup(
+                [rich_source(), poor_source()]).ask(query),
+            "partition": partitioned.ask,
+            "partial": lambda query: partitioned.ask(query, partial=True),
+        }
+
+    @pytest.mark.parametrize("path", ["mirror", "partition", "partial"])
+    @pytest.mark.parametrize("query", QUERIES, ids=["selected", "condition"])
+    def test_raises_unknown_attribute(self, path, query):
+        with pytest.raises(UnknownAttributeError, match="colour"):
+            self.groups()[path](query)
