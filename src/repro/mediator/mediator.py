@@ -74,7 +74,6 @@ class Mediator:
         k2: float = 1.0,
         result_cache_tuples: int | None = None,
         retry_policy: RetryPolicy | None = None,
-        parallel_workers: int | None = None,
         executor: str | None = None,
         plan_cache_entries: int | None = None,
         minimal_answers: bool = False,
@@ -91,18 +90,16 @@ class Mediator:
         source-query result cache bounded by that many cached tuples.
         ``retry_policy`` makes the mediator's executor retry transient
         source failures (capability rejections are never retried).
-        ``parallel_workers`` executes plans on a
-        :class:`~repro.plans.parallel.ParallelExecutor` with that many
-        worker threads (``None`` = the serial executor).
 
         ``executor`` names the *default* engine of
-        :func:`~repro.plans.execute.make_executor` -- ``"serial"``,
-        ``"parallel"`` or ``"async"`` -- overriding the
-        ``parallel_workers`` inference; ``ask(..., executor=...)``
-        picks per call.  Engines are built on first use and share the
-        catalog, result cache and retry policy, so switching engines
-        never changes answers; :meth:`close` (or a ``with`` block)
-        stops their pool and loop threads.
+        :func:`~repro.plans.execute.make_executor` -- ``"serial"`` (the
+        default), ``"parallel"`` (a worker pool of
+        :class:`~repro.plans.parallel.ParallelExecutor`'s default width)
+        or ``"async"``; ``ask(..., executor=...)`` picks per call.
+        Engines are built on first use and share the catalog, result
+        cache and retry policy, so switching engines never changes
+        answers; :meth:`close` (or a ``with`` block) stops their pool
+        and loop threads.
 
         Every registered source's SSDL grammars are compiled into
         token-trie recognizers at :meth:`add_source` time -- the
@@ -220,15 +217,12 @@ class Mediator:
 
             self.result_cache = ResultCache(result_cache_tuples)
         self.retry_policy = retry_policy
-        self.parallel_workers = parallel_workers
         #: Lazily built engines by name (see
         #: :func:`~repro.plans.execute.make_executor`); all share the
         #: live catalog, result cache and retry policy.
         self._executors: dict[str, Executor] = {}
         #: The engine an ask without ``executor=`` runs on.
-        self._default_engine = executor if executor is not None else (
-            "serial" if parallel_workers is None else "parallel"
-        )
+        self._default_engine = executor or "serial"
         # Built now, so an unknown engine name fails at construction.
         self._executor_for(None)
 
@@ -239,8 +233,8 @@ class Mediator:
         engine = self._executors.get(name)
         if engine is None:
             engine = self._executors.setdefault(name, make_executor(
-                name, self.catalog, self.parallel_workers,
-                cache=self.result_cache, retry_policy=self.retry_policy,
+                name, self.catalog, cache=self.result_cache,
+                retry_policy=self.retry_policy,
             ))
         return engine
 
@@ -635,23 +629,22 @@ class Mediator:
                 span.set_attribute("union_branches_pruned", pruned)
         with get_tracer().span("mediator.execute") as exec_span:
             report = engine.execute_with_report(plan)
+            queries = report.queries
+            tuples = report.tuples_transferred
             exec_span.set_attributes(
-                queries=report.queries,
-                tuples=report.tuples_transferred,
+                queries=queries,
+                tuples=tuples,
                 attempts=report.attempts,
                 retries=report.retries,
                 failovers=report.failovers,
             )
         span.set_attributes(
-            rows=len(report.result), queries=report.queries,
-            tuples=report.tuples_transferred,
+            rows=len(report.result), queries=queries, tuples=tuples,
         )
         return MediatorAnswer(query, planning, report)
 
     def _empty_answer(self, query: TargetQuery) -> MediatorAnswer:
         """The answer to a provably unsatisfiable query: empty, free."""
-        from repro.plans.execute import ExecutionReport
-
         source = self.source(query.source)
         schema = source.schema.project(query.attributes)
         source.schema.validate_attributes(query.condition_attributes)
@@ -663,6 +656,5 @@ class Mediator:
             stats=PlannerStats(),
             catalog_version=self.catalog_version,
         )
-        report = ExecutionReport(Relation(schema, []), queries=0,
-                                 tuples_transferred=0)
-        return MediatorAnswer(query, planning, report)
+        return MediatorAnswer(query, planning,
+                              ExecutionReport(Relation(schema, [])))

@@ -23,16 +23,18 @@ single-source machinery:
 Both groups hold **one** executor for their lifetime (optionally with a
 shared :class:`~repro.plans.cache.ResultCache` and a
 :class:`~repro.plans.retry.RetryPolicy`), so repeated queries benefit
-from caching across calls.  Pass ``parallel_workers=N`` to make that
-executor a :class:`~repro.plans.parallel.ParallelExecutor`: a
-partitioned query's per-slice source calls then overlap instead of
-queueing -- the natural fit, since a partition plan is a Union over
-independent slices.  ``close()`` (or a ``with`` block) stops its worker
-threads, as on a :class:`~repro.mediator.Mediator`.
+from caching across calls.  ``executor`` names that engine, as on a
+:class:`~repro.mediator.Mediator` -- ``"serial"`` (the default),
+``"parallel"`` or ``"async"``: on either concurrent engine a
+partitioned query's per-slice source calls overlap instead of queueing
+-- the natural fit, since a partition plan is a Union over independent
+slices.  ``close()`` (or a ``with`` block) stops its pool or loop
+thread, as on a :class:`~repro.mediator.Mediator`.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 from repro.data.relation import Relation
@@ -70,13 +72,12 @@ def _check_same_attributes(sources: list[CapabilitySource], role: str) -> None:
 
 class _SourceGroup:
     """Both group kinds: the member sources, a planner, a cost model and
-    one long-lived executor -- serial, or parallel with
-    ``parallel_workers``."""
+    one long-lived executor, the engine ``executor`` names."""
 
     def __init__(self, sources: list[CapabilitySource], role: str,
                  planner: Planner | None, k1: float, k2: float,
                  cache: ResultCache | None, retry_policy: RetryPolicy | None,
-                 parallel_workers: int | None, per_source_constants=None,
+                 executor: str, per_source_constants=None,
                  failover=None):
         _check_same_attributes(sources, role)
         self.sources = {s.name: s for s in sources}
@@ -85,14 +86,13 @@ class _SourceGroup:
                                      per_source=per_source_constants)
         self.cache = cache
         self._executor = make_executor(
-            "serial" if parallel_workers is None else "parallel", self.sources,
-            parallel_workers, cache=cache, retry_policy=retry_policy,
+            executor, self.sources, cache=cache, retry_policy=retry_policy,
             failover=failover, cost_model=self._cost_model,
         )
 
     def close(self) -> None:
-        """Stop the executor's worker threads, if any (idempotent; the
-        group stays usable and a pool restarts on the next fan-out)."""
+        """Stop the executor's pool or loop thread, if any (idempotent;
+        the group stays usable and restarts it on the next ask)."""
         self._executor.close()
 
     def __enter__(self):
@@ -140,10 +140,14 @@ class MirrorFailover:
     of sources already known to be down; because every mirror holds the
     same data, the query can be re-targeted at any survivor whose form
     can express it.  The cheapest feasible re-plan wins.
+
+    The group's executor holds this object, so it holds the group only
+    weakly: a group dropped without ``close()`` is then freed at once,
+    with its pool threads, not at the next cyclic garbage collection.
     """
 
     def __init__(self, group: "MirrorGroup"):
-        self.group = group
+        self.group = weakref.proxy(group)
 
     def replan(self, query: SourceQuery,
                failed: frozenset[str]) -> Plan | None:
@@ -166,14 +170,14 @@ class MirrorGroup(_SourceGroup):
         per_source_constants: dict[str, tuple[float, float]] | None = None,
         cache: ResultCache | None = None,
         retry_policy: RetryPolicy | None = None,
-        parallel_workers: int | None = None,
+        executor: str = "serial",
     ):
         """``cache`` (shared across every ``ask``) and ``retry_policy``
-        configure the group's single long-lived executor; mirrors double
-        as failover targets for each other automatically.
-        ``parallel_workers`` makes that executor parallel."""
+        configure the group's single long-lived executor, the engine
+        ``executor`` names; mirrors double as failover targets for each
+        other automatically."""
         super().__init__(sources, "mirror", planner, k1, k2, cache, retry_policy,
-                         parallel_workers, per_source_constants, MirrorFailover(self))
+                         executor, per_source_constants, MirrorFailover(self))
 
     def plan(self, query: TargetQuery,
              skip: frozenset[str] = frozenset()) -> MirrorChoice:
@@ -247,14 +251,14 @@ class PartitionedSource(_SourceGroup):
         k2: float = 1.0,
         cache: ResultCache | None = None,
         retry_policy: RetryPolicy | None = None,
-        parallel_workers: int | None = None,
+        executor: str = "serial",
     ):
         """``cache`` and ``retry_policy`` configure the group's single
-        long-lived executor (shared across every ``ask``);
-        ``parallel_workers`` makes it parallel, so the per-partition
-        slices of a union plan are fetched concurrently."""
+        long-lived executor (shared across every ``ask``), the engine
+        ``executor`` names; on ``"parallel"`` or ``"async"`` the
+        per-partition slices of a union plan are fetched concurrently."""
         super().__init__(sources, "partition", planner, k1, k2, cache,
-                         retry_policy, parallel_workers)
+                         retry_policy, executor)
 
     def plan(self, query: TargetQuery) -> PartitionPlan:
         """One plan per partition, combined by union.
@@ -324,10 +328,7 @@ class PartitionedSource(_SourceGroup):
                     else existing + delta
         combined = ExecutionReport(
             merged,
-            sum(r.queries for r in reports),
-            sum(r.tuples_transferred for r in reports),
             attempts=sum(r.attempts for r in reports),
-            retries=sum(r.retries for r in reports),
             failovers=sum(r.failovers for r in reports),
             backoff_seconds=sum(r.backoff_seconds for r in reports),
             duration_seconds=sum(r.duration_seconds for r in reports),

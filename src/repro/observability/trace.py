@@ -223,10 +223,6 @@ class Span:
             return 0.0
         return self.cpu_end - self.cpu_start
 
-    @property
-    def is_root(self) -> bool:
-        return self.parent_id is None
-
     def set_attribute(self, key: str, value: Any) -> None:
         self.attributes[key] = value
 

@@ -41,6 +41,7 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Mapping, Protocol
 
 from repro.data.relation import Relation
@@ -98,28 +99,26 @@ def _worker_name() -> str:
 class ExecutionReport:
     """What executing a plan actually cost (tallied at its source calls).
 
-    Besides the paper's two cost drivers (queries issued, tuples
-    transferred) the report carries resilience accounting: how many
-    source-call ``attempts`` were made, how many were ``retries``, how
-    many ``failovers`` re-routed a dead source query to a mirror, and
-    how much (simulated) time was spent in ``backoff_seconds``.
+    ``per_source`` maps each source that saw traffic to the
+    :class:`MeterSnapshot` of what *this* execution caused there -- its
+    own calls only, however many other executions ran at the same
+    time.  The paper's two cost drivers (``queries`` issued,
+    ``tuples_transferred``) and the ``retries`` are its sums, so the
+    totals and the breakdown cannot disagree.  Besides those the report
+    carries resilience accounting: how many source-call ``attempts``
+    were made, how many ``failovers`` re-routed a dead source query to
+    a mirror, and how much (simulated) time was spent in
+    ``backoff_seconds``.
 
-    The report is self-contained: ``duration_seconds`` is the
-    wall-clock time of the execution, and ``per_source`` maps each
-    source that saw traffic to the :class:`MeterSnapshot` of what *this*
-    execution caused there -- its own calls only, however many other
-    executions ran at the same time.
+    ``duration_seconds`` is the wall-clock time of the execution.
     ``call_seconds`` holds this execution's per-source-call wall-clock
     times; ``call_latency`` buckets them into a histogram snapshot when
-    read, and :meth:`call_p50_ms` etc. read that with the same quantile
-    estimator the load harness and ``/metrics`` use.
+    read, and :meth:`call_quantile_ms` reads that with the same
+    quantile estimator the load harness and ``/metrics`` use.
     """
 
     result: Relation
-    queries: int
-    tuples_transferred: int
     attempts: int = 0
-    retries: int = 0
     failovers: int = 0
     backoff_seconds: float = 0.0
     duration_seconds: float = 0.0
@@ -136,6 +135,18 @@ class ExecutionReport:
     #: never merged at execution time; kept because the X18 harness
     #: (``benchmarks/anatomy``) reads it.
     batched_hits: int = 0
+
+    @property
+    def queries(self) -> int:
+        return sum(map(attrgetter("queries"), self.per_source.values()))
+
+    @property
+    def tuples_transferred(self) -> int:
+        return sum(map(attrgetter("tuples"), self.per_source.values()))
+
+    @property
+    def retries(self) -> int:
+        return sum(map(attrgetter("retries"), self.per_source.values()))
 
     def measured_cost(self, k1: float, k2: float) -> float:
         return self.queries * k1 + self.tuples_transferred * k2
@@ -155,14 +166,6 @@ class ExecutionReport:
     @property
     def call_p50_ms(self) -> float:
         return self.call_quantile_ms(0.50)
-
-    @property
-    def call_p95_ms(self) -> float:
-        return self.call_quantile_ms(0.95)
-
-    @property
-    def call_p99_ms(self) -> float:
-        return self.call_quantile_ms(0.99)
 
 
 class FailoverTarget(Protocol):
@@ -193,7 +196,6 @@ class _ExecutionContext:
     """
 
     attempts: int = 0
-    retries: int = 0
     failovers: int = 0
     backoff: float = 0.0
     coalesced_hits: int = 0
@@ -222,7 +224,6 @@ class _ExecutionContext:
 
     def add_retry(self, delay: float) -> None:
         with self._lock:
-            self.retries += 1
             self.backoff += delay
         metrics = get_metrics()
         metrics.counter("executor.retries").inc()
@@ -247,21 +248,13 @@ class _ExecutionContext:
 
     def report(self, result: Relation, duration: float) -> ExecutionReport:
         """This execution's accounting, as handed to the caller."""
-        per_source = dict(self.per_source)
-        queries = tuples = 0
-        for delta in per_source.values():
-            queries += delta.queries
-            tuples += delta.tuples
         return ExecutionReport(
             result,
-            queries,
-            tuples,
             attempts=self.attempts,
-            retries=self.retries,
             failovers=self.failovers,
             backoff_seconds=self.backoff,
             duration_seconds=duration,
-            per_source=per_source,
+            per_source=dict(self.per_source),
             call_seconds=tuple(self.call_seconds),
             coalesced_hits=self.coalesced_hits,
         )
@@ -632,23 +625,21 @@ class Executor:
 
 
 def make_executor(name: str, catalog: Mapping[str, CapabilitySource],
-                  max_workers: int | None = None, **options) -> Executor:
+                  **options) -> Executor:
     """Build the engine called ``name`` -- ``"serial"``, ``"parallel"``
     or ``"async"`` -- over ``catalog``.
 
     ``options`` are the serial engine's constructor arguments, which
-    every engine takes; ``max_workers`` sizes the parallel engine's
-    pool (``None`` = its default) and is ignored by the others.  The
-    pool and async engine modules are imported here because they
-    import this one; neither loads :mod:`asyncio` before a loop runs.
+    every engine takes; the parallel engine's pool has its default
+    width.  The pool and async engine modules are imported here because
+    they import this one; neither loads :mod:`asyncio` before a loop
+    runs.
     """
     if name == "serial":
         return Executor(catalog, **options)
     if name == "parallel":
         from repro.plans.parallel import ParallelExecutor
 
-        if max_workers is not None:
-            options["max_workers"] = max_workers
         return ParallelExecutor(catalog, **options)
     if name == "async":
         from repro.plans.async_exec import AsyncExecutor

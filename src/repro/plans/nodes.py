@@ -213,8 +213,12 @@ class IntersectPlan(_Combination):
 class ChoicePlan(_Combination):
     """The paper's Choice operator: alternative plans for the same query.
 
-    Resolved by the cost module (:func:`repro.plans.cost.resolve`); it
-    never reaches the executor.
+    Usually resolved before execution by the cost module
+    (:func:`repro.plans.cost.resolve`).  An executor built with a
+    ``cost_model`` resolves one at run time instead: it runs the
+    cheapest alternative and fails over to the others in cost order.
+    An executor without one raises
+    :class:`~repro.errors.PlanExecutionError`.
     """
 
     __slots__ = ()

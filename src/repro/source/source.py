@@ -104,7 +104,8 @@ class CapabilitySource:
         (``None`` = unlimited): the source's declared capacity,
         enforced on one in-flight count so no executor -- however
         parallel, on however many loops -- can hammer the site past it.
-        Assignable at any time; each call reads the current limit.
+        Assignable at any time: each call reads the current limit, and
+        raising it admits queued calls at once.
         """
         self.name = name
         self.relation = relation
@@ -112,7 +113,6 @@ class CapabilitySource:
         self.order_insensitive = order_insensitive
         self.fault_injector = fault_injector
         self.latency = latency
-        self.max_concurrency = max_concurrency
         self.meter = QueryMeter()
         #: High-water mark of simultaneous in-flight calls (for tests
         #: asserting the limit is never oversubscribed).  The gate is
@@ -122,6 +122,7 @@ class CapabilitySource:
         self._in_flight = 0
         self._queue: deque[Future] = deque()
         self._flight_lock = threading.Lock()
+        self.max_concurrency = max_concurrency
         self._state_lock = threading.Lock()
         self._stats: TableStats | None = None
         self._closed: SourceDescription | None = None
@@ -260,7 +261,9 @@ class CapabilitySource:
     def max_concurrency(self, limit: int | None) -> None:
         if limit is not None and limit < 1:
             raise ValueError("max_concurrency must be at least 1")
-        self._max_concurrency = limit
+        with self._flight_lock:
+            self._max_concurrency = limit
+            self._admit()
 
     @property
     def in_flight(self) -> int:
@@ -300,7 +303,7 @@ class CapabilitySource:
         :meth:`execute_async`: gate, in-flight accounting, the
         ``source.service`` span, latency, the fault draw, enforcement
         and metering.  ``on_loop`` changes only the two waits -- for
-        the slot :meth:`_leave` hands a queued call, and the round trip;
+        the slot :meth:`_admit` grants a queued call, and the round trip;
         blocking callers never suspend, so :func:`drive` finishes the
         call with one ``send``.  A call cancelled while queued takes no
         slot; one cancelled as the slot reaches it gives the slot back.
@@ -369,17 +372,25 @@ class CapabilitySource:
             self._leave()
 
     def _leave(self) -> None:
-        """Free a call's slot: hand it straight to the oldest queued
-        call still waiting, while the current limit allows, otherwise
-        drop the in-flight count."""
+        """Free a call's slot; queued calls take the room it leaves."""
         with self._flight_lock:
-            limit = self._max_concurrency
-            while self._queue and (limit is None or self._in_flight <= limit):
-                ticket = self._queue.popleft()
-                if ticket.set_running_or_notify_cancel():
-                    ticket.set_result(None)
-                    return
             self._in_flight -= 1
+            if self._queue:
+                self._admit()
+
+    def _admit(self) -> None:
+        """Admit the oldest queued calls still waiting while the current
+        limit has room (all of them without one).  Call under
+        ``_flight_lock``."""
+        limit = self._max_concurrency
+        queue = self._queue
+        while queue and (limit is None or self._in_flight < limit):
+            ticket = queue.popleft()
+            if ticket.set_running_or_notify_cancel():
+                ticket.set_result(None)
+                self._in_flight += 1
+                if self._in_flight > self.max_in_flight:
+                    self.max_in_flight = self._in_flight
 
     def _rejection(self, condition: Condition, attrs: frozenset,
                    result: CheckResult) -> UnsupportedQueryError:

@@ -63,16 +63,6 @@ class DescriptionBuilder:
         parsed = [_parse_alternative(alt, line_no=0) for alt in alternatives]
         self._productions.setdefault(nt, []).extend(parsed)
 
-    def raw_rule(self, nt: str, symbols: list[Symbol],
-                 attributes: list[str] | None = None) -> "DescriptionBuilder":
-        """Add a rule from already-constructed symbols (generator use)."""
-        if attributes is not None and nt not in self._condition_nts:
-            self._condition_nts.append(nt)
-        self._productions.setdefault(nt, []).append(tuple(symbols))
-        if attributes:
-            self._attributes.setdefault(nt, []).extend(attributes)
-        return self
-
     def build(self) -> SourceDescription:
         """Validate and return the :class:`SourceDescription`."""
         missing = [nt for nt in self._condition_nts if nt not in self._attributes]

@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Sequence
 
 from repro.cache import BoundedCache
 from repro.conditions.atoms import Atom, Op
-from repro.conditions.tree import TRUE, Condition
+from repro.conditions.tree import Condition
 from repro.errors import GrammarError
 from repro.observability.metrics import get_metrics
 from repro.ssdl.compiled import (
@@ -374,10 +374,6 @@ class SourceDescription:
     def supports(self, condition: Condition, attributes: Iterable[str]) -> bool:
         """Is the source query ``SP(condition, attributes, R)`` supported?"""
         return self.check(condition).supports(attributes)
-
-    def downloadable(self) -> CheckResult:
-        """``Check(true, R)``: what a full download could export (if allowed)."""
-        return self.check(TRUE)
 
     @property
     def check_cache_hits(self) -> int:

@@ -13,10 +13,10 @@ prints
   fire counts), per-source-call spans (attempts, retries, backoff,
   worker slot) and per-source service spans (queue wait, latency).
 
-Options: ``--planner`` picks the scheme, ``--workers N`` executes on
-the parallel executor (the timeline then shows worker threads),
-``--metrics`` appends the metrics-registry snapshot, ``--jsonl PATH``
-exports the spans for offline tooling.
+Options: ``--planner`` picks the scheme, ``--executor`` the engine
+(``parallel`` or ``async``: the timeline then shows worker threads or
+tasks), ``--metrics`` appends the metrics-registry snapshot,
+``--jsonl PATH`` exports the spans for offline tooling.
 
 Serving options: ``--plan-cache N`` enables the canonical plan cache
 and runs the query **twice** -- the second ``mediator.ask`` tree in
@@ -69,7 +69,6 @@ from repro.source.library import cars, standard_catalog
 
 
 def build_mediator(planner_name: str = "gencompact",
-                   workers: int | None = None,
                    plan_cache: int | None = None,
                    max_in_flight: int | None = None,
                    latency_objective: float | None = None,
@@ -79,8 +78,7 @@ def build_mediator(planner_name: str = "gencompact",
     from repro.__main__ import _make_planner
 
     mediator = Mediator(
-        planner=_make_planner(planner_name), parallel_workers=workers,
-        executor=executor,
+        planner=_make_planner(planner_name), executor=executor,
         plan_cache_entries=plan_cache, max_in_flight=max_in_flight,
         latency_objective=latency_objective,
         event_log_entries=event_log_entries,
@@ -115,13 +113,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("query", help="a SELECT ... FROM ... WHERE ... query")
     parser.add_argument("--planner", default="gencompact",
                         help="gencompact|genmodular|cnf|dnf|disco|naive")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="execute on a parallel executor with N workers")
     parser.add_argument("--executor", default=None,
                         choices=["serial", "parallel", "async"],
-                        help="execution engine (async = event-loop tasks "
-                             "with single-flight coalescing; the timeline "
-                             "then shows task workers)")
+                        help="execution engine (parallel = a worker "
+                             "pool, async = event-loop tasks with "
+                             "single-flight coalescing; the timeline then "
+                             "shows the workers)")
     parser.add_argument("--limit", type=int, default=5,
                         help="max answer rows to print (default 5)")
     parser.add_argument("--width", type=int, default=32,
@@ -177,8 +174,8 @@ def main(argv: list[str] | None = None) -> int:
     elif args.slowlog:
         objective = 1e-9  # effectively zero: every ask breaches and logs
     try:
-        mediator = build_mediator(args.planner, args.workers,
-                                  args.plan_cache, args.max_in_flight,
+        mediator = build_mediator(args.planner, args.plan_cache,
+                                  args.max_in_flight,
                                   latency_objective=objective,
                                   executor=args.executor,
                                   event_log_entries=256 if args.events

@@ -444,6 +444,9 @@ def test_every_engine_reports_the_same_resilience(case, engine):
         if engine != "serial":
             executor.close()
     report = ctx.report(None, 0.0)
+    assert report.retries == sum(
+        delta.retries for delta in report.per_source.values()
+    )
     assert dict(
         error=error, rows=rows, attempts=report.attempts,
         retries=report.retries, failovers=report.failovers,

@@ -140,12 +140,6 @@ class TestMediator:
         m.ask(satisfiable, executor="serial")
         assert CountingPlanner.calls == 1
 
-    @pytest.mark.parametrize("workers", [0, -2])
-    def test_a_pool_without_workers_is_refused(self, workers):
-        # The pool's own check, as on ParallelExecutor and the groups.
-        with pytest.raises(ValueError, match="max_workers must be at least 1"):
-            Mediator(parallel_workers=workers)
-
 
 class TestCompilesEachDescriptionOnce:
     """A description is compiled when it joins the catalog and never

@@ -7,16 +7,19 @@ from repro.data.relation import Relation
 from repro.data.schema import AttrType, Schema
 from repro.errors import (
     InfeasiblePlanError,
+    PlanExecutionError,
     SchemaError,
     TransientSourceError,
     UnknownAttributeError,
 )
+from repro.mediator import Mediator
 from repro.multisource import (
     MirrorGroup,
     PartialAnswer,
     PartitionedSource,
     merge_stats,
 )
+from repro.plans import AsyncExecutor, Executor, ParallelExecutor
 from repro.plans.cache import ResultCache
 from repro.plans.retry import RetryPolicy
 from repro.source.faults import FaultInjector
@@ -298,3 +301,58 @@ class TestUnknownAttributes:
     def test_raises_unknown_attribute(self, path, query):
         with pytest.raises(UnknownAttributeError, match="colour"):
             self.groups()[path](query)
+
+
+class TestGroupEngines:
+    """A group runs on any engine the Mediator names, and which one
+    changes nothing a caller can read: rows, per-source traffic,
+    failovers and missing partitions."""
+
+    ENGINES = {"serial": Executor, "parallel": ParallelExecutor,
+               "async": AsyncExecutor}
+
+    @classmethod
+    def outcomes(cls, engine: str) -> dict:
+        rich, poor = rich_source(), poor_source()
+        rich.fault_injector = FaultInjector(seed=0, transient_rate=1.0)
+        west = rich_source("west", [r for r in ROWS if r["id"] % 2 == 0])
+        east = rich_source("east", [r for r in ROWS if r["id"] % 2 == 1])
+        query = q("make = 'Toyota' and price <= 30000")
+        with MirrorGroup([rich, poor], executor=engine,
+                         retry_policy=RetryPolicy(max_attempts=2)) as mirror, \
+                PartitionedSource([west, east], executor=engine) as partition:
+            assert type(mirror._executor) is cls.ENGINES[engine]
+            assert type(partition._executor) is cls.ENGINES[engine]
+            reports = {
+                "mirror": mirror.ask(q("make = 'BMW' and price <= 40000")),
+                "partition": partition.ask(query),
+            }
+            east.fault_injector = FaultInjector(seed=0, transient_rate=1.0)
+            partial = partition.ask(query, partial=True)
+        reports["partial"] = partial.report
+        outcome = {
+            path: (report.result.as_row_set(), report.per_source,
+                   report.failovers)
+            for path, report in reports.items()
+        }
+        outcome["missing"] = partial.missing_partitions
+        return outcome
+
+    @pytest.mark.parametrize("engine", ["parallel", "async"])
+    def test_every_engine_answers_as_the_serial_one(self, engine):
+        serial = self.outcomes("serial")
+        assert serial["mirror"][0] == {(0,)} and serial["mirror"][2] == 1
+        assert serial["partition"][0] == {(2,), (3,)}
+        assert serial["partial"][0] == {(2,)}
+        assert serial["missing"] == ["east"]
+        assert self.outcomes(engine) == serial
+
+    @pytest.mark.parametrize("build", [
+        lambda: MirrorGroup([rich_source(), poor_source()], executor="bogus"),
+        lambda: PartitionedSource([rich_source("west"), rich_source("east")],
+                                  executor="bogus"),
+        lambda: Mediator(executor="bogus"),
+    ], ids=["mirror", "partition", "mediator"])
+    def test_an_unknown_engine_is_refused_at_construction(self, build):
+        with pytest.raises(PlanExecutionError, match="unknown executor 'bogus'"):
+            build()

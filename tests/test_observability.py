@@ -571,12 +571,12 @@ class TestTraceCli:
         assert "attempts=" in out and "retries=" in out
         assert "executed in" in out
 
-    def test_parallel_workers_and_exports(self, capsys, tmp_path):
+    def test_parallel_executor_and_exports(self, capsys, tmp_path):
         path = tmp_path / "trace.jsonl"
         code = trace_main([
             "SELECT title FROM bookstore WHERE author = 'Carl Jung' "
             "or subject = 'philosophy'",
-            "--workers", "4", "--metrics", "--jsonl", str(path),
+            "--executor", "parallel", "--metrics", "--jsonl", str(path),
         ])
         assert code == 0
         out = capsys.readouterr().out

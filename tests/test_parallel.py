@@ -11,7 +11,9 @@ the serial/parallel parity battery in ``tests/test_parallel_parity.py``.
 
 from __future__ import annotations
 
+import gc
 import threading
+import time
 
 import pytest
 
@@ -261,9 +263,9 @@ def _partitions() -> list:
     return out
 
 
-def test_partitioned_source_with_parallel_workers():
+def test_partitioned_source_on_the_pool():
     serial_group = PartitionedSource(_partitions())
-    parallel_group = PartitionedSource(_partitions(), parallel_workers=3)
+    parallel_group = PartitionedSource(_partitions(), executor="parallel")
     assert isinstance(parallel_group._executor, ParallelExecutor)
     query = TargetQuery(COND, ATTRS, "books")
     expected = serial_group.ask(query).result.as_row_set()
@@ -271,7 +273,7 @@ def test_partitioned_source_with_parallel_workers():
     assert got == expected
 
 
-def test_mirror_group_with_parallel_workers_answers_and_fails_over():
+def test_mirror_group_on_the_pool_answers_and_fails_over():
     mirrors = []
     for name in ("m0", "m1"):
         mirror = bookstore(n=120, seed=1999)
@@ -280,7 +282,7 @@ def test_mirror_group_with_parallel_workers_answers_and_fails_over():
     group = MirrorGroup(
         mirrors,
         retry_policy=RetryPolicy(max_attempts=2),
-        parallel_workers=2,
+        executor="parallel",
     )
     assert isinstance(group._executor, ParallelExecutor)
     query = TargetQuery(COND, ATTRS, "books")
@@ -303,8 +305,8 @@ def _mirrors() -> list:
 
 
 @pytest.mark.parametrize("make_group", [
-    lambda: MirrorGroup(_mirrors(), parallel_workers=2),
-    lambda: PartitionedSource(_partitions(), parallel_workers=3),
+    lambda: MirrorGroup(_mirrors(), executor="parallel"),
+    lambda: PartitionedSource(_partitions(), executor="parallel"),
 ], ids=["mirror", "partition"])
 def test_closing_a_group_stops_its_pool_threads(make_group):
     """A group's worker pool lives until ``close()`` -- or the end of
@@ -330,3 +332,28 @@ def test_closing_a_group_stops_its_pool_threads(make_group):
     group.close()
     group.close()
     assert pool_threads(before) == []
+
+
+def test_a_dropped_mirror_group_stops_its_pool_threads():
+    """The group's failover hook holds the group weakly, so dropping an
+    unclosed group frees its executor by reference counting and the pool
+    threads exit -- no cyclic collection needed."""
+    before = set(threading.enumerate())
+    fan_out = TargetQuery(
+        parse_condition("author = 'Carl Jung' or author = 'Sigmund Freud'"),
+        ATTRS, "books",
+    )
+    gc.disable()
+    try:
+        group = MirrorGroup(_mirrors(), executor="parallel")
+        group.ask(fan_out)
+        started = [t for t in threading.enumerate() if t not in before
+                   and t.name.startswith("repro-parallel")]
+        assert started
+        del group
+        deadline = time.monotonic() + 5.0
+        while any(t.is_alive() for t in started):
+            assert time.monotonic() < deadline, "pool threads outlived the group"
+            time.sleep(0.005)
+    finally:
+        gc.enable()

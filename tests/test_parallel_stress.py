@@ -120,7 +120,7 @@ def test_stress_mirrors_20pct_faults_budget_and_exact_accounting():
         retry_policy=RetryPolicy(
             max_attempts=6, base_backoff=0.001, retry_budget=200,
         ),
-        parallel_workers=8,
+        executor="parallel",
     )
     catalog = group.sources
     # A wide union across all mirrors (every mirror holds the same
@@ -147,6 +147,9 @@ def test_stress_mirrors_20pct_faults_budget_and_exact_accounting():
     assert moved["rejected"] == 0
     # Every retry the context charged was recorded at some source.
     assert report.retries == moved["retries"]
+    assert report.retries == sum(
+        delta.retries for delta in report.per_source.values()
+    )
     assert report.retries <= 200
     # Backoff was accounted (simulated) whenever a retry happened.
     assert (report.backoff_seconds > 0.0) == (report.retries > 0)
@@ -197,7 +200,7 @@ def test_stress_failover_counts_are_exact_in_parallel():
     group = MirrorGroup(
         mirrors,
         retry_policy=RetryPolicy(max_attempts=2, base_backoff=0.001),
-        parallel_workers=2,
+        executor="parallel",
     )
     plan = UnionPlan([
         SourceQuery(COND, ATTRS, "m0"),
@@ -210,6 +213,7 @@ def test_stress_failover_counts_are_exact_in_parallel():
     # re-plan answered by m1; m1's own branch: one attempt.
     assert report.failovers == 1
     assert report.retries == 1
+    assert report.per_source["m0"].retries == 1
     assert report.attempts == 4
     assert mirrors[0].meter.failures == 2
     assert mirrors[1].meter.queries == 2

@@ -215,7 +215,7 @@ class TestAdmissionReconciliation:
         with use_metrics(MetricsRegistry()):
             mediator = _mediator(
                 plan_cache_entries=16, max_in_flight=1,
-                admission_timeout=0.2, parallel_workers=4,
+                admission_timeout=0.2, executor="parallel",
             )
             slow = mediator.source("bookstore")
             slow.latency = SimulatedLatency(seed=11, base=0.03, jitter=0.0)

@@ -173,6 +173,22 @@ class TestLiveLimit:
         assert source.in_flight == 0 and not source._queue
         assert source.meter.queries == 4
 
+    def test_raising_the_limit_admits_queued_calls(self):
+        source = _throttled(limit=1)
+        calls = [_in_background(lambda: source.execute(*CALL))
+                 for _ in range(4)]
+        _wait_until(lambda: len(source._queue) == 3)
+        source.max_concurrency = 3
+        assert source.in_flight == 3
+        source.max_concurrency = None
+        assert source.in_flight == 4 and not source._queue
+        for thread, _ in calls:
+            thread.join()
+        assert source.max_in_flight == 4
+        assert source.in_flight == 0
+        for _, out in calls:
+            assert out[0].as_row_set() == _expected(source)
+
 
 @pytest.mark.parametrize("limit", [0, -1])
 def test_an_invalid_limit_is_refused_at_assignment(limit):
