@@ -82,7 +82,6 @@ class Mediator:
         latency_objective: float | None = None,
         exemplar_slots: int = 4,
         event_log_entries: int | None = None,
-        event_log_path=None,
     ):
         """A provably empty query (e.g. ``price < 10 and price > 20``) is
         answered locally, without planning or contacting the source.
@@ -159,9 +158,8 @@ class Mediator:
         :class:`~repro.observability.events.AskEvent` per :meth:`ask`
         -- trace id, plan fingerprint, planning outcome, per-source
         tallies, coalesced hits, latency and outcome -- in a
-        bounded ring that deep, optionally mirrored to the JSONL file
-        ``event_log_path`` (a path alone also arms it).  An ask that
-        breaches the objective builds one event for both logs."""
+        bounded ring that deep.  An ask that breaches the objective
+        builds one event for both logs."""
         self.planner = planner if planner is not None else GenCompact()
         self.k1 = k1
         self.k2 = k2
@@ -207,10 +205,8 @@ class Mediator:
                                   target=SLO_TARGET)
             self.slow_queries = EventLog(SLOW_QUERY_LOG_ENTRIES)
         self.events = None
-        if event_log_entries is not None or event_log_path is not None:
-            self.events = EventLog(
-                capacity=event_log_entries or 256, path=event_log_path
-            )
+        if event_log_entries is not None:
+            self.events = EventLog(event_log_entries)
         self.result_cache = None
         if result_cache_tuples is not None:
             from repro.plans.cache import ResultCache
@@ -245,8 +241,6 @@ class Mediator:
         engines, self._executors = self._executors, {}
         for engine in engines.values():
             engine.close()
-        if self.events is not None:
-            self.events.close()
 
     def __enter__(self) -> "Mediator":
         return self
@@ -281,10 +275,12 @@ class Mediator:
         invalidation leaves its entries (and its compiled grammars)
         resident until each key happens to be looked up again.
         Removal drops all of it now: the plan cache and the template
-        store are emptied and the source's compiled recognizers are
-        discarded -- a removed source can never be queried from a
-        cached or template-rebound plan, and holds no derived state
-        either.
+        store are emptied, the result cache forgets the source's
+        answers (they are keyed by source name, so a source registered
+        later under that name must not be answered from them) and the
+        source's compiled recognizers are discarded -- a removed source
+        can never be queried from a cached or template-rebound plan,
+        and holds no derived state either.
 
         Returns the removed source (callers re-registering it later
         must go through :meth:`add_source` again).
@@ -298,6 +294,8 @@ class Mediator:
         if self.plan_cache is not None:
             self.plan_cache.invalidate()
             self.plan_templates.invalidate()
+        if self.result_cache is not None:
+            self.result_cache.invalidate(name)
         get_metrics().counter("mediator.sources_removed").inc()
         return source
 
@@ -627,20 +625,24 @@ class Mediator:
                 get_metrics().counter(
                     "mediator.union_branches_pruned").inc(pruned)
                 span.set_attribute("union_branches_pruned", pruned)
-        with get_tracer().span("mediator.execute") as exec_span:
+        tracer = get_tracer()
+        with tracer.span("mediator.execute") as exec_span:
             report = engine.execute_with_report(plan)
-            queries = report.queries
-            tuples = report.tuples_transferred
-            exec_span.set_attributes(
-                queries=queries,
-                tuples=tuples,
-                attempts=report.attempts,
-                retries=report.retries,
-                failovers=report.failovers,
-            )
-        span.set_attributes(
-            rows=len(report.result), queries=queries, tuples=tuples,
-        )
+            if tracer.enabled:
+                # Only a recording tracer keeps the totals: an untraced
+                # ask sums no report properties.
+                queries = report.queries
+                tuples = report.tuples_transferred
+                exec_span.set_attributes(
+                    queries=queries,
+                    tuples=tuples,
+                    attempts=report.attempts,
+                    retries=report.retries,
+                    failovers=report.failovers,
+                )
+                span.set_attributes(
+                    rows=len(report.result), queries=queries, tuples=tuples,
+                )
         return MediatorAnswer(query, planning, report)
 
     def _empty_answer(self, query: TargetQuery) -> MediatorAnswer:

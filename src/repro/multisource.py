@@ -333,7 +333,6 @@ class PartitionedSource(_SourceGroup):
             backoff_seconds=sum(r.backoff_seconds for r in reports),
             duration_seconds=sum(r.duration_seconds for r in reports),
             per_source=per_source,
-            call_seconds=tuple(s for r in reports for s in r.call_seconds),
             coalesced_hits=sum(r.coalesced_hits for r in reports),
         )
         return PartialAnswer(merged, not missing, missing, combined)

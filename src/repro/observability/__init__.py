@@ -11,8 +11,8 @@ dependency:
   near-zero-cost :class:`NullTracer` for the disabled path);
 * :mod:`repro.observability.metrics` -- the :class:`MetricsRegistry`
   of named counters/gauges/histograms;
-* :mod:`repro.observability.export` -- JSONL round-trip, streaming
-  and in-memory exporters, span-tree utilities;
+* :mod:`repro.observability.export` -- the JSONL span round-trip,
+  the in-memory exporter, span-tree utilities;
 * :mod:`repro.observability.timeline` -- the ASCII timeline behind
   ``Mediator.explain(trace=True)`` and ``python -m repro.trace``;
 * :mod:`repro.observability.sampling` -- the production
@@ -35,9 +35,9 @@ dependency:
 * :mod:`repro.observability.events` -- the wide-event request log:
   one structured :class:`AskEvent` per ``Mediator.ask``, the
   mediator's single per-ask record, in a bounded :class:`EventLog`
-  ring with an optional JSONL file sink.  The slow-query log is a
-  second ``EventLog`` holding the same events of the asks that
-  breached the latency objective, each with its span timeline.
+  ring.  The slow-query log is a second ``EventLog`` holding the same
+  events of the asks that breached the latency objective, each with
+  its span timeline.
 
 Cross-process tracing lives in :mod:`repro.observability.trace` too:
 :class:`TraceContext` serializes a span's (trace id, span id,
@@ -53,10 +53,9 @@ from repro.observability.exposition import (
     OPENMETRICS_CONTENT_TYPE,
     render_openmetrics,
 )
-from repro.observability.events import AskEvent, EventLog, read_events
+from repro.observability.events import AskEvent, EventLog
 from repro.observability.export import (
     InMemoryCollector,
-    JsonlExporter,
     orphan_spans,
     read_jsonl,
     span_from_dict,
@@ -152,7 +151,6 @@ __all__ = [
     "Histogram",
     "InMemoryCollector",
     "InstanceStatus",
-    "JsonlExporter",
     "MetricsRegistry",
     "NULL_TRACER",
     "NullTracer",
@@ -181,7 +179,6 @@ __all__ = [
     "profile_families",
     "profile_mediator",
     "quantile_from_snapshot",
-    "read_events",
     "read_jsonl",
     "render_openmetrics",
     "render_timeline",

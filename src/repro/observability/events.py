@@ -11,14 +11,11 @@ hits), the measured latency, and how it ended (``ok``,
 shed by admission control, or the error class).
 
 :class:`AskEvent` is the event and the mediator's only per-ask record;
-:class:`EventLog` is the sink -- a bounded thread-safe ring with an
-optional append-only JSONL file so events survive the process.  One
-event is one JSON object on one line: ``grep`` for a trace id, ``jq``
-over outcomes, or reload with :func:`read_events` -- no collector, no
-schema registry.
+:class:`EventLog` is the sink -- a bounded thread-safe ring, read in
+process (``events()``, ``format()``).
 
 The mediator keeps two rings of the same events: ``mediator.events``
-(``event_log_entries``/``event_log_path``) holds every ask, and
+(``event_log_entries``) holds every ask, and
 ``mediator.slow_queries`` (armed by ``latency_objective``) holds the
 asks past the objective, each carrying its rendered span timeline when
 a recording tracer was installed.  A breaching ask is built once and
@@ -28,13 +25,10 @@ prints the first of a demo run, ``--slowlog`` the second.
 
 from __future__ import annotations
 
-import json
 import threading
-import time
 from collections import deque
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
-from typing import Any, Iterator
+from dataclasses import dataclass, field
+from typing import Any
 
 
 @dataclass
@@ -60,15 +54,6 @@ class AskEvent:
     #: The rendered span timeline, kept for an ask past its latency
     #: objective when a recording tracer was installed.
     timeline: str | None = None
-    wall_time: float = field(default_factory=time.time)
-
-    def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "AskEvent":
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in payload.items() if k in known})
 
     def format(self) -> str:
         """One greppable line (the ``--events`` CLI view)."""
@@ -113,46 +98,28 @@ class AskEvent:
 
 
 class EventLog:
-    """A bounded ring of :class:`AskEvent` with an optional file sink.
+    """A bounded ring of :class:`AskEvent`.
 
     Thread-safe; ``append`` is the mediator's hot-path call, so the
-    ring insert happens under one short lock and the optional JSONL
-    write reuses a single line-buffered handle.  Past ``capacity`` the
-    oldest in-memory event is evicted (counted) -- the file, when
-    configured, keeps everything: :meth:`close` releases the handle,
-    and the next ``append`` reopens the file for appending.
+    ring insert happens under one short lock.  Past ``capacity`` the
+    oldest event is evicted (counted).
     """
 
-    def __init__(self, capacity: int = 256,
-                 path: str | Path | None = None):
+    def __init__(self, capacity: int = 256):
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
         self.capacity = capacity
-        self.path = Path(path) if path is not None else None
         self._lock = threading.Lock()
         self._ring: deque[AskEvent] = deque(maxlen=capacity)
-        self._sink = (
-            self.path.open("a", encoding="utf-8")
-            if self.path is not None else None
-        )
         self.recorded = 0
         self.evicted = 0
 
     def append(self, event: AskEvent) -> None:
-        line = (
-            json.dumps(event.to_dict(), sort_keys=True)
-            if self.path is not None else None
-        )
         with self._lock:
             if len(self._ring) == self.capacity:
                 self.evicted += 1
             self._ring.append(event)
             self.recorded += 1
-            if line is not None:
-                if self._sink is None:
-                    self._sink = self.path.open("a", encoding="utf-8")
-                self._sink.write(line + "\n")
-                self._sink.flush()
 
     def events(self) -> list[AskEvent]:
         """Oldest-first snapshot of the retained ring."""
@@ -170,7 +137,6 @@ class EventLog:
                 "retained": len(self._ring),
                 "recorded": self.recorded,
                 "evicted": self.evicted,
-                "path": str(self.path) if self.path else None,
             }
 
     def format(self, title: str = "ask events",
@@ -184,8 +150,6 @@ class EventLog:
             f"{title}: {stats['retained']} retained of "
             f"{stats['recorded']} recorded ({stats['evicted']} evicted)"
         )
-        if stats["path"]:
-            header += f" -> {stats['path']}"
         return "\n".join([header] + [
             event.format() if objective_seconds is None
             else event.format_breach(objective_seconds)
@@ -197,24 +161,3 @@ class EventLog:
             self._ring.clear()
             self.recorded = 0
             self.evicted = 0
-
-    def close(self) -> None:
-        with self._lock:
-            if self._sink is not None:
-                self._sink.close()
-                self._sink = None
-
-    def __enter__(self) -> "EventLog":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-def read_events(path: str | Path) -> Iterator[AskEvent]:
-    """Reload a JSONL event file written by an :class:`EventLog`."""
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                yield AskEvent.from_dict(json.loads(line))

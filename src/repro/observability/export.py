@@ -1,13 +1,13 @@
 """Span exporters: JSONL files, in-memory collection, tree utilities.
 
-A trace is only useful once it leaves the process.  Two exporters:
+A trace is only useful once it leaves the process.  Two ways out:
 
 * :class:`InMemoryCollector` -- a list-backed sink for tests and for
   the explain/timeline views (attach with ``tracer.add_exporter``);
 * JSONL -- :func:`write_jsonl` / :func:`read_jsonl` round-trip every
   span **losslessly** (ids, parent links, attributes, events, status,
-  recorded exceptions), one JSON object per line, append-friendly.
-  :class:`JsonlExporter` streams spans to a file as they finish.
+  recorded exceptions), one JSON object per line; the trace CLI's
+  ``--jsonl`` writes a run's spans this way.
 
 Plus the structural helpers the tests lean on: :func:`span_index`,
 :func:`orphan_spans` (cross-thread parenting must never detach a
@@ -77,7 +77,7 @@ def write_jsonl(spans: Iterable[Span], path: str | Path) -> int:
 
 
 def read_jsonl(path: str | Path) -> list[Span]:
-    """Reload spans written by :func:`write_jsonl` / :class:`JsonlExporter`."""
+    """Reload spans written by :func:`write_jsonl`."""
     spans: list[Span] = []
     with open(path, encoding="utf-8") as handle:
         for line in handle:
@@ -85,32 +85,6 @@ def read_jsonl(path: str | Path) -> list[Span]:
             if line:
                 spans.append(span_from_dict(json.loads(line)))
     return spans
-
-
-class JsonlExporter:
-    """Streams each finished span to a JSONL file (append mode).
-
-    Attach with ``tracer.add_exporter(JsonlExporter(path))``; call
-    :meth:`close` (or use as a context manager) when done.
-    """
-
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self._handle = open(self.path, "a", encoding="utf-8")
-
-    def __call__(self, span: Span) -> None:
-        self._handle.write(json.dumps(span_to_dict(span), sort_keys=True))
-        self._handle.write("\n")
-        self._handle.flush()
-
-    def close(self) -> None:
-        self._handle.close()
-
-    def __enter__(self) -> "JsonlExporter":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
 
 class InMemoryCollector:

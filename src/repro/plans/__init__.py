@@ -33,16 +33,6 @@ from repro.plans.nodes import (
 from repro.cache import CacheStats
 from repro.plans.cache import ResultCache
 from repro.plans.printer import explain, explain_dict, to_paper_notation
-from repro.plans.serialize import (
-    condition_from_dict,
-    condition_to_dict,
-    plan_from_dict,
-    plan_from_json,
-    plan_to_dict,
-    plan_to_json,
-    query_from_dict,
-    query_to_dict,
-)
 
 __all__ = [
     "Plan",
@@ -76,12 +66,4 @@ __all__ = [
     "to_paper_notation",
     "ResultCache",
     "CacheStats",
-    "plan_to_dict",
-    "plan_from_dict",
-    "plan_to_json",
-    "plan_from_json",
-    "condition_to_dict",
-    "condition_from_dict",
-    "query_to_dict",
-    "query_from_dict",
 ]

@@ -54,7 +54,6 @@ from repro.observability.metrics import (
     Counter,
     Histogram,
     get_metrics,
-    quantile_from_snapshot,
 )
 from repro.observability.trace import (
     get_tracer,
@@ -110,11 +109,9 @@ class ExecutionReport:
     a mirror, and how much (simulated) time was spent in
     ``backoff_seconds``.
 
-    ``duration_seconds`` is the wall-clock time of the execution.
-    ``call_seconds`` holds this execution's per-source-call wall-clock
-    times; ``call_latency`` buckets them into a histogram snapshot when
-    read, and :meth:`call_quantile_ms` reads that with the same
-    quantile estimator the load harness and ``/metrics`` use.
+    ``duration_seconds`` is the wall-clock time of the execution; each
+    source call's own duration goes to the registry's
+    ``executor.call_seconds`` histogram.
     """
 
     result: Relation
@@ -123,7 +120,6 @@ class ExecutionReport:
     backoff_seconds: float = 0.0
     duration_seconds: float = 0.0
     per_source: dict[str, MeterSnapshot] = field(default_factory=dict)
-    call_seconds: tuple[float, ...] = ()
     #: Logical source calls answered by joining another caller's
     #: in-flight physical call (async executor's single-flight
     #: coalescing).  The attribution rule: a shared physical call is
@@ -150,22 +146,6 @@ class ExecutionReport:
 
     def measured_cost(self, k1: float, k2: float) -> float:
         return self.queries * k1 + self.tuples_transferred * k2
-
-    @property
-    def call_latency(self) -> dict:
-        """``call_seconds`` as a bucketed histogram snapshot."""
-        histogram = Histogram("executor.call_seconds")
-        for seconds in self.call_seconds:
-            histogram.observe(seconds)
-        return histogram.snapshot()
-
-    def call_quantile_ms(self, q: float) -> float:
-        """The ``q`` quantile of per-source-call latency, in ms."""
-        return quantile_from_snapshot(self.call_latency, q) * 1000
-
-    @property
-    def call_p50_ms(self) -> float:
-        return self.call_quantile_ms(0.50)
 
 
 class FailoverTarget(Protocol):
@@ -206,9 +186,6 @@ class _ExecutionContext:
     #: ``executor.call_seconds`` histogram, bound by the executor.
     registry_attempts: Counter | None = None
     registry_call_seconds: Histogram | None = None
-    #: Per-source-call wall-clock of *this* execution (``append`` is
-    #: atomic) -- handed to the report.
-    call_seconds: list[float] = field(default_factory=list)
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
@@ -217,10 +194,6 @@ class _ExecutionContext:
         with self._lock:
             self.attempts += 1
         self.registry_attempts.inc()
-
-    def observe_call(self, seconds: float) -> None:
-        self.call_seconds.append(seconds)
-        self.registry_call_seconds.observe(seconds)
 
     def add_retry(self, delay: float) -> None:
         with self._lock:
@@ -255,7 +228,6 @@ class _ExecutionContext:
             backoff_seconds=self.backoff,
             duration_seconds=duration,
             per_source=dict(self.per_source),
-            call_seconds=tuple(self.call_seconds),
             coalesced_hits=self.coalesced_hits,
         )
 
@@ -481,7 +453,8 @@ class Executor:
                 span.set_attributes(cache_hit=True, attempts=0)
                 return cached
             finally:
-                ctx.observe_call(time.perf_counter() - started)
+                ctx.registry_call_seconds.observe(
+                    time.perf_counter() - started)
 
     async def _attempts(
         self, plan: SourceQuery, ctx: _ExecutionContext, span,

@@ -1,6 +1,6 @@
 """The wide-event request log: one structured event per ask.
 
-The event ring and its JSONL sink (:mod:`repro.observability.events`),
+The event ring (:mod:`repro.observability.events`),
 the mediator's emission path -- every :meth:`Mediator.ask` lands one
 :class:`AskEvent` carrying the trace id, the plan fingerprint, how
 planning resolved, per-source tallies and the outcome, shed and error
@@ -9,7 +9,6 @@ asks included -- and the trace CLI's ``--events`` view.
 
 from __future__ import annotations
 
-import json
 import threading
 
 import pytest
@@ -25,7 +24,6 @@ from repro.observability import (
     AskEvent,
     EventLog,
     Tracer,
-    read_events,
     use_tracer,
 )
 from repro.trace import main as trace_main
@@ -54,40 +52,6 @@ class TestEventLog:
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
             EventLog(capacity=0)
-
-    def test_jsonl_sink_round_trip(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        with EventLog(capacity=2, path=path) as log:
-            for index in range(4):
-                log.append(AskEvent(
-                    query=f"q{index}", source="s", outcome="ok",
-                    duration_seconds=0.25, trace_id="ab" * 16,
-                    per_source={"s": [1, 7]}, coalesced_hits=index,
-                ))
-        # The ring is bounded; the file keeps everything.
-        reloaded = list(read_events(path))
-        assert [e.query for e in reloaded] == ["q0", "q1", "q2", "q3"]
-        assert reloaded[0].per_source == {"s": [1, 7]}
-        assert reloaded[3].coalesced_hits == 3
-        assert reloaded[0].trace_id == "ab" * 16
-        # One JSON object per line, greppable.
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 4
-        assert all(json.loads(line)["outcome"] == "ok" for line in lines)
-
-    def test_from_dict_ignores_unknown_keys(self):
-        event = AskEvent.from_dict({
-            "query": "q", "source": "s", "outcome": "ok",
-            "duration_seconds": 0.1, "future_field": 123,
-        })
-        assert event.query == "q"
-
-    def test_append_after_close_keeps_the_ring(self, tmp_path):
-        log = EventLog(capacity=4, path=tmp_path / "e.jsonl")
-        log.close()
-        log.append(AskEvent(query="q", source="s", outcome="ok",
-                            duration_seconds=0.0))
-        assert len(log) == 1
 
     def test_format_is_greppable(self):
         log = EventLog(capacity=4)
@@ -128,13 +92,6 @@ class TestMediatorEmission:
         assert event.per_source["cars"][0] >= 1
         assert event.duration_seconds > 0
         assert event.error is None
-
-    def test_event_log_path_alone_arms_the_log(self, tmp_path):
-        path = tmp_path / "asks.jsonl"
-        mediator = make_mediator(event_log_path=path)
-        mediator.ask(BMW)
-        mediator.close()
-        assert len(list(read_events(path))) == 1
 
     def test_trace_id_joins_the_event_to_the_trace(self):
         mediator = make_mediator(event_log_entries=4)
@@ -259,24 +216,6 @@ class TestMediatorEmission:
         assert len(mediator.events.events()) == 1
         assert mediator.slow_queries.recorded == 1
         assert mediator.slow_queries.events()[0] is mediator.events.events()[0]
-
-    def test_close_closes_the_sink(self, tmp_path):
-        path = tmp_path / "asks.jsonl"
-        mediator = make_mediator(event_log_path=path)
-        mediator.ask(BMW)
-        mediator.close()
-        assert mediator.events._sink is None
-        assert len(list(read_events(path))) == 1
-
-    def test_asks_after_close_still_reach_the_file(self, tmp_path):
-        path = tmp_path / "asks.jsonl"
-        mediator = make_mediator(event_log_path=path)
-        mediator.ask(BMW)
-        mediator.close()
-        mediator.ask(BMW)  # mediator still usable: the sink reopens
-        mediator.close()
-        assert len(mediator.events.events()) == 2
-        assert [e.outcome for e in read_events(path)] == ["ok", "ok"]
 
 
 class TestTraceCliEvents:

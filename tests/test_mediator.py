@@ -140,6 +140,27 @@ class TestMediator:
         m.ask(satisfiable, executor="serial")
         assert CountingPlanner.calls == 1
 
+    def test_a_source_registered_after_removal_is_not_answered_from_cache(
+            self):
+        from repro.data.relation import Relation
+        from repro.source.library import bookstore
+        from repro.source.source import CapabilitySource
+
+        sql = "SELECT title FROM bookstore WHERE author = 'Carl Jung'"
+        m = Mediator(result_cache_tuples=100_000)
+        old = bookstore(n=2000, seed=1)
+        m.add_source(old)
+        first = m.ask(sql)
+        assert len(first.rows) == 91 and first.report.queries == 1
+        m.remove_source("bookstore")
+        new = CapabilitySource("bookstore", Relation(old.schema, []),
+                               old.description)
+        m.add_source(new)
+        answer = m.ask(sql)
+        assert answer.rows == []
+        assert answer.report.queries == 1
+        assert new.meter.snapshot().queries == 1
+
 
 class TestCompilesEachDescriptionOnce:
     """A description is compiled when it joins the catalog and never
