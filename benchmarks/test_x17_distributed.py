@@ -1,44 +1,23 @@
-"""X17 (extension): the price and the proof of distributed observability.
+"""X17 (extension): the price of the per-ask recording path.
 
-Four questions, one results table:
-
-* **propagation cost** -- ``TraceContext.inject`` / ``extract`` on the
-  per-request path of every cross-process hop.  The bar: the
-  inject+extract round trip averages **sub-microsecond per operation**
-  (inject itself well under, extract -- a regex validate, two hex
-  parses and a tuple construction -- a touch over).
-* **recording-path overhead** -- the X12 macro batch (plan+execute on
-  the standard catalog) with the full PR 10 recording path armed
-  (wide-event log + exemplar slots) vs the PR 5 telemetry baseline
-  (SLO tracking alone).  The bar: **<= 1.10x**.
-* **federation** -- a 4-instance cluster of real telemetry servers
-  scraped over HTTP into one merged view.  The bars: merged counters
-  reconcile **exactly** against the per-instance snapshots (histograms
-  bucket-wise, as if one process had seen all the traffic), and a full
-  scrape+merge cycle completes in **<= 50 ms**.
-* **degradation** -- the same scrape with one unreachable instance
-  must *mark* it (cluster status ``degraded``, ``up`` gauge 0) and
-  still merge the live shards exactly, never fail.
+The X12 macro batch (plan+execute on the standard catalog) with the
+full recording path armed -- wide-event log + exemplar slots -- vs the
+telemetry baseline (SLO tracking alone).  The bar: **<= 1.10x**.
 """
 
 from __future__ import annotations
 
 import time
-import timeit
 
 from benchmarks.conftest import QUICK
 from repro.experiments.report import Table
 from repro.mediator import Mediator
 from repro.observability import (
-    FederatedScraper,
     MetricsRegistry,
     SamplingTracer,
-    TelemetryServer,
-    TraceContext,
     use_metrics,
     use_tracer,
 )
-from repro.observability.federation import instance_key
 from repro.perf.schema import Bar, Tolerance
 from repro.source.library import standard_catalog
 
@@ -51,42 +30,9 @@ _QUERIES = [
     "and title contains 'dream'",
 ]
 
-_MICRO_N = 100_000 if QUICK else 400_000
-_MICRO_REPEATS = 5
 _ROUNDS = 12 if QUICK else 80
 _OVERHEAD_REPEATS = 3
-_SHARDS = 4
-_SCRAPE_CYCLES = 5
-_BUCKETS = [0.005, 0.05, 0.5]
-_UNREACHABLE = "http://127.0.0.1:9"  # nothing listens on discard
 
-
-# ----------------------------------------------------------------------
-# Part 1: inject/extract on the cross-process hot path
-# ----------------------------------------------------------------------
-
-def _propagation_micro() -> dict:
-    context = TraceContext(trace_id=(1 << 127) + 412, span_id=(1 << 60) + 7)
-    carrier = context.inject()
-    bench = {"context": context, "carrier": carrier,
-             "TraceContext": TraceContext}
-
-    def best(stmt: str) -> float:
-        timings = timeit.repeat(stmt, globals=bench, number=_MICRO_N,
-                                repeat=_MICRO_REPEATS)
-        return min(timings) / _MICRO_N * 1e6
-
-    inject_us = best("context.inject({})")
-    extract_us = best("TraceContext.extract(carrier)")
-    pair_us = best("TraceContext.extract(context.inject({}))") / 2
-    assert TraceContext.extract(context.inject()) == context
-    return {"inject_us": inject_us, "extract_us": extract_us,
-            "pair_us": pair_us}
-
-
-# ----------------------------------------------------------------------
-# Part 2: event log + exemplars vs the PR 5 telemetry baseline
-# ----------------------------------------------------------------------
 
 def _mediator(recording: bool) -> Mediator:
     mediator = Mediator(
@@ -131,118 +77,17 @@ def _recording_overhead() -> dict:
     }
 
 
-# ----------------------------------------------------------------------
-# Parts 3 and 4: 4-instance federation -- exactness, latency, degradation
-# ----------------------------------------------------------------------
-
-def _shard_registry(shard: int) -> MetricsRegistry:
-    registry = MetricsRegistry()
-    registry.counter("asks.total").inc(100 * (shard + 1))
-    registry.counter("source.cars.calls").inc(10 + shard)
-    histogram = registry.histogram("ask_seconds", buckets=_BUCKETS)
-    for value in _shard_values(shard):
-        histogram.observe(value)
-    registry.gauge("queue_depth").set(float(shard))
-    return registry
-
-
-def _shard_values(shard: int) -> list[float]:
-    # Deterministic per-shard latencies spread across every bucket.
-    return [(shard + 1) * scale for scale in (0.001, 0.004, 0.02, 0.3)]
-
-
-def _reference_histogram() -> dict:
-    histogram = MetricsRegistry().histogram("ask_seconds", buckets=_BUCKETS)
-    for shard in range(_SHARDS):
-        for value in _shard_values(shard):
-            histogram.observe(value)
-    return histogram.snapshot()
-
-
-def _check_reconciles(merged: dict) -> bool:
-    reference = _reference_histogram()
-    return (
-        merged["asks.total"]["value"]
-        == sum(100 * (shard + 1) for shard in range(_SHARDS))
-        and merged["source.cars.calls"]["value"]
-        == sum(10 + shard for shard in range(_SHARDS))
-        and merged["ask_seconds"]["buckets"] == reference["buckets"]
-        and merged["ask_seconds"]["count"] == reference["count"]
-        and all(
-            merged[instance_key(f"shard-{shard}", "queue_depth")]["value"]
-            == float(shard)
-            for shard in range(_SHARDS)
-        )
-    )
-
-
-def _federation() -> dict:
-    servers = [
-        TelemetryServer(registry=_shard_registry(shard),
-                        instance=f"shard-{shard}").start()
-        for shard in range(_SHARDS)
-    ]
-    try:
-        urls = [server.url for server in servers]
-        scraper = FederatedScraper(urls)
-        best_ms = float("inf")
-        view = scraper.scrape()  # warm sockets and JSON paths
-        for _ in range(_SCRAPE_CYCLES):
-            view = scraper.scrape()
-            best_ms = min(best_ms, view.elapsed_seconds * 1000)
-        healthy = {
-            "instances": len(view.instances),
-            "status": view.status,
-            "scrape_merge_ms": best_ms,
-            "reconciled": _check_reconciles(view.merged),
-        }
-        degraded_view = FederatedScraper(urls + [_UNREACHABLE]).scrape()
-        down = [status for status in degraded_view.instances
-                if status.url == _UNREACHABLE]
-        degraded = {
-            "status": degraded_view.status,
-            "reachable": sum(status.reachable
-                             for status in degraded_view.instances),
-            "down_marked": len(down) == 1
-            and down[0].status == "unreachable"
-            and degraded_view.merged[
-                instance_key(down[0].instance, "up")]["value"] == 0.0,
-            "reconciled": _check_reconciles(degraded_view.merged),
-        }
-    finally:
-        for server in servers:
-            server.stop()
-    return {"healthy": healthy, "degraded": degraded}
-
-
-# ----------------------------------------------------------------------
-
-def _table() -> tuple[Table, dict, dict, dict]:
-    micro = _propagation_micro()
+def _table() -> tuple[Table, dict]:
     overhead = _recording_overhead()
-    federation = _federation()
-    healthy, degraded = federation["healthy"], federation["degraded"]
     table = Table(
-        "X17: distributed observability -- propagation, recording, federation",
+        "X17: recording-path overhead",
         ["measure", "value", "unit"],
         notes=(
-            f"Propagation: best-of-{_MICRO_REPEATS} timeit over "
-            f"{_MICRO_N} reps (bar: inject+extract round trip averages "
-            "sub-us per op).  Recording: best-of-"
-            f"{_OVERHEAD_REPEATS} interleaved {_ROUNDS}-round x "
+            f"Best-of-{_OVERHEAD_REPEATS} interleaved {_ROUNDS}-round x "
             f"{len(_QUERIES)}-query macro batches, wide-event log + "
-            "exemplar slots armed vs SLO tracking alone (bar: <= "
-            f"1.10x).  Federation: {_SHARDS} real telemetry servers "
-            f"scraped over HTTP, best-of-{_SCRAPE_CYCLES} cycles (bars: "
-            "merged counters/histograms reconcile exactly, cycle <= "
-            "50 ms); one unreachable instance degrades the view, "
-            "marked, without failing the scrape."
+            "exemplar slots armed vs SLO tracking alone (bar: <= 1.10x)."
         ),
     )
-    table.add("traceparent inject", round(micro["inject_us"], 3), "us")
-    table.add("traceparent extract", round(micro["extract_us"], 3), "us")
-    table.add("inject+extract round trip",
-              round(micro["pair_us"], 3), "us/op")
     table.add("telemetry baseline batch",
               round(overhead["baseline_s"], 4), "s")
     table.add("events+exemplars batch",
@@ -250,62 +95,26 @@ def _table() -> tuple[Table, dict, dict, dict]:
     table.add("recording / baseline", round(overhead["ratio"], 3), "x")
     table.add("wide events recorded", overhead["events_recorded"], "events")
     table.add("exemplars retained", overhead["exemplars"], "slots")
-    table.add("cluster instances", healthy["instances"], "up")
-    table.add("scrape+merge cycle",
-              round(healthy["scrape_merge_ms"], 2), "ms")
-    table.add("merged == sum of shards",
-              "yes" if healthy["reconciled"] else "NO", "exact")
-    table.add("degraded cluster status", degraded["status"],
-              f"{degraded['reachable']}/{_SHARDS + 1} reachable")
-    table.add("down shard marked",
-              "yes" if degraded["down_marked"] else "NO", "up=0")
-    return table, micro, overhead, federation
+    return table, overhead
 
 
 def test_x17_distributed(record_table, record_bench):
-    table, micro, overhead, federation = _table()
-    healthy, degraded = federation["healthy"], federation["degraded"]
+    table, overhead = _table()
     record_table("x17", table)
     record_bench(
         "x17",
         metrics={
-            "propagation.inject_us": micro["inject_us"],
-            "propagation.extract_us": micro["extract_us"],
-            "propagation.pair_us": micro["pair_us"],
             "recording.ratio": overhead["ratio"],
             "recording.events": overhead["events_recorded"],
-            "federation.scrape_merge_ms": healthy["scrape_merge_ms"],
-            "federation.reconciled": float(healthy["reconciled"]),
-            "degraded.reachable": degraded["reachable"],
-            "degraded.reconciled": float(degraded["reconciled"]),
         },
-        bars={
-            "propagation.inject_us": Bar("<=", 1.0),
-            "propagation.pair_us": Bar("<=", 1.0),
-            "propagation.extract_us": Bar("<=", 2.5),
-            "recording.ratio": Bar("<=", 1.10),
-            "federation.scrape_merge_ms": Bar("<=", 50.0),
-            "federation.reconciled": Bar("==", 1.0),
-            "degraded.reachable": Bar("==", float(_SHARDS)),
-            "degraded.reconciled": Bar("==", 1.0),
-        },
+        bars={"recording.ratio": Bar("<=", 1.10)},
         tolerances={
-            # Micro/macro timings on shared CI boxes: wide bands, the
-            # bars above are the real ceilings.
-            "propagation.pair_us": Tolerance("lower", rel=1.0),
-            "propagation.inject_us": Tolerance("lower", rel=1.0),
-            "propagation.extract_us": Tolerance("lower", rel=1.0),
+            # A macro timing on shared CI boxes: a wide band, the bar
+            # above is the real ceiling.
             "recording.ratio": Tolerance("lower", rel=0.5),
-            "federation.scrape_merge_ms": Tolerance("lower", rel=2.0),
         },
         seed=412,
     )
-
-    # The cross-process hop costs about a microsecond, both directions
-    # averaged -- cheap enough to run on every request.
-    assert micro["pair_us"] <= 1.0, (
-        f"inject+extract averaged {micro['pair_us']:.3f} us/op")
-    assert micro["inject_us"] <= 1.0
 
     # The full recording path stays within 10% of telemetry alone.
     assert overhead["ratio"] <= 1.10, (
@@ -314,22 +123,3 @@ def test_x17_distributed(record_table, record_bench):
     assert overhead["events_recorded"] \
         >= _OVERHEAD_REPEATS * _ROUNDS * len(_QUERIES)
     assert overhead["exemplars"] > 0
-
-    # 4 shards merged over real HTTP: exact, and fast enough to sit in
-    # a dashboard refresh loop.
-    assert healthy["instances"] == _SHARDS
-    assert healthy["status"] == "ok"
-    assert healthy["reconciled"]
-    assert healthy["scrape_merge_ms"] <= 50.0, (
-        f"scrape+merge took {healthy['scrape_merge_ms']:.1f} ms")
-
-    # One dead shard: marked, survived, still exact for the live ones.
-    assert degraded["status"] == "degraded"
-    assert degraded["reachable"] == _SHARDS
-    assert degraded["down_marked"]
-    assert degraded["reconciled"]
-
-
-def test_x17_bench_extract(benchmark):
-    carrier = TraceContext(trace_id=412, span_id=7).inject()
-    benchmark(lambda: TraceContext.extract(carrier))

@@ -1,9 +1,9 @@
 """The one bounded cache: LRU eviction, version stamps and accounting.
 
 The ``Check(C, R)`` results of a source description, the serving
-layer's plans and plan templates, the executor's source-query results
-and the tracer's remote contexts are all bounded maps with one policy,
-and :class:`BoundedCache` is that policy, written once:
+layer's plans and plan templates and the executor's source-query
+results are all bounded maps with one policy, and :class:`BoundedCache`
+is that policy, written once:
 
 * LRU order, bounded by entry count or -- given ``weigh`` -- by total
   weight; a value heavier than the whole bound is never admitted.

@@ -13,14 +13,6 @@ interrupted (``--iterations N`` bounds the loop, mostly for tests)::
     python -m repro.dash http://127.0.0.1:9464            # one shot
     python -m repro.dash http://127.0.0.1:9464 --watch 2  # live
 
-``--cluster URL,URL,...`` federates instead of scraping one server: a
-:class:`~repro.observability.federation.FederatedScraper` pulls every
-instance's ``/snapshot`` + ``/health``, merges them (counters sum,
-histograms merge bucket-wise, gauges keep per-instance identity) and
-the same dashboard renders the cluster view, headed by a per-instance
-status table.  An unreachable instance degrades the view, it does not
-break it.
-
 Start a server from the trace CLI (``python -m repro.trace ...
 --serve PORT``) or in-process with ``TelemetryServer(mediator=...)``.
 """
@@ -149,7 +141,7 @@ SERVING_COUNTER = "executor.coalesced_hits"
 def serving_panel(snapshot: dict[str, dict[str, Any]]) -> list[str]:
     """The request-sharing panel: the async engine's single-flight
     coalesced hits (see :mod:`repro.plans.coalesce`), each a source
-    call the cluster did *not* make.  Empty when the counter has not
+    call the mediator did *not* make.  Empty when the counter has not
     been touched."""
     reading = snapshot.get(SERVING_COUNTER)
     if reading is None or reading.get("type") != "counter":
@@ -243,36 +235,15 @@ def scrape(base_url: str) -> str:
     return render(health, snapshot, base_url)
 
 
-def render_cluster(view) -> str:
-    """One dashboard frame for a federated
-    :class:`~repro.observability.federation.ClusterView`: a
-    per-instance status table on top, then the usual panels over the
-    merged snapshot."""
-    lines = [
-        f"repro dash — cluster ({len(view.instances)} instances) — "
-        f"status {view.status.upper()}"
-    ]
-    for status in view.instances:
-        line = f"  {status.instance:<24} {status.status:<12} {status.url}"
-        if status.error:
-            line += f" — {status.error}"
-        lines.append(line)
-    body = render(view.health(), view.merged, "cluster")
-    return "\n".join(lines + body.splitlines()[1:])
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.dash",
         description="Render a telemetry server's /snapshot + /health as "
                     "a one-screen ASCII dashboard.",
     )
-    parser.add_argument("url", nargs="?", default=None,
+    parser.add_argument("url",
                         help="telemetry server base URL, e.g. "
                              "http://127.0.0.1:9464")
-    parser.add_argument("--cluster", default=None, metavar="URL,URL,...",
-                        help="federate: scrape and merge several "
-                             "telemetry servers into one cluster view")
     parser.add_argument("--watch", type=float, default=None,
                         metavar="SECONDS",
                         help="refresh every SECONDS until interrupted")
@@ -282,29 +253,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.watch is not None and args.watch <= 0:
         raise SystemExit("error: --watch must be a positive interval")
-    if (args.url is None) == (args.cluster is None):
-        raise SystemExit(
-            "error: pass either a telemetry server URL or --cluster"
-        )
-    scraper = None
-    if args.cluster is not None:
-        from repro.observability.federation import FederatedScraper
-
-        targets = [t.strip() for t in args.cluster.split(",") if t.strip()]
-        if not targets:
-            raise SystemExit("error: --cluster needs at least one URL")
-        scraper = FederatedScraper(targets)
-
     frames = 0
     while True:
         try:
-            if scraper is not None:
-                frame = render_cluster(scraper.scrape())
-            else:
-                frame = scrape(args.url)
+            frame = scrape(args.url)
         except (OSError, ValueError) as exc:
-            target = args.cluster or args.url
-            print(f"error: cannot scrape {target}: {exc}",
+            print(f"error: cannot scrape {args.url}: {exc}",
                   file=sys.stderr)
             return 1
         if args.watch is not None and frames > 0:

@@ -13,6 +13,7 @@ import time
 from contextlib import nullcontext
 from dataclasses import dataclass
 
+from repro.cache import BoundedCache
 from repro.conditions.simplify import is_definitely_unsatisfiable
 from repro.data.relation import Relation
 from repro.errors import InfeasiblePlanError, OverloadError, PlanExecutionError
@@ -24,7 +25,6 @@ from repro.observability.metrics import (
 )
 from repro.observability.slo import query_fingerprint
 from repro.observability.trace import Tracer, get_tracer, use_tracer
-from repro.cache import BoundedCache  # after observability: import cycle
 from repro.planners.base import Planner, PlannerStats, PlanningResult
 from repro.planners.gencompact import GenCompact
 from repro.plans.cost import CostModel

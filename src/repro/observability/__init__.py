@@ -29,9 +29,6 @@ dependency:
   ``/snapshot``);
 * :mod:`repro.observability.slo` -- :class:`SLOTracker` error-budget
   accounting and the canonical plan fingerprints;
-* :mod:`repro.observability.federation` -- mergeable snapshot
-  semantics and the :class:`FederatedScraper` that pulls N telemetry
-  servers into one :class:`ClusterView` over real HTTP;
 * :mod:`repro.observability.events` -- the wide-event request log:
   one structured :class:`AskEvent` per ``Mediator.ask``, the
   mediator's single per-ask record, in a bounded :class:`EventLog`
@@ -39,11 +36,10 @@ dependency:
   events of the asks that breached the latency objective, each with
   its span timeline.
 
-Cross-process tracing lives in :mod:`repro.observability.trace` too:
-:class:`TraceContext` serializes a span's (trace id, span id,
-sampling decision) into a W3C-``traceparent``-style header dict via
-``inject``/``extract``, and ``Tracer.attach_remote`` parents local
-spans under the remote caller.
+The package is a leaf -- it imports no other ``repro`` module at run
+time -- so every subsystem can report to it without an import cycle.
+Traces and metrics describe one mediator process; the telemetry
+server is how anything outside it reads them.
 """
 
 from importlib import import_module
@@ -95,11 +91,9 @@ from repro.observability.slo import (
 from repro.observability.timeline import render_timeline
 from repro.observability.trace import (
     NULL_TRACER,
-    TRACEPARENT_HEADER,
     NullTracer,
     Span,
     SpanEvent,
-    TraceContext,
     Tracer,
     get_tracer,
     set_tracer,
@@ -108,25 +102,12 @@ from repro.observability.trace import (
 )
 
 if TYPE_CHECKING:
-    from repro.observability.federation import (
-        ClusterView,
-        FederatedScraper,
-        InstanceStatus,
-        merge_readings,
-        merge_snapshots,
-    )
     from repro.observability.server import TelemetryServer
 
-#: Names whose modules load on first use: the telemetry server and the
-#: federated scraper pull in the standard library's HTTP server and
-#: client (about 2 MB resident), which a process that never serves or
-#: scrapes telemetry does not need.
+#: Names whose modules load on first use: the telemetry server pulls in
+#: the standard library's HTTP server (about 2 MB resident), which a
+#: process that never serves telemetry does not need.
 _ON_FIRST_USE = {
-    "ClusterView": "federation",
-    "FederatedScraper": "federation",
-    "InstanceStatus": "federation",
-    "merge_readings": "federation",
-    "merge_snapshots": "federation",
     "TelemetryServer": "server",
 }
 
@@ -140,17 +121,14 @@ def __getattr__(name: str):
 
 __all__ = [
     "AskEvent",
-    "ClusterView",
     "ContentionProfiler",
     "Counter",
     "DEFAULT_BUCKETS",
     "EventLog",
     "Exemplar",
-    "FederatedScraper",
     "Gauge",
     "Histogram",
     "InMemoryCollector",
-    "InstanceStatus",
     "MetricsRegistry",
     "NULL_TRACER",
     "NullTracer",
@@ -164,14 +142,10 @@ __all__ = [
     "SamplingTracer",
     "Span",
     "SpanEvent",
-    "TRACEPARENT_HEADER",
     "TelemetryServer",
-    "TraceContext",
     "Tracer",
     "get_metrics",
     "get_tracer",
-    "merge_readings",
-    "merge_snapshots",
     "orphan_spans",
     "phase_category",
     "plan_fingerprint",

@@ -14,12 +14,6 @@ Name mapping, deliberately mechanical so the golden test can pin it:
   name into a **label** (``source.cars.queries`` ->
   ``repro_source_queries_total{source="cars"}``), so every source is
   one series of the same family rather than its own family;
-* the per-instance namespace ``instance.<name>.<rest>`` (how a
-  federated cluster view keeps one shard's gauges apart -- see
-  :mod:`repro.observability.federation`) folds the instance into an
-  ``instance=`` label and maps the rest recursively, so
-  ``instance.shard-0.source.cars.in_flight`` renders as
-  ``repro_source_in_flight{instance="shard-0",source="cars"}``;
 * counters gain the ``_total`` suffix; gauges emit their value plus a
   ``_max`` companion for the high-water mark; histograms emit
   cumulative ``_bucket{le="..."}`` series (ending in ``le="+Inf"``),
@@ -76,15 +70,10 @@ def format_value(value: float) -> str:
 def metric_family(name: str) -> tuple[str, dict[str, str]]:
     """Registry name -> (family name, labels).
 
-    ``source.<name>.<metric>`` folds the source into a label, and
-    ``instance.<name>.<rest>`` folds a federation instance into a label
-    before mapping the rest recursively; every other dotted name maps
-    1:1 to an underscore family.
+    ``source.<name>.<metric>`` folds the source into a label; every
+    other dotted name maps 1:1 to an underscore family.
     """
     parts = name.split(".")
-    if parts[0] == "instance" and len(parts) >= 3:
-        family, labels = metric_family(".".join(parts[2:]))
-        return family, {"instance": parts[1], **labels}
     if parts[0] == "source" and len(parts) >= 3:
         family = "repro_source_" + "_".join(parts[2:])
         return sanitize_metric_name(family), {"source": parts[1]}
@@ -106,9 +95,8 @@ def _sample(name: str, labels: dict[str, str], value: float) -> str:
 
 
 def format_trace_id(trace_id: int) -> str:
-    """A trace id in its wire form (the 32-hex ``traceparent`` field),
-    so an exemplar's ``trace_id`` label greps against propagated
-    headers and exported span files alike."""
+    """A trace id as 32 lowercase hex digits, the form the slow-query
+    log prints, so an exemplar's ``trace_id`` label greps against it."""
     return f"{int(trace_id):032x}"
 
 

@@ -15,13 +15,6 @@ load.  :class:`SamplingTracer` is the production variant:
 * **bounded ring buffer**: kept spans land in a ``deque(maxlen=...)``,
   so memory is capped however long the process serves; the oldest kept
   spans are evicted first (counted, never silently);
-* **propagated decisions**: a trace attached from another process via
-  :meth:`~repro.observability.trace.Tracer.attach_remote` carries the
-  *caller's* sampling decision, and this tracer honors it instead of
-  re-flipping its own coin -- the only way a cross-process trace is
-  ever kept (or dropped) as one unit.  The top local span of such a
-  trace parents under the remote placeholder, so it is recognized as
-  the local root and the trace completes normally;
 * **pinned traces**: a trace whose latency landed in a histogram's
   exemplar slots (see :class:`~repro.observability.metrics.Histogram`)
   is kept regardless of the head decision -- an exported exemplar
@@ -95,18 +88,6 @@ class SamplingTracer(Tracer):
             return False
         return random.Random((self.seed << 32) ^ trace_id).random() < self.ratio
 
-    def sampling_decision(self, trace_id: int) -> bool:
-        """The decision to propagate onward: a remote caller's decision
-        is honored verbatim; an origin trace uses the head coin."""
-        with self._lock:
-            return self._decision_locked(trace_id)
-
-    def _decision_locked(self, trace_id: int) -> bool:
-        remote = self._remote_traces.peek(trace_id)
-        if remote is not None:
-            return remote.sampled
-        return self.head_decision(trace_id)
-
     def pin_trace(self, trace_id: int) -> None:
         """Force-keep ``trace_id`` whatever the head decision says.
 
@@ -129,23 +110,13 @@ class SamplingTracer(Tracer):
         return None
 
     # -- the recording hook --------------------------------------------
-    def _is_local_root_locked(self, span: Span) -> bool:
-        """A root here: no parent at all, or the parent is the remote
-        placeholder of an attached cross-process context (the remote
-        span finishes in *its* process; waiting for it locally would
-        pend the trace forever)."""
-        if span.parent_id is None:
-            return True
-        remote = self._remote_traces.peek(span.trace_id)
-        return remote is not None and span.parent_id == remote.span_id
-
     def _record(self, span: Span) -> None:
         exporters: list = []
         kept: list[Span] = []
         with self._lock:
             bucket = self._pending.setdefault(span.trace_id, [])
             bucket.append(span)
-            if not self._is_local_root_locked(span):
+            if span.parent_id is not None:
                 self._evict_pending_locked()
                 return
             # The root finished: the whole trace is in hand -- decide.
@@ -154,7 +125,7 @@ class SamplingTracer(Tracer):
             self._pinned.discard(span.trace_id)
             if pinned:
                 self.traces_pinned += 1
-            if self._decision_locked(span.trace_id) or pinned \
+            if self.head_decision(span.trace_id) or pinned \
                     or self._tail_keep(span, spans):
                 kept = spans
                 self.traces_kept += 1

@@ -13,14 +13,14 @@ in a line::
 
 Endpoints:
 
-* ``/metrics`` -- the registry snapshot in OpenMetrics text (see
-  :mod:`repro.observability.exposition`);
+* ``/metrics`` -- :meth:`TelemetryServer.snapshot` in OpenMetrics
+  text (see :mod:`repro.observability.exposition`);
 * ``/health`` -- a JSON liveness/readiness document: catalog version,
   admission in-flight / shed rate, slow-query counts and the SLO
   status.  Answers **200** while healthy and **503** once the SLO
   error budget is exhausted, so any HTTP prober can act on it;
-* ``/snapshot`` -- the raw registry snapshot as JSON (the dashboard's
-  data feed; lossless, buckets included).
+* ``/snapshot`` -- the same snapshot as JSON (the dashboard's data
+  feed; lossless, buckets included).
 
 The server binds ``port=0`` by default (ephemeral: read ``.port``
 after :meth:`start`), and serves each request from a fresh thread so a
@@ -59,18 +59,13 @@ class TelemetryServer:
         registry: MetricsRegistry | None = None,
         host: str = "127.0.0.1",
         port: int = 0,
-        instance: str | None = None,
     ):
         """``mediator`` is optional: without one, ``/health`` reports
         only the process-level status and is always ``ok``.  The
         ``registry`` defaults to the process-wide one *at request
-        time*, so a scoped ``use_metrics`` block is respected.
-        ``instance`` names this server inside a federated cluster
-        view (see :mod:`repro.observability.federation`); unset, the
-        scraper falls back to ``host:port``."""
+        time*, so a scoped ``use_metrics`` block is respected."""
         self.mediator = mediator
         self._registry = registry
-        self.instance = instance
         self.host = host
         self._requested_port = port
         self._httpd: ThreadingHTTPServer | None = None
@@ -93,11 +88,21 @@ class TelemetryServer:
         return f"http://{self.host}:{self.port}"
 
     # ------------------------------------------------------------------
+    def snapshot(self) -> dict[str, dict[str, Any]]:
+        """What ``/metrics`` and ``/snapshot`` serve: the registry
+        snapshot, with ``mediator.ask_seconds`` read from the bound
+        mediator's own latency histogram when it has an objective --
+        that histogram is the one holding the asks' exemplars (and
+        the objective as an exact bucket boundary)."""
+        snapshot = self.registry.snapshot()
+        ask_latency = getattr(self.mediator, "ask_latency", None)
+        if ask_latency is not None:
+            snapshot["mediator.ask_seconds"] = ask_latency.snapshot()
+        return snapshot
+
     def health(self) -> dict[str, Any]:
         """The ``/health`` document (also usable in-process)."""
         document: dict[str, Any] = {"status": "ok"}
-        if self.instance is not None:
-            document["instance"] = self.instance
         mediator = self.mediator
         if mediator is not None:
             document["catalog_version"] = mediator.catalog_version
@@ -152,7 +157,7 @@ class TelemetryServer:
                 try:
                     if path == "/metrics":
                         body = render_openmetrics(
-                            server.registry.snapshot()
+                            server.snapshot()
                         ).encode("utf-8")
                         self._send(200, OPENMETRICS_CONTENT_TYPE, body)
                     elif path == "/health":
@@ -164,7 +169,7 @@ class TelemetryServer:
                         self._send(code, "application/json", body)
                     elif path == "/snapshot":
                         body = json.dumps(
-                            server.registry.snapshot(), sort_keys=True
+                            server.snapshot(), sort_keys=True
                         ).encode("utf-8")
                         self._send(200, "application/json", body)
                     else:

@@ -20,14 +20,7 @@ OpenTelemetry shape, without the dependency):
   and :meth:`Tracer.attach` installs it on the other side, which is
   exactly what the parallel executor does when it fans a plan's
   branches out to worker threads and what the async executor does when
-  it spawns branch tasks;
-* cross-**process** work stays connected too: a :class:`TraceContext`
-  is the serializable form of "the active span here" -- trace id, span
-  id and the sampling decision -- with :meth:`TraceContext.inject` /
-  :meth:`TraceContext.extract` moving it through a W3C
-  ``traceparent``-style header dict, and :meth:`Tracer.attach_remote`
-  parenting local spans under the remote caller's span so an ask that
-  crosses a socket stitches into one trace.
+  it spawns branch tasks.
 
 Disabled tracing must cost (almost) nothing on the hot path, so the
 module ships :class:`NullTracer`: same interface, a single shared
@@ -43,134 +36,15 @@ context-local by construction.
 from __future__ import annotations
 
 import contextvars
-import re
 import threading
 import time
-from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Any, Callable, Iterator, Mapping
-
-from repro.cache import BoundedCache
+from typing import Any, Callable, Iterator
 
 #: Span status values (OpenTelemetry's three-valued status, flattened).
 STATUS_OK = "OK"
 STATUS_ERROR = "ERROR"
-
-#: The header key :meth:`TraceContext.inject` writes (W3C trace
-#: context's field name, so any traceparent-aware proxy passes it on).
-TRACEPARENT_HEADER = "traceparent"
-
-#: How many remote trace decisions a tracer remembers at once (a
-#: server that attaches thousands of remote contexts must not leak).
-MAX_REMOTE_TRACES = 4096
-
-_TRACEPARENT = re.compile(
-    r"[0-9a-f]{2}-[0-9a-f]{32}-[0-9a-f]{16}-[0-9a-f]{2}\Z"
-).fullmatch
-
-#: Low hex digits with bit 0 set -- the flags byte's last nibble is in
-#: this set exactly when the ``sampled`` flag is on.
-_SAMPLED_FLAGS = frozenset("13579bdf")
-
-
-@lru_cache(maxsize=1024)
-def _render_traceparent(context: "TraceContext") -> str:
-    # Rendering is pure and contexts are hashable, so the header for a
-    # hot context (a mediator injecting the same active span into every
-    # outgoing source request) is formatted once, not per request.
-    return "00-%032x-%016x-%02x" % (
-        context[0], context[1], 1 if context[2] else 0)
-
-
-class TraceContext(namedtuple("TraceContext",
-                              ("trace_id", "span_id", "sampled"))):
-    """The serializable identity of one active span (for process hops).
-
-    Everything a remote callee needs to stitch its spans into the
-    caller's trace: the ``trace_id`` all spans of the trace share, the
-    ``span_id`` of the span that was active at the call site (the
-    remote side's parent), and the caller's ``sampled`` decision so a
-    :class:`~repro.observability.sampling.SamplingTracer` on the other
-    side honors it instead of re-flipping the coin (without this, a
-    trace sampled at the front end would be dropped at random by each
-    shard, and no cross-process trace would ever be whole).
-
-    The wire form is W3C trace context's ``traceparent`` field --
-    ``00-<32 hex trace id>-<16 hex parent id>-<flags>`` -- carried in
-    any string-to-string mapping (HTTP headers, a JSON envelope, an
-    environment dict).
-
-    A tuple (not a dataclass) because inject/extract sit on the
-    per-request path of every cross-process hop: ``tuple.__new__``
-    construction and index access keep both operations around the
-    microsecond mark (benchmark X17 pins this).
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, trace_id: int, span_id: int,
-                sampled: bool = True) -> "TraceContext":
-        if not 0 < trace_id < 1 << 128:
-            raise ValueError(f"trace_id out of range: {trace_id}")
-        if not 0 < span_id < 1 << 64:
-            raise ValueError(f"span_id out of range: {span_id}")
-        return tuple.__new__(cls, (trace_id, span_id, bool(sampled)))
-
-    def to_traceparent(self) -> str:
-        """The W3C ``traceparent`` rendering of this context."""
-        return _render_traceparent(self)
-
-    @classmethod
-    def from_traceparent(cls, header: str) -> "TraceContext | None":
-        """Parse one ``traceparent`` value; ``None`` if malformed.
-
-        Malformed headers are *dropped*, never raised: a mediator must
-        answer a request with a garbled header, just untraced -- the
-        W3C spec's restart semantics.
-        """
-        if not isinstance(header, str):
-            return None
-        if _TRACEPARENT(header) is None:
-            # Lenient retry: canonical wire form is lowercase, but
-            # uppercase hex and stray padding are unambiguous.
-            header = header.strip().lower()
-            if _TRACEPARENT(header) is None:
-                return None
-        trace_id = int(header[3:35], 16)
-        span_id = int(header[36:52], 16)
-        if not trace_id or not span_id:  # all-zero ids are invalid
-            return None
-        # Validation already done by the wire-format match above, so
-        # skip the checked constructor.
-        return tuple.__new__(
-            cls, (trace_id, span_id, header[54] in _SAMPLED_FLAGS))
-
-    def inject(self, carrier: dict | None = None) -> dict:
-        """Write this context into ``carrier`` (created if ``None``)."""
-        if carrier is None:
-            carrier = {}
-        carrier[TRACEPARENT_HEADER] = self.to_traceparent()
-        return carrier
-
-    @classmethod
-    def extract(cls, carrier: Mapping[str, str] | None
-                ) -> "TraceContext | None":
-        """Read a context back out of a header dict (``None`` if absent
-        or malformed -- extraction never raises)."""
-        if not carrier:
-            return None
-        header = carrier.get(TRACEPARENT_HEADER)
-        if header is None:  # header dicts are often case-insensitive-ish
-            for key, value in carrier.items():
-                if isinstance(key, str) \
-                        and key.lower() == TRACEPARENT_HEADER:
-                    header = value
-                    break
-        if header is None:
-            return None
-        return cls.from_traceparent(header)
 
 
 @dataclass
@@ -305,12 +179,6 @@ class Tracer:
         self._next_id = 1
         self._finished: list[Span] = []
         self._exporters: list[Callable[[Span], None]] = []
-        #: Remote contexts this tracer attached, keyed by trace id --
-        #: how a subclass recognizes a remote-parented local root and
-        #: honors the propagated sampling decision.  Bounded (oldest
-        #: forgotten) so a long-serving process cannot leak one entry
-        #: per incoming request.
-        self._remote_traces = BoundedCache(MAX_REMOTE_TRACES)
 
     # -- id allocation -------------------------------------------------
     def _allocate_id(self) -> int:
@@ -344,56 +212,6 @@ class Tracer:
             yield
         finally:
             self._current.set(previous)
-
-    # -- cross-process context -----------------------------------------
-    def current_trace_context(self) -> TraceContext | None:
-        """The active span as a serializable :class:`TraceContext`
-        (``None`` when no span is open).  Inject it into the outgoing
-        request's headers; the remote side extracts and
-        :meth:`attach_remote`\\ s it."""
-        span = self.current_span
-        if span is None:
-            return None
-        return TraceContext(
-            trace_id=span.trace_id,
-            span_id=span.span_id,
-            sampled=self.sampling_decision(span.trace_id),
-        )
-
-    def sampling_decision(self, trace_id: int) -> bool:
-        """Whether this tracer intends to keep ``trace_id`` (a full
-        recorder keeps everything; :class:`SamplingTracer` overrides
-        with its propagated-or-head decision)."""
-        return True
-
-    def remote_context(self, trace_id: int) -> TraceContext | None:
-        """The remote context ``trace_id`` was attached under, if any."""
-        return self._remote_traces.peek(trace_id)
-
-    @contextmanager
-    def attach_remote(self, context: TraceContext) -> Iterator[Span]:
-        """Parent local spans under a span from *another process*.
-
-        Installs a placeholder for the remote caller's span -- carrying
-        its trace id and span id, never itself recorded -- as the
-        current span, so every span opened inside the block lands in
-        the remote trace with the remote span as its parent.  The
-        context (sampling decision included) is remembered in a bounded
-        table, which is how a :class:`SamplingTracer` recognizes the
-        locally-rootless trace when its top local span finishes and
-        honors the caller's decision instead of re-sampling.
-        """
-        placeholder = Span(
-            name="<remote>",
-            span_id=context.span_id,
-            trace_id=context.trace_id,
-            parent_id=None,
-            start=time.perf_counter(),
-            attributes={"remote": True},
-        )
-        self._remote_traces.put(context.trace_id, context)
-        with self.attach(placeholder):
-            yield placeholder
 
     # -- spans ---------------------------------------------------------
     def span(self, name: str, **attributes: Any) -> "_SpanScope":
@@ -526,19 +344,7 @@ class NullTracer(Tracer):
     def current_context(self) -> Span | None:
         return None
 
-    def current_trace_context(self) -> TraceContext | None:
-        return None
-
-    def sampling_decision(self, trace_id: int) -> bool:
-        return False
-
-    def remote_context(self, trace_id: int) -> TraceContext | None:
-        return None
-
     def attach(self, token: Span | None) -> "_NullContext":
-        return _NULL_CONTEXT
-
-    def attach_remote(self, context: TraceContext) -> "_NullContext":
         return _NULL_CONTEXT
 
     def span(self, name: str, **attributes: Any) -> "_NullContext":

@@ -210,7 +210,7 @@ class TestMediatorPinning:
             with use_tracer(SamplingTracer(ratio=1.0)):
                 mediator.ask(BMW)
             # The mediator-local SLO histogram carries the exemplars;
-            # render it the way the federation view would.
+            # render it under its registry name, as /metrics does.
             snapshot = {"mediator.ask_seconds":
                         mediator.ask_latency.snapshot()}
             text = render_openmetrics(snapshot)

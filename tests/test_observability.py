@@ -9,10 +9,15 @@ integration layers live in ``tests/test_trace_integration.py``.
 
 from __future__ import annotations
 
+import pathlib
+import subprocess
+import sys
+import textwrap
 import threading
 
 import pytest
 
+import repro
 from repro.mediator import Mediator
 from repro.observability import (
     DEFAULT_BUCKETS,
@@ -587,3 +592,28 @@ class TestTraceCli:
     def test_bad_query_is_an_error(self, capsys):
         assert trace_main(["SELECT nope FROM nowhere WHERE x = 1"]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestLeafPackage:
+    def test_observability_imports_no_other_repro_module(self):
+        """Every subsystem reports to ``repro.observability``, so the
+        package itself must import nothing else from ``repro``.  A
+        fresh interpreter stubs the ``repro`` package (whose
+        ``__init__`` imports everything) and imports every
+        observability module; only they may load."""
+        script = textwrap.dedent(f"""
+            import importlib, pkgutil, sys, types
+            package = types.ModuleType("repro")
+            package.__path__ = [{str(pathlib.Path(repro.__file__).parent)!r}]
+            sys.modules["repro"] = package
+            import repro.observability
+            for info in pkgutil.iter_modules(repro.observability.__path__):
+                importlib.import_module("repro.observability." + info.name)
+            print(" ".join(sorted(
+                name for name in sys.modules
+                if name.startswith("repro.")
+                and not name.startswith("repro.observability"))))
+        """)
+        done = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.split() == []

@@ -13,7 +13,12 @@ import threading
 
 import pytest
 
-from repro.observability import SamplingTracer
+from repro.observability import (
+    SamplingTracer,
+    orphan_spans,
+    read_jsonl,
+    write_jsonl,
+)
 
 
 def _run_trace(tracer, fail=False, children=2):
@@ -203,3 +208,71 @@ class TestConcurrencyBattery:
         assert "slow>250ms" in line
         assert "1 traces kept" in line
         assert "ring 3/2048" in line
+
+
+class TestPinnedTraces:
+    def test_pin_keeps_a_trace_the_head_would_drop(self):
+        tracer = SamplingTracer(ratio=0.0)
+        with tracer.span("root") as root:
+            tracer.pin_trace(root.trace_id)
+        assert tracer.traces_kept == 1
+        assert tracer.traces_pinned == 1
+        assert tracer.stats()["pinned_traces"] == 0  # consumed
+
+    def test_pin_after_settle_is_a_noop(self):
+        tracer = SamplingTracer(ratio=0.0)
+        with tracer.span("root") as root:
+            pass
+        tracer.pin_trace(root.trace_id)
+        assert tracer.traces_kept == 0
+        assert tracer.stats()["pinned_traces"] == 1  # parked, bounded
+
+    def test_pin_table_is_bounded(self):
+        tracer = SamplingTracer(ratio=0.0, max_pending_traces=4)
+        for trace_id in range(1, 10):
+            tracer.pin_trace(trace_id)
+        assert tracer.stats()["pinned_traces"] == 4
+
+    def test_reset_clears_pins(self):
+        tracer = SamplingTracer(ratio=0.0)
+        tracer.pin_trace(1)
+        tracer.reset()
+        assert tracer.stats()["pinned_traces"] == 0
+        assert tracer.traces_pinned == 0
+
+
+class TestExportRoundTrip:
+    def test_cross_thread_trace_survives_jsonl(self, tmp_path):
+        """A kept trace whose children ran on worker threads (handed
+        the root through ``current_context``/``attach``) reloads from
+        JSONL with every parent link intact."""
+        tracer = SamplingTracer(ratio=1.0)
+
+        def branch(token, name: str) -> None:
+            with tracer.attach(token):
+                with tracer.span(name):
+                    with tracer.span(name + ".call"):
+                        pass
+
+        with tracer.span("root") as root:
+            token = tracer.current_context()
+            threads = [threading.Thread(target=branch, args=(token, name))
+                       for name in ("left", "right")]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        spans = tracer.finished_spans()
+        assert tracer.traces_kept == 1 and len(spans) == 5
+        path = tmp_path / "trace.jsonl"
+        assert write_jsonl(spans, path) == 5
+        reloaded = read_jsonl(path)
+        assert reloaded == spans
+        assert not orphan_spans(reloaded)
+        by_name = {span.name: span for span in reloaded}
+        assert by_name["root"].parent_id is None
+        for name in ("left", "right"):
+            assert by_name[name].trace_id == root.trace_id
+            assert by_name[name].parent_id == root.span_id
+            assert by_name[name + ".call"].parent_id \
+                == by_name[name].span_id

@@ -10,13 +10,14 @@ frame from those endpoints.
 from __future__ import annotations
 
 import json
+import re
 import urllib.error
 import urllib.request
 
 import pytest
 
 from repro.dash import main as dash_main
-from repro.dash import render, sparkline
+from repro.dash import render, serving_panel, sparkline
 from repro.observability import (
     MetricsRegistry,
     SamplingTracer,
@@ -83,6 +84,29 @@ class TestEndpoints:
         assert snapshot["source.cars.queries"]["value"] == 1
         assert snapshot["mediator.ask_seconds"]["type"] == "histogram"
         assert snapshot["mediator.ask_seconds"]["buckets"]  # not stripped
+
+    def test_metrics_carries_ask_exemplars_that_resolve(self):
+        """``/metrics`` and ``/snapshot`` serve the mediator's own ask
+        latency histogram, the one that records exemplars, and each
+        exemplar names a trace the sampler kept."""
+        registry = MetricsRegistry()
+        tracer = SamplingTracer(ratio=1.0)
+        with use_metrics(registry), use_tracer(tracer):
+            mediator = build_mediator(latency_objective=0.05)
+            for _ in range(5):
+                mediator.ask(QUERY)
+            with TelemetryServer(mediator=mediator,
+                                 registry=registry) as server:
+                _, _, metrics = _get(server.url + "/metrics")
+                _, _, snapshot = _get(server.url + "/snapshot")
+        trace_ids = re.findall(r'trace_id="([0-9a-f]{32})"', metrics)
+        assert trace_ids
+        kept = {f"{span.trace_id:032x}" for span in tracer.finished_spans()}
+        assert set(trace_ids) <= kept
+        served = json.loads(snapshot)["mediator.ask_seconds"]
+        assert served == json.loads(json.dumps(
+            mediator.ask_latency.snapshot()))
+        assert served["exemplars"]
 
     def test_unknown_path_is_404(self, served_mediator):
         _, server = served_mediator
@@ -169,6 +193,23 @@ class TestDash:
     def test_render_minimal_health(self):
         text = render({"status": "ok"}, {}, "http://h")
         assert text == "repro dash — http://h — status OK"
+
+
+class TestDashServingPanel:
+    GOLDEN_SERVING = [
+        "",
+        "  serving: request sharing",
+        "  coalesced hits                      7",
+        "  source calls avoided                7",
+    ]
+
+    def test_serving_panel_golden(self):
+        registry = MetricsRegistry()
+        registry.counter("executor.coalesced_hits").inc(7)
+        assert serving_panel(registry.snapshot()) == self.GOLDEN_SERVING
+
+    def test_serving_panel_absent_when_untouched(self):
+        assert serving_panel(MetricsRegistry().snapshot()) == []
 
 
 class TestDashProfilingPanel:
